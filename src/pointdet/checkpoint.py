@@ -7,6 +7,7 @@ payload of little-endian float64]``. Round-trips are bit-exact.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -29,7 +30,7 @@ def save_checkpoint(path, arrays) -> None:
     with open(path, "wb") as f:
         f.write(MAGIC)
         for name, arr in items:
-            a = np.ascontiguousarray(arr, dtype="<f8")
+            a = np.asarray(arr, dtype="<f8")  # keeps rank 0; tobytes is C order
             nb = name.encode("utf-8")
             f.write(struct.pack("<I", len(nb)))
             f.write(nb)
@@ -62,7 +63,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         name = take(name_len, "name").decode("utf-8")
         (rank,) = struct.unpack("<I", take(4, "rank"))
         shape = struct.unpack(f"<{rank}I", take(4 * rank, "extents")) if rank else ()
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
+        count = math.prod(shape)  # Python ints: extents cannot overflow
         payload = take(8 * count, f"payload of {name!r}")
         arr = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
         out[name] = arr

@@ -223,15 +223,17 @@ def _cmd_render(args) -> int:
     image = _load_image_file(args.image)
     dets = detect(model, image, score_thresh=args.score_thresh)
     state = model.forward(image)
-    pointsets = []
+    points = []
     grid_points = []
     for det in dets:
         col = state.collections[det.source_level]
-        pointsets.append(col.pointset(det.source_grid))
-        grid_points.append((col.grid_cx[det.source_grid], col.grid_cy[det.source_grid]))
+        g = det.source_grid
+        points.append((np.stack([col.bx[:, g], col.by[:, g]], axis=1),
+                       np.stack([col.sx[:, g], col.sy[:, g]], axis=1)))
+        grid_points.append((col.grid_cx[g], col.grid_cy[g]))
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
-    ppm.render_scene(image, args.out, dets=dets, pointsets=pointsets,
+    ppm.render_scene(image, args.out, dets=dets, points=points,
                      grid_points=grid_points, scale=args.scale)
     print(json.dumps({"detections": len(dets), "out": args.out}, sort_keys=True))
     return 0

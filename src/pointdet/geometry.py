@@ -16,7 +16,6 @@ __all__ = [
     "iou",
     "giou",
     "giou_loss",
-    "giou_loss_grad",
     "clamp_box",
     "iou_array",
     "iou_matrix",
@@ -147,8 +146,8 @@ def fold_boxes(boxes):
 def giou_loss_grad_array(pred, gt):
     """GIoU loss ``1 - giou`` and its gradients for [n,4] box arrays.
 
-    Returns ``(loss [n], gpred [n,4], ggt [n,4])``. Ties in the min/max terms
-    route the subgradient to the predicted box; degenerate pairs (union and
+    Returns ``(loss [n], gpred [n,4])``. Ties in the min/max terms route the
+    subgradient to the predicted box; degenerate pairs (union and
     enclosing area both zero) get loss 1 and zero gradient. Inverted
     predictions are folded to valid boxes first, with gradients routed
     through the swap.
@@ -194,68 +193,35 @@ def giou_loss_grad_array(pred, gt):
     giou_v = inter / safe_u + union / safe_c - 1.0
     loss[ok] = 1.0 - giou_v[ok]
 
-    # partials of inter/union/enclose w.r.t. each coordinate of pred and gt
+    # partials of inter/union/enclose w.r.t. the predicted coordinates
     both = (act_x & act_y).astype(np.float64)
+    di = np.zeros((n, 4))
+    di[:, 0] = -both * (al >= bl).astype(np.float64) * ihp
+    di[:, 2] = both * (ar <= br).astype(np.float64) * ihp
+    di[:, 1] = -both * (at >= bt).astype(np.float64) * iwp
+    di[:, 3] = both * (ab <= bb).astype(np.float64) * iwp
 
-    def grads_for(lo_x, hi_x, lo_y, hi_y, own_w, own_h, other_lo_x, other_hi_x,
-                  other_lo_y, other_hi_y, tie_to_this):
-        # indicator conventions: ties route to `tie_to_this` side
-        if tie_to_this:
-            d_ix1_lo = (lo_x >= other_lo_x).astype(np.float64)
-            d_ix2_hi = (hi_x <= other_hi_x).astype(np.float64)
-            d_iy1_lo = (lo_y >= other_lo_y).astype(np.float64)
-            d_iy2_hi = (hi_y <= other_hi_y).astype(np.float64)
-            d_cx1_lo = (lo_x <= other_lo_x).astype(np.float64)
-            d_cx2_hi = (hi_x >= other_hi_x).astype(np.float64)
-            d_cy1_lo = (lo_y <= other_lo_y).astype(np.float64)
-            d_cy2_hi = (hi_y >= other_hi_y).astype(np.float64)
-        else:
-            d_ix1_lo = (lo_x > other_lo_x).astype(np.float64)
-            d_ix2_hi = (hi_x < other_hi_x).astype(np.float64)
-            d_iy1_lo = (lo_y > other_lo_y).astype(np.float64)
-            d_iy2_hi = (hi_y < other_hi_y).astype(np.float64)
-            d_cx1_lo = (lo_x < other_lo_x).astype(np.float64)
-            d_cx2_hi = (hi_x > other_hi_x).astype(np.float64)
-            d_cy1_lo = (lo_y < other_lo_y).astype(np.float64)
-            d_cy2_hi = (hi_y > other_hi_y).astype(np.float64)
+    darea = np.zeros((n, 4))
+    darea[:, 0] = -ha
+    darea[:, 2] = ha
+    darea[:, 1] = -wa
+    darea[:, 3] = wa
+    du = darea - di
 
-        di = np.zeros((n, 4))
-        di[:, 0] = -both * d_ix1_lo * ihp
-        di[:, 2] = both * d_ix2_hi * ihp
-        di[:, 1] = -both * d_iy1_lo * iwp
-        di[:, 3] = both * d_iy2_hi * iwp
+    dc = np.zeros((n, 4))
+    dc[:, 0] = -(al <= bl).astype(np.float64) * chh
+    dc[:, 2] = (ar >= br).astype(np.float64) * chh
+    dc[:, 1] = -(at <= bt).astype(np.float64) * cw
+    dc[:, 3] = (ab >= bb).astype(np.float64) * cw
 
-        darea = np.zeros((n, 4))
-        darea[:, 0] = -own_h
-        darea[:, 2] = own_h
-        darea[:, 1] = -own_w
-        darea[:, 3] = own_w
-
-        du = darea - di
-
-        dc = np.zeros((n, 4))
-        dc[:, 0] = -d_cx1_lo * chh
-        dc[:, 2] = d_cx2_hi * chh
-        dc[:, 1] = -d_cy1_lo * cw
-        dc[:, 3] = d_cy2_hi * cw
-        return di, du, dc
-
-    di_a, du_a, dc_a = grads_for(al, ar, at, ab, wa, ha, bl, br, bt, bb, True)
-    di_b, du_b, dc_b = grads_for(bl, br, bt, bb, br - bl, bb - bt, al, ar, at, ab, False)
-
-    def chain(di, du, dc):
-        # d giou = dI/U - I dU/U^2 + dU/C - U dC/C^2 ; d loss = -d giou
-        g = (
-            di / safe_u[:, None]
-            - inter[:, None] * du / (safe_u**2)[:, None]
-            + du / safe_c[:, None]
-            - union[:, None] * dc / (safe_c**2)[:, None]
-        )
-        g = np.where(ok[:, None], -g, 0.0)
-        return g
-
-    gpred = chain(di_a, du_a, dc_a)
-    ggt = chain(di_b, du_b, dc_b)
+    # d giou = dI/U - I dU/U^2 + dU/C - U dC/C^2 ; d loss = -d giou
+    g = (
+        di / safe_u[:, None]
+        - inter[:, None] * du / (safe_u**2)[:, None]
+        + du / safe_c[:, None]
+        - union[:, None] * dc / (safe_c**2)[:, None]
+    )
+    gpred = np.where(ok[:, None], -g, 0.0)
 
     # route gradients back through the fold
     gp = gpred.copy()
@@ -263,7 +229,7 @@ def giou_loss_grad_array(pred, gt):
     gp[:, 2] = np.where(swap_x, gpred[:, 0], gpred[:, 2])
     gp[:, 1] = np.where(swap_y, gpred[:, 3], gpred[:, 1])
     gp[:, 3] = np.where(swap_y, gpred[:, 1], gpred[:, 3])
-    return loss, gp, ggt
+    return loss, gp
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +250,3 @@ def giou_loss(a: Box, b: Box) -> float:
     """GIoU loss ``1 - giou(a, b)``, in [0, 2)."""
     return 1.0 - giou(a, b)
 
-
-def giou_loss_grad(a: Box, b: Box):
-    """GIoU loss with gradients w.r.t. both boxes' (l,t,r,b) coordinates."""
-    loss, ga, gb = giou_loss_grad_array(a.as_array()[None], b.as_array()[None])
-    return float(loss[0]), ga[0], gb[0]

@@ -145,14 +145,13 @@ def check_giou(seed: int = 11) -> float:
     rng = np.random.default_rng(seed)
     pairs = _random_boxes_with_margin(rng, 24)
     worst = 0.0
-    for pa, pb in pairs:
+    # GIoU is symmetric, so the swapped pair checks the second argument too
+    for pred, gt in pairs + [(pb, pa) for pa, pb in pairs]:
         def f():
-            loss, _, _ = giou_loss_grad_array(pa[None], pb[None])
-            return float(loss[0])
+            return float(giou_loss_grad_array(pred[None], gt[None])[0][0])
 
-        _, ga, gb = giou_loss_grad_array(pa[None], pb[None])
-        worst = max(worst, _max_err_over(f, pa, ga[0], indices=[(i,) for i in range(4)]))
-        worst = max(worst, _max_err_over(f, pb, gb[0], indices=[(i,) for i in range(4)]))
+        _, gpred = giou_loss_grad_array(pred[None], gt[None])
+        worst = max(worst, _max_err_over(f, pred, gpred[0], indices=[(i,) for i in range(4)]))
     return worst
 
 

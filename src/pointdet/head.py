@@ -10,9 +10,8 @@ Collection then runs per grid: decode a coarse box, place one dynamic point
 on each coarse edge and N semantic points inside, sample the regression maps
 of the neighboring levels at the boundary points (blended with softmax level
 weights), sample each semantic point's own classification map, and reduce to
-a final box plus C class scores. Both a scalar per-grid form (the reference
-semantics) and the vectorized form used in training are provided; they must
-agree exactly.
+a final box plus C class scores. :func:`collect_level` does this for every
+grid of a level at once and :func:`collect_level_backward` reverses it.
 
 Coordinate conventions: grid (i, j) at stride s sits at image point
 ((j+0.5)s, (i+0.5)s); image point x maps to level grid coordinate
@@ -27,21 +26,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .geometry import Box
 from .layers import ConvLayer
 
 __all__ = [
     "LevelMaps",
-    "DynamicPointSet",
     "LevelCollection",
     "Head",
-    "grid_center",
-    "decode_coarse_box",
-    "generate_boundary_points",
-    "generate_semantic_points",
-    "compute_level_weights",
-    "collect_regression",
-    "aggregate_classification",
     "available_levels",
     "semantic_prior_fractions",
     "CLASS_PRIOR",
@@ -78,52 +68,6 @@ class LevelMaps:
     def w(self) -> int:
         return self.reg.shape[2]
 
-    def cls_maps(self, classes: int) -> np.ndarray:
-        """Classification maps reshaped to [N, classes, h, w]."""
-        n = self.cls.shape[0] // classes
-        return self.cls.reshape(n, classes, self.h, self.w)
-
-
-@dataclass
-class DynamicPointSet:
-    """Per-grid bundle of coarse box, dynamic points, and level weights."""
-
-    coarse: Box
-    boundary: np.ndarray       # [4,2] (x,y) for sides l,t,r,b
-    semantic: np.ndarray       # [N,2]
-    level_weights: np.ndarray  # [4,K] over the grid's available levels
-
-
-def grid_center(i: int, j: int, stride: float) -> tuple[float, float]:
-    return ((j + 0.5) * stride, (i + 0.5) * stride)
-
-
-def decode_coarse_box(center_x, center_y, stride, raw) -> Box:
-    """Coarse box from raw 4-vector: side distances exp(raw)*stride.
-
-    The raw values are clamped to +/-COARSE_RAW_LIMIT before exponentiation.
-    """
-    raw = np.clip(np.asarray(raw, dtype=np.float64), -COARSE_RAW_LIMIT, COARSE_RAW_LIMIT)
-    d = np.exp(raw) * stride
-    return Box(center_x - d[0], center_y - d[1], center_x + d[2], center_y + d[3])
-
-
-def generate_boundary_points(coarse: Box, raw) -> np.ndarray:
-    """One point per coarse edge: the midpoint shifted along the edge by
-    tanh(raw) times half the edge length. Returns [4,2] in l,t,r,b order."""
-    t = np.tanh(np.asarray(raw, dtype=np.float64))
-    midx, midy = coarse.center
-    hw = 0.5 * coarse.width
-    hh = 0.5 * coarse.height
-    return np.array(
-        [
-            [coarse.l, midy + t[0] * hh],
-            [midx + t[1] * hw, coarse.t],
-            [coarse.r, midy + t[2] * hh],
-            [midx + t[3] * hw, coarse.b],
-        ]
-    )
-
 
 def semantic_prior_fractions(n_points: int) -> tuple[np.ndarray, np.ndarray]:
     """Row-major prior grid fractions: point k sits at ((k%root+0.5)/root,
@@ -137,29 +81,6 @@ def semantic_prior_fractions(n_points: int) -> tuple[np.ndarray, np.ndarray]:
     return fx, fy
 
 
-def generate_semantic_points(coarse: Box, raw) -> np.ndarray:
-    """N points: a uniform prior grid inside the coarse box, each shifted by
-    tanh of its raw (x, y) pair times half the box extents. [N,2]."""
-    raw = np.asarray(raw, dtype=np.float64)
-    n = raw.size // 2
-    fx, fy = semantic_prior_fractions(n)
-    t = np.tanh(raw.reshape(n, 2))
-    x = coarse.l + fx * coarse.width + t[:, 0] * 0.5 * coarse.width
-    y = coarse.t + fy * coarse.height + t[:, 1] * 0.5 * coarse.height
-    return np.stack([x, y], axis=1)
-
-
-def compute_level_weights(raw) -> np.ndarray:
-    """Softmax over each side's K raw values. Input 4K flat (or [4,K]);
-    output [4,K] rows positive and summing to 1."""
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.ndim == 1:
-        if raw.size % 4:
-            raise ValueError(f"level-weight raw length {raw.size} is not 4*K")
-        raw = raw.reshape(4, raw.size // 4)
-    return ops.softmax(raw, axis=1)
-
-
 def available_levels(s0: int, n_levels: int, offsets) -> list[tuple[int | None, int]]:
     """Neighbor levels for collection: ``(q, level)`` pairs where q indexes
     the configured offsets. Falls back to [(None, s0)] if truncation at the
@@ -170,47 +91,8 @@ def available_levels(s0: int, n_levels: int, offsets) -> list[tuple[int | None, 
     return av
 
 
-def collect_regression(level_maps, pts: DynamicPointSet, s0: int, offsets=(-1, 0)) -> Box:
-    """Eq.-style box collection for one grid: per side, blend the bilinear
-    regression samples of the available neighbor levels with the point set's
-    level weights and add the boundary point's own coordinate."""
-    avail = available_levels(s0, len(level_maps), offsets)
-    weights = np.asarray(pts.level_weights, dtype=np.float64)
-    if weights.shape != (4, len(avail)):
-        raise ValueError(
-            f"level weights shape {weights.shape} does not match {len(avail)} available levels"
-        )
-    out = np.empty(4)
-    for side in range(4):
-        x, y = pts.boundary[side]
-        acc = 0.0
-        for a, (_, li) in enumerate(avail):
-            m = level_maps[li]
-            v = ops.bilinear_sample(m.reg[side], x / m.stride - 0.5, y / m.stride - 0.5)
-            acc += weights[side, a] * v * m.stride
-        coord = x if side in (0, 2) else y
-        out[side] = acc + coord
-    return Box(min(out[0], out[2]), min(out[1], out[3]), max(out[0], out[2]), max(out[1], out[3]))
-
-
-def aggregate_classification(cls_maps, semantic_pts, stride) -> np.ndarray:
-    """Scores from semantic points: point i samples only its own map
-    cls_maps[i] ([C,h,w]); the C-vector samples are summed and squashed."""
-    cls_maps = np.asarray(cls_maps, dtype=np.float64)
-    n, c = cls_maps.shape[0], cls_maps.shape[1]
-    total = np.zeros(c)
-    for i in range(n):
-        x, y = semantic_pts[i]
-        gx, gy = x / stride - 0.5, y / stride - 0.5
-        vals, _ = ops.bilinear_gather(
-            cls_maps[i], np.arange(c), np.full(c, gx), np.full(c, gy)
-        )
-        total += vals
-    return ops.sigmoid(total)
-
-
 # ---------------------------------------------------------------------------
-# vectorized collection
+# collection
 
 
 @dataclass
@@ -239,19 +121,12 @@ class LevelCollection:
     def n_grids(self) -> int:
         return self.h * self.w
 
-    def pointset(self, flat_idx: int) -> DynamicPointSet:
-        g = flat_idx
-        coarse = Box(self.coarse[g, 0], self.coarse[g, 1], self.coarse[g, 2], self.coarse[g, 3])
-        boundary = np.stack([self.bx[:, g], self.by[:, g]], axis=1)
-        semantic = np.stack([self.sx[:, g], self.sy[:, g]], axis=1)
-        return DynamicPointSet(coarse, boundary, semantic, self.weights[:, :, g].copy())
-
 
 def collect_level(maps, i0: int, cfg) -> LevelCollection:
     """Vectorized per-grid collection for pyramid level ``i0``.
 
-    ``cfg`` provides loc_decoupled, cls_decoupled, offsets, n_points,
-    classes, root_n.
+    ``cfg`` provides loc_decoupled, cls_decoupled, offsets, n_points and
+    classes.
     """
     m0 = maps[i0]
     s0 = float(m0.stride)

@@ -65,10 +65,6 @@ class ModelConfig:
         return self.n_semantic if self.cls_decoupled else 1
 
     @property
-    def root_n(self) -> int:
-        return math.isqrt(self.n_points)
-
-    @property
     def offsets(self) -> tuple:
         return self.neighbor_offsets if self.loc_decoupled else (0,)
 
@@ -98,6 +94,38 @@ class ModelState:
 
 
 _MODE_IDS = {m: i for i, m in enumerate(MODES)}
+_INT_MAX = 2**31 - 1
+# checkpoint metadata records and the closed range of their integer values
+_META_RANGES = {
+    "meta.format_version": (1, 1),
+    "meta.mode": (0, len(MODES) - 1),
+    "meta.classes": (1, _INT_MAX),
+    "meta.n_semantic": (1, _INT_MAX),
+    "meta.channels": (1, _INT_MAX),
+    "meta.levels": (1, _INT_MAX),
+    "meta.base_stride": (1, _INT_MAX),
+    "meta.neighbor_offsets": (-_INT_MAX, _INT_MAX),
+}
+
+
+def _read_meta(arrays, path) -> dict[str, list[int]]:
+    """Validated metadata: one integer per record, a list for the offsets."""
+    meta = {}
+    for name, (lo, hi) in _META_RANGES.items():
+        if name not in arrays:
+            raise ValueError(f"checkpoint {path!r} is missing metadata record {name!r}")
+        vals = arrays[name].ravel().tolist()
+        single = name != "meta.neighbor_offsets"
+        if (single and len(vals) != 1) or not all(
+            v.is_integer() and lo <= v <= hi for v in vals
+        ):
+            what = "one integer" if single else "integers"
+            raise ValueError(
+                f"checkpoint {path!r}: metadata record {name!r} must hold {what} "
+                f"in [{lo}, {hi}], got {vals}"
+            )
+        meta[name[len("meta."):]] = [int(v) for v in vals]
+    return meta
 
 
 class DetectionModel:
@@ -175,19 +203,21 @@ class DetectionModel:
     @classmethod
     def load(cls, path) -> "DetectionModel":
         arrays = load_checkpoint(path)
-        try:
-            cfg = ModelConfig(
-                classes=int(arrays["meta.classes"][0]),
-                n_semantic=int(arrays["meta.n_semantic"][0]),
-                channels=int(arrays["meta.channels"][0]),
-                levels=int(arrays["meta.levels"][0]),
-                base_stride=int(arrays["meta.base_stride"][0]),
-                neighbor_offsets=tuple(int(o) for o in arrays["meta.neighbor_offsets"]),
-                mode=MODES[int(arrays["meta.mode"][0])],
-            )
-        except KeyError as e:
-            raise ValueError(f"checkpoint {path!r} is missing metadata record {e}") from e
+        meta = _read_meta(arrays, path)
+        cfg = ModelConfig(
+            classes=meta["classes"][0],
+            n_semantic=meta["n_semantic"][0],
+            channels=meta["channels"][0],
+            levels=meta["levels"][0],
+            base_stride=meta["base_stride"][0],
+            neighbor_offsets=tuple(meta["neighbor_offsets"]),
+            mode=MODES[meta["mode"][0]],
+        )
         model = cls(cfg, seed=0)
+        params = model.param_dict()
+        for name in arrays:
+            if name not in _META_RANGES and name not in params:
+                raise ValueError(f"checkpoint {path!r} holds unknown record {name!r}")
         for p in model.parameters():
             if p.name not in arrays:
                 raise ValueError(f"checkpoint {path!r} is missing parameter {p.name!r}")

@@ -28,8 +28,6 @@ __all__ = [
     "softmax_backward",
     "bilinear_gather",
     "bilinear_gather_backward",
-    "bilinear_sample",
-    "bilinear_sample_grad",
 ]
 
 
@@ -253,29 +251,3 @@ def bilinear_gather_backward(cache, gvals, gmaps=None):
     gys = gvals * dfy * iny
     return gmaps, gxs, gys
 
-
-def bilinear_sample(map2d, x, y):
-    """Sample a single [H,W] map at one (x, y) grid coordinate."""
-    map2d = np.asarray(map2d, dtype=np.float64)
-    if map2d.ndim != 2 or map2d.size == 0:
-        raise ValueError(f"expected a non-empty 2-d map, got shape {map2d.shape}")
-    vals, _ = bilinear_gather(
-        map2d[None], np.zeros(1, dtype=np.intp), np.array([x]), np.array([y])
-    )
-    return float(vals[0])
-
-
-def bilinear_sample_grad(map2d, x, y):
-    """Value plus gradients of one bilinear sample.
-
-    Returns ``(value, gmap, dx, dy)`` where ``gmap`` is dvalue/dmap ([H,W])
-    and ``dx``/``dy`` are dvalue/dx, dvalue/dy.
-    """
-    map2d = np.asarray(map2d, dtype=np.float64)
-    if map2d.ndim != 2 or map2d.size == 0:
-        raise ValueError(f"expected a non-empty 2-d map, got shape {map2d.shape}")
-    vals, cache = bilinear_gather(
-        map2d[None], np.zeros(1, dtype=np.intp), np.array([x]), np.array([y])
-    )
-    gmaps, gxs, gys = bilinear_gather_backward(cache, np.ones(1))
-    return float(vals[0]), gmaps[0], float(gxs[0]), float(gys[0])

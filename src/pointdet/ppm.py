@@ -8,6 +8,8 @@ source-grid markers over the upscaled image.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 __all__ = ["write_ppm", "read_ppm", "render_heatmap", "render_scene", "COLORMAP_ANCHORS"]
@@ -31,6 +33,12 @@ BOUNDARY_COLOR = np.array([120, 255, 120], dtype=np.uint8)
 SEMANTIC_COLOR = np.array([255, 160, 40], dtype=np.uint8)
 GRID_COLOR = np.array([235, 40, 40], dtype=np.uint8)
 
+# Netpbm header: magic, width, height and maxval separated by whitespace and
+# "#" comments that run to the end of their line; one whitespace byte then
+# starts the raster
+_SEP = rb"(?:\s|#[^\r\n]*[\r\n])+"
+_PPM_HEADER = re.compile(rb"P6" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)\s")
+
 
 def write_ppm(path, rgb: np.ndarray) -> None:
     """Write an [H,W,3] uint8 array as binary PPM."""
@@ -47,19 +55,19 @@ def write_ppm(path, rgb: np.ndarray) -> None:
 
 
 def read_ppm(path) -> np.ndarray:
-    """Read a binary PPM written by :func:`write_ppm`."""
+    """Read a binary (P6) PPM with 8-bit samples into [H,W,3] uint8."""
     with open(path, "rb") as f:
         data = f.read()
     if not data.startswith(b"P6"):
         raise ValueError(f"{path!r} is not a binary PPM")
-    parts = data.split(b"\n", 3)
-    if len(parts) < 4:
-        raise ValueError(f"{path!r}: truncated PPM header")
-    w, h = (int(v) for v in parts[1].split())
-    maxval = int(parts[2])
+    header = _PPM_HEADER.match(data)
+    if header is None:
+        raise ValueError(f"{path!r}: truncated or malformed PPM header")
+    w, h, maxval = (int(v) for v in header.groups())
     if maxval != 255:
         raise ValueError(f"{path!r}: unsupported max value {maxval}")
-    pixels = np.frombuffer(parts[3][: w * h * 3], dtype=np.uint8)
+    start = header.end()
+    pixels = np.frombuffer(data[start : start + w * h * 3], dtype=np.uint8)
     if pixels.size != w * h * 3:
         raise ValueError(f"{path!r}: truncated PPM payload")
     return pixels.reshape(h, w, 3).copy()
@@ -126,12 +134,13 @@ def _draw_box(canvas, l, t, r, b, color):
         _put(canvas, y, r_i, color)
 
 
-def render_scene(image, path, dets=None, pointsets=None, grid_points=None, scale=4) -> None:
+def render_scene(image, path, dets=None, points=None, grid_points=None, scale=4) -> None:
     """Render a [3,H,W] image (values in [0,1]) with overlays.
 
-    ``dets`` draws green boxes; ``pointsets`` draws boundary points (green)
-    and semantic points (orange); ``grid_points`` marks source grid centers
-    in red. All overlay coordinates are image-space and get upscaled.
+    ``dets`` draws green boxes; ``points`` holds ``(boundary [4,2], semantic
+    [N,2])`` pairs of (x, y) points drawn in light green and orange;
+    ``grid_points`` marks source grid centers in red. All overlay
+    coordinates are image-space and get upscaled.
     """
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[0] != 3:
@@ -142,10 +151,10 @@ def render_scene(image, path, dets=None, pointsets=None, grid_points=None, scale
     for det in dets or []:
         b = det.box
         _draw_box(canvas, b.l * s, b.t * s, b.r * s - 1, b.b * s - 1, BOX_COLOR)
-    for pts in pointsets or []:
-        for x, y in pts.boundary:
+    for boundary, semantic in points or []:
+        for x, y in boundary:
             _draw_marker(canvas, x * s, y * s, BOUNDARY_COLOR)
-        for x, y in pts.semantic:
+        for x, y in semantic:
             _draw_marker(canvas, x * s, y * s, SEMANTIC_COLOR)
     for x, y in grid_points or []:
         _draw_marker(canvas, x * s, y * s, GRID_COLOR, size=0)

@@ -24,7 +24,6 @@ from .scenes import GroundTruth, generate_scene, scene_seed
 __all__ = [
     "Assignment",
     "assign_samples",
-    "focal_loss",
     "focal_loss_from_logits",
     "total_loss",
     "compute_losses",
@@ -130,28 +129,6 @@ def assign_samples(collections, gt: GroundTruth, rule: str = "coarse-iou") -> As
 # losses
 
 
-def focal_loss(scores, targets, alpha=FOCAL_ALPHA, gamma=FOCAL_GAMMA,
-               n_positives=None) -> float:
-    """Focal loss on probability scores.
-
-    ``scores`` is [G,C] with entries in (0,1); ``targets`` is [G] with the
-    positive class id or -1 for background. Summed over every grid-class
-    pair and normalized by max(1, number of positives).
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.int64)
-    g, c = scores.shape
-    onehot = targets[:, None] == np.arange(c)[None, :]
-    p_t = np.where(onehot, scores, 1.0 - scores)
-    a_t = np.where(onehot, alpha, 1.0 - alpha)
-    with np.errstate(divide="ignore"):
-        logp = np.log(p_t)
-    elem = np.where(p_t >= 1.0, 0.0, -a_t * (1.0 - p_t) ** gamma * logp)
-    if n_positives is None:
-        n_positives = int((targets >= 0).sum())
-    return float(elem.sum() / max(1, n_positives))
-
-
 def focal_loss_from_logits(z, targets, alpha=FOCAL_ALPHA, gamma=FOCAL_GAMMA,
                            n_positives=None):
     """Focal loss and gradient computed stably from summed logits.
@@ -216,7 +193,7 @@ def compute_losses(state: ModelState, gt: GroundTruth, lambda1=2.0, lambda2=0.5,
         pred = np.stack(
             [cols[li].boxes[flat] for li, flat in zip(assignment.pos_level, assignment.pos_flat)]
         )
-        losses, gpred, _ = giou_loss_grad_array(pred, gt.boxes[assignment.pos_gt])
+        losses, gpred = giou_loss_grad_array(pred, gt.boxes[assignment.pos_gt])
         l_reg = float(losses.mean())
         scale = lambda1 / p
         for k in range(p):
@@ -230,7 +207,7 @@ def compute_losses(state: ModelState, gt: GroundTruth, lambda1=2.0, lambda2=0.5,
         coarse_sel = np.stack(
             [cols[li].coarse[flat] for li, flat in zip(assignment.center_level, assignment.center_flat)]
         )
-        losses2, gcoarse, _ = giou_loss_grad_array(coarse_sel, gt.boxes)
+        losses2, gcoarse = giou_loss_grad_array(coarse_sel, gt.boxes)
         l_reg2 = float(losses2.mean())
         scale = lambda2 / m
         for k in range(m):

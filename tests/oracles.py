@@ -1,10 +1,16 @@
 """Independent brute-force reference implementations used only by tests.
 
 These deliberately share no code with the library: scalar arithmetic,
-explicit loops, and direct transcriptions of the definitions.
+explicit loops, and direct transcriptions of the definitions. Array inputs
+are only indexed, so numpy arrays and nested lists both work.
 """
 
 from __future__ import annotations
+
+import math
+
+# raw coarse values are clamped to +/- this before exponentiation
+COARSE_RAW_LIMIT = 6.0
 
 
 def iou_scalar(a, b) -> float:
@@ -116,3 +122,132 @@ def average_precision_reference(dets_per_image, gts_per_image, iou_thresholds,
         "AP75": mean(per_class_at.get(0.75, {})),
         "per_class": per_class,
     }
+
+
+# ---------------------------------------------------------------------------
+# prediction collection for one grid
+
+
+def sigmoid_scalar(z) -> float:
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
+
+
+def coarse_box_reference(cx, cy, stride, raw):
+    """Coarse box (l, t, r, b): side k sits exp(clamped raw[k]) * stride
+    from the grid's image point (cx, cy)."""
+    d = [math.exp(min(max(float(raw[k]), -COARSE_RAW_LIMIT), COARSE_RAW_LIMIT)) * stride
+         for k in range(4)]
+    return (cx - d[0], cy - d[1], cx + d[2], cy + d[3])
+
+
+def boundary_points_reference(box, raw):
+    """One (x, y) point per coarse edge in l, t, r, b order: the edge
+    midpoint moved along the edge by tanh(raw) of half the edge length."""
+    l, t, r, b = box
+    mx, my = 0.5 * (l + r), 0.5 * (t + b)
+    hw, hh = 0.5 * (r - l), 0.5 * (b - t)
+    return [
+        (l, my + math.tanh(raw[0]) * hh),
+        (mx + math.tanh(raw[1]) * hw, t),
+        (r, my + math.tanh(raw[2]) * hh),
+        (mx + math.tanh(raw[3]) * hw, b),
+    ]
+
+
+def semantic_points_reference(box, raw):
+    """N = root^2 points: point k starts at cell center (k % root, k // root)
+    of a root x root grid over the box and moves by tanh of its raw (x, y)
+    pair times half the box extents."""
+    l, t, r, b = box
+    n = len(raw) // 2
+    root = math.isqrt(n)
+    pts = []
+    for k in range(n):
+        col, row = k % root, k // root
+        x = l + (col + 0.5) / root * (r - l) + 0.5 * math.tanh(raw[2 * k]) * (r - l)
+        y = t + (row + 0.5) / root * (b - t) + 0.5 * math.tanh(raw[2 * k + 1]) * (b - t)
+        pts.append((x, y))
+    return pts
+
+
+def level_weights_reference(raw, k, qs=None):
+    """Softmax over each side's raw values ``raw[side * k + q]`` for q in
+    ``qs`` (default: all k). Returns 4 rows, one weight per q."""
+    qs = range(k) if qs is None else qs
+    rows = []
+    for side in range(4):
+        vals = [float(raw[side * k + q]) for q in qs]
+        top = max(vals)
+        e = [math.exp(v - top) for v in vals]
+        rows.append([v / sum(e) for v in e])
+    return rows
+
+
+def bilinear_reference(map2d, x, y) -> float:
+    """Bilinear sample of an [H,W] map at grid coordinate (x, y), with the
+    coordinates clamped to [0, W-1] x [0, H-1]."""
+    h, w = len(map2d), len(map2d[0])
+    x = min(max(x, 0.0), w - 1.0)
+    y = min(max(y, 0.0), h - 1.0)
+    x0, y0 = int(math.floor(x)), int(math.floor(y))
+    x1, y1 = min(x0 + 1, w - 1), min(y0 + 1, h - 1)
+    fx, fy = x - x0, y - y0
+    top = (1.0 - fx) * map2d[y0][x0] + fx * map2d[y0][x1]
+    bot = (1.0 - fx) * map2d[y1][x0] + fx * map2d[y1][x1]
+    return float((1.0 - fy) * top + fy * bot)
+
+
+def neighbor_levels_reference(level, n_levels, offsets):
+    """``(q, level + offsets[q])`` for every neighbor level that exists, or
+    ``[(None, level)]`` when none does."""
+    out = [(q, level + off) for q, off in enumerate(offsets) if 0 <= level + off < n_levels]
+    return out or [(None, level)]
+
+
+def collect_box_reference(level_maps, boundary, weights, level, offsets):
+    """Final box sides (l, t, r, b) of one grid: per side, the boundary
+    point's own coordinate plus the weighted image-space regression samples
+    of the neighbor levels. ``level_maps[i]`` has ``stride`` and ``reg``
+    ([4,h,w], image offset = value * stride); ``weights`` is [4][K]."""
+    levels = neighbor_levels_reference(level, len(level_maps), offsets)
+    out = []
+    for side in range(4):
+        x, y = boundary[side]
+        acc = 0.0
+        for a, (_, li) in enumerate(levels):
+            m = level_maps[li]
+            v = bilinear_reference(m.reg[side], x / m.stride - 0.5, y / m.stride - 0.5)
+            acc += weights[side][a] * v * m.stride
+        out.append(acc + (x if side in (0, 2) else y))
+    return tuple(out)
+
+
+def class_scores_reference(cls, classes, semantic, stride):
+    """Per class, sigmoid of the summed samples where semantic point n reads
+    only its own map ``cls[n * classes + c]`` ([N*C,h,w] logits)."""
+    scores = []
+    for c in range(classes):
+        total = 0.0
+        for n, (x, y) in enumerate(semantic):
+            total += bilinear_reference(cls[n * classes + c], x / stride - 0.5, y / stride - 0.5)
+        scores.append(sigmoid_scalar(total))
+    return scores
+
+
+def focal_loss_reference(scores, targets, alpha=0.25, gamma=2.0, n_positives=None) -> float:
+    """Focal loss on probabilities: ``scores[g][c]`` in [0, 1], ``targets[g]``
+    the positive class or -1. Sum of -a_t (1 - p_t)^gamma log p_t over every
+    grid-class pair (0 where p_t = 1), over max(1, positives)."""
+    total = 0.0
+    for g, row in enumerate(scores):
+        for c, p in enumerate(row):
+            pos = targets[g] == c
+            p_t = p if pos else 1.0 - p
+            if p_t < 1.0:
+                total += -(alpha if pos else 1.0 - alpha) * (1.0 - p_t) ** gamma * math.log(p_t)
+    if n_positives is None:
+        n_positives = sum(1 for t in targets if t >= 0)
+    return total / max(1, n_positives)

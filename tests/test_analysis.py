@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointdet.analysis import (
     AccuracyMaps,
@@ -161,6 +163,47 @@ def test_ppm_header_and_roundtrip(tmp_path):
     assert raw.startswith(b"P6\n2 2\n255\n")
     back = read_ppm(path)
     assert np.array_equal(back, arr)
+
+
+_RASTER = bytes(range(6))  # 2x1 pixels
+
+
+@pytest.mark.parametrize("header, raster", [
+    (b"P6\n# made by gimp\n2 1\n255\n", _RASTER),
+    (b"P6 2 1 255\n", _RASTER),
+    (b"P6\n2 # width\n1\n# maxval next\n255\t", _RASTER),
+    (b"P6\r\n2 1\r\n255\n", _RASTER),
+    (b"P6 2 1 255\n", b"\n \t\r\n\x0b"),  # raster bytes that look like whitespace
+], ids=["comment", "one-line", "inline-comments", "crlf", "whitespace-raster"])
+def test_ppm_reads_netpbm_headers(tmp_path, header, raster):
+    path = tmp_path / "img.ppm"
+    path.write_bytes(header + raster)
+    assert read_ppm(path).tobytes() == raster
+
+
+@pytest.mark.parametrize("data, match", [
+    (b"P6\n2 1\n255\n" + _RASTER[:-1], "truncated PPM payload"),
+    (b"P6\n2 1\n65535\n" + _RASTER * 2, "unsupported max value 65535"),
+    (b"P6\n2 1\n", "PPM header"),
+    (b"P6\n# comment without end", "PPM header"),
+    (b"P6\n-2 1\n255\n" + _RASTER, "PPM header"),
+    (b"P3\n2 1\n255\n0 0 0 0 0 0\n", "not a binary PPM"),
+], ids=["short-raster", "16-bit", "no-raster", "open-comment", "negative-width", "ascii"])
+def test_ppm_rejects_malformed(tmp_path, data, match):
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=match):
+        read_ppm(path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=st.integers(0, 5), w=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+def test_ppm_write_read_roundtrip_property(tmp_path_factory, h, w, seed):
+    arr = np.random.default_rng(seed).integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+    path = tmp_path_factory.mktemp("ppm") / "img.ppm"
+    write_ppm(path, arr)
+    back = read_ppm(path)
+    assert back.shape == arr.shape and np.array_equal(back, arr)
 
 
 def test_heatmap_pixel_dimensions_match_map(tmp_path):

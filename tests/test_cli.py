@@ -122,6 +122,60 @@ def test_render_cli(tmp_path, capsys):
     assert rendered.shape == (128, 128, 3)
 
 
+def _marker_pixels(x, y, size):
+    cx, cy = int(round(x)), int(round(y))
+    return {(cy + d, cx) for d in range(-size, size + 1)} | {
+        (cy, cx + d) for d in range(-size, size + 1)
+    }
+
+
+def test_render_cli_draws_points_of_source_grids(tmp_path, capsys):
+    from pointdet.inference import detect
+    from pointdet.model import DetectionModel
+    from pointdet.ppm import BOUNDARY_COLOR, GRID_COLOR, SEMANTIC_COLOR, read_ppm
+    from pointdet.scenes import generate_scene
+
+    config_path, _ = _write_config(tmp_path, iters=10)
+    main(["train", "--config", str(config_path)])
+    ckpt = str(tmp_path / "run" / "model.pdn")
+    img, _ = generate_scene(4, width=32, height=32)
+    np.save(tmp_path / "scene.npy", img)
+    out_path = tmp_path / "render.ppm"
+    rc = main(["render", "--ckpt", ckpt, "--image", str(tmp_path / "scene.npy"),
+               "--out", str(out_path), "--score-thresh", "0.02", "--scale", "4"])
+    assert rc == 0
+    rendered = read_ppm(out_path)
+
+    # each detection's source-grid points, in drawing order: boundary then
+    # semantic markers per detection, then one grid-center pixel per detection
+    model = DetectionModel.load(ckpt)
+    dets = detect(model, img, score_thresh=0.02)
+    assert dets
+    state = model.forward(img)
+    markers = []
+    for det in dets:
+        col = state.collections[det.source_level]
+        g = det.source_grid
+        markers += [(4 * x, 4 * y, BOUNDARY_COLOR, 1) for x, y in zip(col.bx[:, g], col.by[:, g])]
+        markers += [(4 * x, 4 * y, SEMANTIC_COLOR, 1) for x, y in zip(col.sx[:, g], col.sy[:, g])]
+    for det in dets:
+        col = state.collections[det.source_level]
+        markers.append((4 * col.grid_cx[det.source_grid], 4 * col.grid_cy[det.source_grid],
+                        GRID_COLOR, 0))
+    checked = {BOUNDARY_COLOR.tobytes(): 0, SEMANTIC_COLOR.tobytes(): 0}
+    for k, (x, y, color, _) in enumerate(markers[:-len(dets)]):
+        center = (int(round(y)), int(round(x)))
+        if not (0 <= center[0] < 128 and 0 <= center[1] < 128):
+            continue
+        if any(center in _marker_pixels(*m[:2], m[3]) for m in markers[k + 1:]):
+            continue  # a later marker paints over this one
+        assert np.array_equal(rendered[center], color), (k, center)
+        checked[color.tobytes()] += 1
+    # most markers are not painted over, so the check covers both kinds
+    assert checked[BOUNDARY_COLOR.tobytes()] >= 2 * len(dets)
+    assert checked[SEMANTIC_COLOR.tobytes()] >= 9 * len(dets) // 2
+
+
 def test_analyze_cli(tmp_path, capsys):
     config_path, cfg = _write_config(tmp_path, iters=10)
     main(["train", "--config", str(config_path)])

@@ -9,7 +9,6 @@ from pointdet.geometry import (
     fold_boxes,
     giou,
     giou_loss,
-    giou_loss_grad,
     giou_loss_grad_array,
     iou,
     iou_matrix,
@@ -63,9 +62,10 @@ def test_giou_both_degenerate_defined_zero():
     a = Box(1, 1, 1, 1)
     b = Box(4, 2, 4, 2)
     assert giou(a, b) == 0.0
-    loss, ga, gb = giou_loss_grad(a, b)
-    assert loss == 1.0
-    assert np.all(ga == 0) and np.all(gb == 0)
+    for pred, gt in ((a, b), (b, a)):
+        loss, gpred = giou_loss_grad_array(pred.as_array()[None], gt.as_array()[None])
+        assert loss[0] == 1.0
+        assert np.all(gpred == 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -101,18 +101,19 @@ def test_giou_gradients_match_fd():
                  pa[2] - pa[0], pa[3] - pa[1], pb[2] - pb[0], pb[3] - pb[1]]
         if min(abs(d) for d in diffs) < 1e-2:
             continue
-        _, ga, gb = giou_loss_grad_array(pa[None], pb[None])
         eps = 1e-6
-        for arr, grad in ((pa, ga[0]), (pb, gb[0])):
+        # GIoU is symmetric, so the swapped pair checks the second argument
+        for pred, gt in ((pa, pb), (pb, pa)):
+            _, gpred = giou_loss_grad_array(pred[None], gt[None])
             for i in range(4):
-                old = arr[i]
-                arr[i] = old + eps
-                hi = float(giou_loss_grad_array(pa[None], pb[None])[0][0])
-                arr[i] = old - eps
-                lo = float(giou_loss_grad_array(pa[None], pb[None])[0][0])
-                arr[i] = old
+                old = pred[i]
+                pred[i] = old + eps
+                hi = float(giou_loss_grad_array(pred[None], gt[None])[0][0])
+                pred[i] = old - eps
+                lo = float(giou_loss_grad_array(pred[None], gt[None])[0][0])
+                pred[i] = old
                 num = (hi - lo) / (2 * eps)
-                worst = max(worst, abs(num - grad[i]) / max(1.0, abs(num), abs(grad[i])))
+                worst = max(worst, abs(num - gpred[0, i]) / max(1.0, abs(num), abs(gpred[0, i])))
     assert worst < 1e-6
 
 
@@ -123,8 +124,8 @@ def test_fold_boxes_routes_inverted_coordinates():
     assert swap_x[0] and not swap_y[0]
     # loss of the folded box equals loss computed on the pre-sorted box
     gt = np.array([[2.0, 1.0, 5.0, 4.0]])
-    loss_inv, _, _ = giou_loss_grad_array(inverted, gt)
-    loss_ok, _, _ = giou_loss_grad_array(folded, gt)
+    loss_inv, _ = giou_loss_grad_array(inverted, gt)
+    loss_ok, _ = giou_loss_grad_array(folded, gt)
     assert loss_inv[0] == loss_ok[0] == pytest.approx(0.0)
 
 

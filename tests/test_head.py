@@ -2,21 +2,45 @@ import numpy as np
 import pytest
 
 from pointdet import ops
-from pointdet.geometry import Box
 from pointdet.head import (
     LevelMaps,
-    aggregate_classification,
     available_levels,
     collect_level,
-    collect_regression,
-    compute_level_weights,
-    decode_coarse_box,
-    generate_boundary_points,
-    generate_semantic_points,
-    grid_center,
     semantic_prior_fractions,
 )
 from pointdet.model import DetectionModel, ModelConfig
+
+from oracles import (
+    boundary_points_reference,
+    class_scores_reference,
+    coarse_box_reference,
+    collect_box_reference,
+    level_weights_reference,
+    neighbor_levels_reference,
+    semantic_points_reference,
+)
+
+
+def _random_collections(seed, draws, cfg=None, coarse=1.5, shift=2.0, lvlw=3.0):
+    """``(maps, collection)`` for every level of ``draws`` sets of dense maps
+    of a 128x128 image (1344 grids per draw) with random raw values."""
+    cfg = cfg or ModelConfig()
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        maps = []
+        for stride in cfg.strides:
+            h = w = 128 // stride
+            maps.append(LevelMaps(
+                stride=stride,
+                reg=rng.normal(size=(4, h, w)),
+                cls=rng.normal(size=(cfg.n_points * cfg.classes, h, w)),
+                coarse=rng.normal(scale=coarse, size=(4, h, w)),
+                bshift=rng.normal(scale=shift, size=(4, h, w)),
+                sshift=rng.normal(scale=shift, size=(2 * cfg.n_points, h, w)),
+                lvlw=rng.normal(scale=lvlw, size=(4 * len(cfg.offsets), h, w)),
+            ))
+        for li in range(len(maps)):
+            yield maps, collect_level(maps, li, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -24,31 +48,24 @@ from pointdet.model import DetectionModel, ModelConfig
 
 
 def test_decode_coarse_zero_raw():
-    box = decode_coarse_box(10.0, 10.0, 4, np.zeros(4))
-    assert box == Box(6, 6, 14, 14)
+    assert coarse_box_reference(10.0, 10.0, 4, [0.0] * 4) == (6, 6, 14, 14)
 
 
 def test_decode_coarse_hand_value():
-    box = decode_coarse_box(10.0, 10.0, 4, np.array([np.log(2), 0.0, np.log(2), 0.0]))
-    assert box.l == pytest.approx(2.0)
-    assert box.t == pytest.approx(6.0)
-    assert box.r == pytest.approx(18.0)
-    assert box.b == pytest.approx(14.0)
+    box = coarse_box_reference(10.0, 10.0, 4, [np.log(2), 0.0, np.log(2), 0.0])
+    assert box == pytest.approx((2.0, 6.0, 18.0, 14.0))
 
 
 def test_decode_coarse_matches_formula_randomized():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        raw = rng.normal(size=4)
-        cx, cy = rng.uniform(0, 60, size=2)
-        stride = int(rng.choice([4, 8, 16]))
-        box = decode_coarse_box(cx, cy, stride, raw)
-        d = np.exp(raw) * stride
-        assert box.l == pytest.approx(cx - d[0])
-        assert box.t == pytest.approx(cy - d[1])
-        assert box.r == pytest.approx(cx + d[2])
-        assert box.b == pytest.approx(cy + d[3])
-        assert box.width > 0 and box.height > 0
+    for maps, col in _random_collections(0, 2, coarse=1.0):
+        m = maps[col.level]
+        d = np.exp(m.coarse.reshape(4, -1)) * m.stride
+        np.testing.assert_allclose(col.coarse[:, 0], col.grid_cx - d[0], rtol=1e-12)
+        np.testing.assert_allclose(col.coarse[:, 1], col.grid_cy - d[1], rtol=1e-12)
+        np.testing.assert_allclose(col.coarse[:, 2], col.grid_cx + d[2], rtol=1e-12)
+        np.testing.assert_allclose(col.coarse[:, 3], col.grid_cy + d[3], rtol=1e-12)
+        assert np.all(col.coarse[:, 2] > col.coarse[:, 0])
+        assert np.all(col.coarse[:, 3] > col.coarse[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -56,27 +73,26 @@ def test_decode_coarse_matches_formula_randomized():
 
 
 def test_boundary_zero_shift_is_midpoints():
-    pts = generate_boundary_points(Box(0, 0, 4, 8), np.zeros(4))
+    pts = boundary_points_reference((0, 0, 4, 8), [0.0] * 4)
     np.testing.assert_allclose(pts, [[0, 4], [2, 0], [4, 4], [2, 8]])
 
 
 def test_boundary_saturation_limit():
-    pts = generate_boundary_points(Box(0, 0, 4, 8), np.array([100.0, 0, 0, 0]))
+    pts = boundary_points_reference((0, 0, 4, 8), [100.0, 0, 0, 0])
     np.testing.assert_allclose(pts[0], [0.0, 8.0])
 
 
 def test_boundary_on_edge_property_1e4_draws():
-    rng = np.random.default_rng(1)
-    for _ in range(10_000):
-        raw = rng.normal(scale=2.0, size=4)
-        c = np.sort(rng.uniform(0, 50, size=4).reshape(2, 2), axis=1)
-        box = Box(c[0, 0], c[1, 0], c[0, 1] + 1.0, c[1, 1] + 1.0)
-        pts = generate_boundary_points(box, raw)
+    grids = 0
+    for _, col in _random_collections(1, 8):
+        l, t, r, b = col.coarse.T
         # exact edge-coordinate equality, transverse coordinate within segment
-        assert pts[0, 0] == box.l and box.t <= pts[0, 1] <= box.b
-        assert pts[1, 1] == box.t and box.l <= pts[1, 0] <= box.r
-        assert pts[2, 0] == box.r and box.t <= pts[2, 1] <= box.b
-        assert pts[3, 1] == box.b and box.l <= pts[3, 0] <= box.r
+        assert np.all(col.bx[0] == l) and np.all((t <= col.by[0]) & (col.by[0] <= b))
+        assert np.all(col.by[1] == t) and np.all((l <= col.bx[1]) & (col.bx[1] <= r))
+        assert np.all(col.bx[2] == r) and np.all((t <= col.by[2]) & (col.by[2] <= b))
+        assert np.all(col.by[3] == b) and np.all((l <= col.bx[3]) & (col.bx[3] <= r))
+        grids += col.n_grids
+    assert grids >= 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -84,28 +100,28 @@ def test_boundary_on_edge_property_1e4_draws():
 
 
 def test_semantic_prior_grid_n9():
-    pts = generate_semantic_points(Box(0, 0, 6, 6), np.zeros(18))
-    xs = sorted(set(round(p, 9) for p in pts[:, 0]))
-    ys = sorted(set(round(p, 9) for p in pts[:, 1]))
+    pts = semantic_points_reference((0, 0, 6, 6), [0.0] * 18)
+    xs = sorted(set(round(p[0], 9) for p in pts))
+    ys = sorted(set(round(p[1], 9) for p in pts))
     assert xs == [1.0, 3.0, 5.0]
     assert ys == [1.0, 3.0, 5.0]
     assert len(pts) == 9
 
 
 def test_semantic_single_point_center():
-    pts = generate_semantic_points(Box(0, 0, 4, 4), np.zeros(2))
+    pts = semantic_points_reference((0, 0, 4, 4), [0.0, 0.0])
     np.testing.assert_allclose(pts, [[2.0, 2.0]])
 
 
 def test_semantic_points_within_dilated_box_property():
-    rng = np.random.default_rng(2)
-    for _ in range(10_000):
-        raw = rng.normal(scale=3.0, size=18)
-        box = Box(5, 3, 20, 31)
-        pts = generate_semantic_points(box, raw)
-        w, h = box.width, box.height
-        assert np.all(pts[:, 0] >= box.l - 0.5 * w) and np.all(pts[:, 0] <= box.r + 0.5 * w)
-        assert np.all(pts[:, 1] >= box.t - 0.5 * h) and np.all(pts[:, 1] <= box.b + 0.5 * h)
+    grids = 0
+    for _, col in _random_collections(2, 8, shift=3.0):
+        l, t, r, b = col.coarse.T
+        w, h = r - l, b - t
+        assert np.all((col.sx >= l - 0.5 * w) & (col.sx <= r + 0.5 * w))
+        assert np.all((col.sy >= t - 0.5 * h) & (col.sy <= b + 0.5 * h))
+        grids += col.n_grids
+    assert grids >= 10_000
 
 
 def test_semantic_nonsquare_n_rejected():
@@ -120,26 +136,25 @@ def test_semantic_nonsquare_n_rejected():
 
 
 def test_level_weights_symmetric():
-    w = compute_level_weights(np.zeros(8))
+    w = level_weights_reference([0.0] * 8, 2)
     np.testing.assert_allclose(w, np.full((4, 2), 0.5))
 
 
 def test_level_weights_hand_value():
-    w = compute_level_weights(np.array([np.log(3.0), 0.0] * 4))
+    w = level_weights_reference([np.log(3.0), 0.0] * 4, 2)
     np.testing.assert_allclose(w, np.tile([0.75, 0.25], (4, 1)), atol=1e-12)
 
 
 def test_level_weights_simplex_property():
-    rng = np.random.default_rng(3)
-    for _ in range(1000):
-        w = compute_level_weights(rng.normal(scale=4.0, size=12))
-        assert w.shape == (4, 3)
-        assert np.all(w > 0)
-        np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
+    cfg = ModelConfig(neighbor_offsets=(-2, -1, 0))
+    for _, col in _random_collections(3, 1, cfg=cfg, lvlw=4.0):
+        assert col.weights.shape == (4, col.level + 1, col.n_grids)
+        assert np.all(col.weights > 0)
+        np.testing.assert_allclose(col.weights.sum(axis=1), 1.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# collection (scalar ops)
+# collection reference
 
 
 def _flat_maps(stride, h, w, reg_fill=0.0, n=1, c=2):
@@ -154,15 +169,9 @@ def _flat_maps(stride, h, w, reg_fill=0.0, n=1, c=2):
 def test_collect_regression_single_level_example():
     # x_l = 7, sampled offset -2 (raw -2/stride scaled by stride) -> B_l = 5
     maps = [_flat_maps(stride=4, h=8, w=8, reg_fill=-0.5)]
-    pts_boundary = np.array([[7.0, 10.0], [10.0, 6.0], [13.0, 10.0], [10.0, 14.0]])
-    from pointdet.head import DynamicPointSet
-
-    pts = DynamicPointSet(
-        coarse=Box(7, 6, 13, 14), boundary=pts_boundary,
-        semantic=np.array([[10.0, 10.0]]), level_weights=np.ones((4, 1)),
-    )
-    box = collect_regression(maps, pts, s0=0, offsets=(0,))
-    assert box.l == pytest.approx(7.0 - 2.0)
+    boundary = [(7.0, 10.0), (10.0, 6.0), (13.0, 10.0), (10.0, 14.0)]
+    box = collect_box_reference(maps, boundary, [[1.0]] * 4, 0, (0,))
+    assert box[0] == pytest.approx(7.0 - 2.0)
 
 
 def test_collect_regression_weighted_example():
@@ -171,16 +180,9 @@ def test_collect_regression_weighted_example():
         _flat_maps(stride=4, h=16, w=16, reg_fill=-0.5),   # -2 px offsets
         _flat_maps(stride=8, h=8, w=8, reg_fill=-0.5),     # -4 px offsets
     ]
-    from pointdet.head import DynamicPointSet
-
-    pts = DynamicPointSet(
-        coarse=Box(10, 10, 30, 30),
-        boundary=np.array([[10.0, 20.0], [20.0, 10.0], [30.0, 20.0], [20.0, 30.0]]),
-        semantic=np.array([[20.0, 20.0]]),
-        level_weights=np.tile([0.25, 0.75], (4, 1)),
-    )
-    box = collect_regression(maps, pts, s0=1, offsets=(-1, 0))
-    assert box.l == pytest.approx(10.0 + 0.25 * -2.0 + 0.75 * -4.0)
+    boundary = [(10.0, 20.0), (20.0, 10.0), (30.0, 20.0), (20.0, 30.0)]
+    box = collect_box_reference(maps, boundary, [[0.25, 0.75]] * 4, 1, (-1, 0))
+    assert box[0] == pytest.approx(10.0 + 0.25 * -2.0 + 0.75 * -4.0)
 
 
 def test_collect_regression_constant_maps_weight_independent():
@@ -189,15 +191,11 @@ def test_collect_regression_constant_maps_weight_independent():
         _flat_maps(stride=4, h=16, w=16, reg_fill=0.75),
         _flat_maps(stride=8, h=8, w=8, reg_fill=0.375),  # same 3 px image offset
     ]
-    from pointdet.head import DynamicPointSet
-
-    boundary = np.array([[10.0, 20.0], [20.0, 10.0], [30.0, 20.0], [20.0, 30.0]])
-    results = []
-    for _ in range(5):
-        w = rng.dirichlet([1, 1], size=4)
-        pts = DynamicPointSet(Box(10, 10, 30, 30), boundary,
-                              np.array([[20.0, 20.0]]), w)
-        results.append(collect_regression(maps, pts, 1, (-1, 0)).as_array())
+    boundary = [(10.0, 20.0), (20.0, 10.0), (30.0, 20.0), (20.0, 30.0)]
+    results = [
+        collect_box_reference(maps, boundary, rng.dirichlet([1, 1], size=4), 1, (-1, 0))
+        for _ in range(5)
+    ]
     for r in results[1:]:
         np.testing.assert_allclose(r, results[0], atol=1e-12)
 
@@ -210,25 +208,22 @@ def test_available_levels_truncation():
 
 
 def test_aggregate_classification_zero_logits():
-    cls_maps = np.zeros((2, 3, 8, 8))
-    pts = np.array([[10.0, 10.0], [20.0, 12.0]])
-    scores = aggregate_classification(cls_maps, pts, stride=4)
+    scores = class_scores_reference(np.zeros((6, 8, 8)), 3, [(10.0, 10.0), (20.0, 12.0)], 4)
     np.testing.assert_allclose(scores, 0.5)
 
 
 def test_aggregate_classification_saturation():
-    cls_maps = np.full((1, 1, 4, 4), 60.0)
-    scores = aggregate_classification(cls_maps, np.array([[8.0, 8.0]]), stride=4)
+    scores = class_scores_reference(np.full((1, 4, 4), 60.0), 1, [(8.0, 8.0)], 4)
     assert scores[0] == pytest.approx(1.0)
 
 
 def test_aggregate_classification_permutation_invariant():
     rng = np.random.default_rng(5)
-    cls_maps = rng.normal(size=(4, 3, 8, 8))
+    cls = rng.normal(size=(4, 3, 8, 8))
     pts = rng.uniform(4, 28, size=(4, 2))
-    base = aggregate_classification(cls_maps, pts, stride=4)
+    base = class_scores_reference(cls.reshape(12, 8, 8), 3, pts, 4)
     perm = rng.permutation(4)
-    permuted = aggregate_classification(cls_maps[perm], pts[perm], stride=4)
+    permuted = class_scores_reference(cls[perm].reshape(12, 8, 8), 3, pts[perm], 4)
     np.testing.assert_allclose(base, permuted, atol=1e-12)
 
 
@@ -272,39 +267,24 @@ def test_vectorized_collection_matches_scalar_ops():
     state = model.forward(img)
     for li, col in enumerate(state.collections):
         m = state.maps[li]
-        h, w = col.h, col.w
-        for flat in np.random.default_rng(li).choice(h * w, size=min(6, h * w), replace=False):
-            i, j = divmod(int(flat), w)
-            cx, cy = grid_center(i, j, m.stride)
-            coarse = decode_coarse_box(cx, cy, m.stride, m.coarse[:, i, j])
-            np.testing.assert_allclose(col.coarse[flat], coarse.as_array(), atol=1e-9)
-            bpts = generate_boundary_points(coarse, m.bshift[:, i, j])
-            np.testing.assert_allclose(
-                np.stack([col.bx[:, flat], col.by[:, flat]], axis=1), bpts, atol=1e-9
-            )
-            spts = generate_semantic_points(coarse, m.sshift[:, i, j])
-            np.testing.assert_allclose(
-                np.stack([col.sx[:, flat], col.sy[:, flat]], axis=1), spts, atol=1e-9
-            )
-            avail = available_levels(li, len(state.maps), cfg.offsets)
-            k_model = m.lvlw.shape[0] // 4
-            raw = m.lvlw[:, i, j].reshape(4, k_model)[:, [q for q, _ in avail]]
-            weights = np.exp(raw - raw.max(axis=1, keepdims=True))
-            weights /= weights.sum(axis=1, keepdims=True)
+        avail = neighbor_levels_reference(li, len(state.maps), cfg.offsets)
+        k_model = m.lvlw.shape[0] // 4
+        for flat in range(col.n_grids):
+            i, j = divmod(flat, col.w)
+            cx, cy = (j + 0.5) * m.stride, (i + 0.5) * m.stride
+            coarse = coarse_box_reference(cx, cy, m.stride, m.coarse[:, i, j])
+            np.testing.assert_allclose(col.coarse[flat], coarse, atol=1e-9)
+            bpts = boundary_points_reference(coarse, m.bshift[:, i, j])
+            np.testing.assert_allclose(np.stack([col.bx[:, flat], col.by[:, flat]], axis=1),
+                                       bpts, atol=1e-9)
+            spts = semantic_points_reference(coarse, m.sshift[:, i, j])
+            np.testing.assert_allclose(np.stack([col.sx[:, flat], col.sy[:, flat]], axis=1),
+                                       spts, atol=1e-9)
+            weights = level_weights_reference(m.lvlw[:, i, j], k_model, [q for q, _ in avail])
             np.testing.assert_allclose(col.weights[:, :, flat], weights, atol=1e-9)
-            from pointdet.head import DynamicPointSet
-
-            pts = DynamicPointSet(coarse, bpts, spts, weights)
-            box = collect_regression(state.maps, pts, li, cfg.offsets)
-            got = col.boxes[flat]
-            np.testing.assert_allclose(
-                [min(got[0], got[2]), min(got[1], got[3]),
-                 max(got[0], got[2]), max(got[1], got[3])],
-                box.as_array(), atol=1e-9,
-            )
-            scores = aggregate_classification(
-                m.cls_maps(cfg.classes), spts, m.stride
-            )
+            box = collect_box_reference(state.maps, bpts, weights, li, cfg.offsets)
+            np.testing.assert_allclose(col.boxes[flat], box, atol=1e-9)
+            scores = class_scores_reference(m.cls, cfg.classes, spts, m.stride)
             np.testing.assert_allclose(col.scores[:, flat], scores, atol=1e-9)
 
 

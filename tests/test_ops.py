@@ -82,31 +82,44 @@ def test_conv_deterministic():
 # bilinear sampling
 
 
+def _sample(m, x, y):
+    """One bilinear sample of the [H,W] map ``m`` through the batched kernel."""
+    vals, _ = ops.bilinear_gather(m[None], np.zeros(1, dtype=np.intp), [x], [y])
+    return float(vals[0])
+
+
+def _sample_grad(m, x, y):
+    """``(value, dvalue/dmap [H,W], dvalue/dx, dvalue/dy)`` of one sample."""
+    vals, cache = ops.bilinear_gather(m[None], np.zeros(1, dtype=np.intp), [x], [y])
+    gmaps, gxs, gys = ops.bilinear_gather_backward(cache, np.ones(1))
+    return float(vals[0]), gmaps[0], float(gxs[0]), float(gys[0])
+
+
 def test_bilinear_integer_gridpoint_exact():
     rng = np.random.default_rng(2)
     m = rng.normal(size=(4, 5))
-    assert ops.bilinear_sample(m, 1.0, 2.0) == m[2, 1]
+    assert _sample(m, 1.0, 2.0) == m[2, 1]
 
 
 def test_bilinear_midpoint_average():
     m = np.zeros((2, 2))
     m[0, 0] = 1.0
     m[0, 1] = 3.0
-    assert ops.bilinear_sample(m, 0.5, 0.0) == pytest.approx(2.0)
+    assert _sample(m, 0.5, 0.0) == pytest.approx(2.0)
 
 
 def test_bilinear_clamps_to_border():
     rng = np.random.default_rng(3)
     m = rng.normal(size=(3, 4))
-    assert ops.bilinear_sample(m, -1.0, 0.0) == m[0, 0]
-    assert ops.bilinear_sample(m, 99.0, 99.0) == m[2, 3]
+    assert _sample(m, -1.0, 0.0) == m[0, 0]
+    assert _sample(m, 99.0, 99.0) == m[2, 3]
 
 
 def test_bilinear_rejects_nonfinite():
     with pytest.raises(ValueError, match="non-finite"):
-        ops.bilinear_sample(np.zeros((2, 2)), np.nan, 0.0)
+        _sample(np.zeros((2, 2)), np.nan, 0.0)
     with pytest.raises(ValueError, match="non-finite"):
-        ops.bilinear_sample(np.zeros((2, 2)), 0.0, np.inf)
+        _sample(np.zeros((2, 2)), 0.0, np.inf)
 
 
 @settings(max_examples=60, deadline=None)
@@ -117,7 +130,7 @@ def test_bilinear_rejects_nonfinite():
 )
 def test_bilinear_output_within_support_hull(x, y, seed):
     m = np.random.default_rng(seed).normal(size=(4, 5))
-    v = ops.bilinear_sample(m, x, y)
+    v = _sample(m, x, y)
     # support cell under the clamp convention
     xc = min(max(x, 0.0), 4.0)
     yc = min(max(y, 0.0), 3.0)
@@ -129,8 +142,8 @@ def test_bilinear_output_within_support_hull(x, y, seed):
 
 def test_bilinear_single_pixel_map():
     m = np.array([[7.0]])
-    assert ops.bilinear_sample(m, 0.3, -2.0) == 7.0
-    value, gmap, dx, dy = ops.bilinear_sample_grad(m, 0.3, -2.0)
+    assert _sample(m, 0.3, -2.0) == 7.0
+    value, gmap, dx, dy = _sample_grad(m, 0.3, -2.0)
     assert value == 7.0 and dx == 0.0 and dy == 0.0
     assert gmap[0, 0] == 1.0
 
@@ -139,18 +152,18 @@ def test_bilinear_gradient_wrt_map_and_coords():
     rng = np.random.default_rng(4)
     m = rng.normal(size=(5, 6))
     x, y = 2.3, 1.7
-    value, gmap, dx, dy = ops.bilinear_sample_grad(m, x, y)
+    value, gmap, dx, dy = _sample_grad(m, x, y)
     eps = 1e-6
-    ndx = (ops.bilinear_sample(m, x + eps, y) - ops.bilinear_sample(m, x - eps, y)) / (2 * eps)
-    ndy = (ops.bilinear_sample(m, x, y + eps) - ops.bilinear_sample(m, x, y - eps)) / (2 * eps)
+    ndx = (_sample(m, x + eps, y) - _sample(m, x - eps, y)) / (2 * eps)
+    ndy = (_sample(m, x, y + eps) - _sample(m, x, y - eps)) / (2 * eps)
     assert dx == pytest.approx(ndx, rel=1e-6, abs=1e-9)
     assert dy == pytest.approx(ndy, rel=1e-6, abs=1e-9)
     for idx in np.ndindex(m.shape):
         old = m[idx]
         m[idx] = old + eps
-        hi = ops.bilinear_sample(m, x, y)
+        hi = _sample(m, x, y)
         m[idx] = old - eps
-        lo = ops.bilinear_sample(m, x, y)
+        lo = _sample(m, x, y)
         m[idx] = old
         assert gmap[idx] == pytest.approx((hi - lo) / (2 * eps), abs=1e-9)
 
@@ -158,7 +171,7 @@ def test_bilinear_gradient_wrt_map_and_coords():
 def test_bilinear_integer_coordinate_uses_right_cell():
     # value slope differs left/right of x=1; right-limit convention applies
     m = np.array([[0.0, 1.0, 5.0]])
-    _, _, dx, _ = ops.bilinear_sample_grad(m, 1.0, 0.0)
+    _, _, dx, _ = _sample_grad(m, 1.0, 0.0)
     assert dx == pytest.approx(4.0)  # slope of the right cell
 
 

@@ -1,5 +1,10 @@
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointdet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from pointdet.model import DetectionModel, ModelConfig
@@ -142,3 +147,84 @@ def test_model_load_mode_roundtrip(tmp_path):
         path = tmp_path / f"{mode}.pdn"
         model.save(path)
         assert DetectionModel.load(path).config.mode == mode
+
+
+def _tampered_checkpoint(tmp_path, edit):
+    """Save a small model, let ``edit`` change its record dict, write it back."""
+    path = tmp_path / "model.pdn"
+    DetectionModel(ModelConfig(channels=8, classes=2, n_semantic=4), seed=0).save(path)
+    records = load_checkpoint(path)
+    edit(records)
+    save_checkpoint(path, records)
+    return path
+
+
+@pytest.mark.parametrize("name, value", [
+    ("meta.format_version", [0.0]),
+    ("meta.format_version", [2.0]),
+    ("meta.format_version", [99.0]),
+    ("meta.mode", [0.9]),
+    ("meta.mode", [4.0]),
+    ("meta.mode", [-1.0]),
+    ("meta.classes", [np.nan]),
+    ("meta.channels", [8.5]),
+    ("meta.levels", [0.0]),
+    ("meta.base_stride", [4.0, 4.0]),
+    ("meta.neighbor_offsets", [-1.0, np.inf]),
+])
+def test_model_load_rejects_bad_meta(tmp_path, name, value):
+    path = _tampered_checkpoint(tmp_path, lambda r: r.__setitem__(name, np.array(value)))
+    with pytest.raises(ValueError, match=name):
+        DetectionModel.load(path)
+
+
+def test_model_load_rejects_unknown_record(tmp_path):
+    path = _tampered_checkpoint(
+        tmp_path, lambda r: r.__setitem__("head.extra.w", np.zeros(3))
+    )
+    with pytest.raises(ValueError, match="unknown record 'head.extra.w'"):
+        DetectionModel.load(path)
+
+
+def test_checkpoint_overflowing_extents_rejected(tmp_path):
+    # three extents of 2^31 hold 2^93 elements: more than any int64 count
+    path = tmp_path / "huge.pdn"
+    path.write_bytes(
+        b"PDN1" + struct.pack("<I", 1) + b"x" + struct.pack("<4I", 3, 2**31, 2**31, 2**31)
+    )
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+
+
+_names = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_arrays = st.lists(st.integers(0, 3), max_size=3).flatmap(
+    lambda shape: st.lists(
+        st.floats(allow_nan=False, width=64), min_size=math.prod(shape),
+        max_size=math.prod(shape),
+    ).map(lambda vals: np.array(vals, dtype=np.float64).reshape(shape))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=st.dictionaries(_names, _arrays, max_size=4), cut=st.integers(1, 10**6))
+def test_checkpoint_roundtrip_and_truncation_property(tmp_path_factory, records, cut):
+    path = tmp_path_factory.mktemp("ck") / "ck.pdn"
+    save_checkpoint(path, records)
+    back = load_checkpoint(path)
+    assert list(back) == list(records)
+    for name, arr in records.items():
+        assert back[name].shape == arr.shape
+        assert back[name].tobytes() == arr.tobytes()
+    # a proper prefix that ends inside a record is rejected, never misread
+    raw = path.read_bytes()
+    if len(raw) > 4:
+        path.write_bytes(raw[: 4 + cut % (len(raw) - 4)])
+        try:
+            partial = load_checkpoint(path)
+        except CheckpointError as e:
+            assert "truncated" in str(e)
+        else:
+            # the cut fell between two records: the ones before it read back
+            assert list(partial) == list(records)[: len(partial)]
+            for name, arr in partial.items():
+                assert arr.tobytes() == records[name].tobytes()

@@ -9,13 +9,14 @@ from pointdet.scenes import GroundTruth, generate_scene
 from pointdet.training import (
     assign_samples,
     compute_losses,
-    focal_loss,
     focal_loss_from_logits,
     holdout_scenes,
     lr_at,
     total_loss,
     train_from_config,
 )
+
+from oracles import focal_loss_reference
 
 
 def _forward_state(seed=0, image_seed=0, size=32, **cfg_kw):
@@ -102,23 +103,26 @@ def test_assignment_positive_soundness_recheck():
 
 
 def test_focal_perfect_prediction_zero():
-    scores = np.array([[1.0, 0.0, 0.0]])
-    assert focal_loss(scores, np.array([0])) == 0.0
+    loss, _ = focal_loss_from_logits(np.array([[800.0], [-800.0], [-800.0]]), np.array([0]))
+    assert loss == 0.0
+    assert focal_loss_reference([[1.0, 0.0, 0.0]], [0]) == 0.0
 
 
 def test_focal_hand_value():
-    # positive class with p=0.9: 0.25 * 0.01 * (-ln 0.9)
-    scores = np.array([[0.9]])
+    # positive class with p=0.9 (logit ln 9): 0.25 * 0.01 * (-ln 0.9)
     expected = 0.25 * 0.01 * -np.log(0.9)
-    assert focal_loss(scores, np.array([0])) == pytest.approx(expected, rel=1e-9)
+    loss, _ = focal_loss_from_logits(np.array([[np.log(9.0)]]), np.array([0]))
+    assert loss == pytest.approx(expected, rel=1e-9)
+    assert focal_loss_reference([[0.9]], [0]) == pytest.approx(expected, rel=1e-9)
 
 
 def test_focal_gamma_zero_reduces_to_weighted_ce():
     rng = np.random.default_rng(0)
-    scores = rng.uniform(0.05, 0.95, size=(6, 3))
+    z = rng.normal(size=(3, 6))
     targets = rng.integers(-1, 3, size=6)
     alpha = 0.5
-    got = focal_loss(scores, targets, alpha=alpha, gamma=0.0)
+    got, _ = focal_loss_from_logits(z, targets, alpha=alpha, gamma=0.0)
+    scores = sigmoid(z).T
     ce = 0.0
     for g in range(6):
         for c in range(3):
@@ -133,15 +137,15 @@ def test_focal_logits_path_matches_probability_path():
     z = rng.normal(size=(3, 20)) * 3
     targets = rng.integers(-1, 3, size=20)
     loss_z, _ = focal_loss_from_logits(z, targets)
-    loss_p = focal_loss(sigmoid(z).T, targets)
+    loss_p = focal_loss_reference(sigmoid(z).T, targets)
     assert loss_z == pytest.approx(loss_p, rel=1e-12)
 
 
 def test_focal_normalized_by_positives():
-    scores = np.full((4, 2), 0.5)
+    z = np.zeros((2, 4))
     targets = np.array([0, 1, -1, -1])
-    a = focal_loss(scores, targets)
-    b = focal_loss(scores, targets, n_positives=1)
+    a, _ = focal_loss_from_logits(z, targets)
+    b, _ = focal_loss_from_logits(z, targets, n_positives=1)
     assert a == pytest.approx(b / 2)
 
 
@@ -170,7 +174,7 @@ def test_reg2_averages_over_gt_count():
         state.collections[li].coarse[flat]
         for li, flat in zip(asn.center_level, asn.center_flat)
     ])
-    losses, _, _ = giou_loss_grad_array(sel, boxes)
+    losses, _ = giou_loss_grad_array(sel, boxes)
     assert comps["l_reg2"] == pytest.approx(float(losses.mean()), rel=1e-12)
 
 
