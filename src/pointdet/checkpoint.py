@@ -60,7 +60,13 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
     while pos < n:
         (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        name_at = pos
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"record name at byte {name_at} is not UTF-8: {e}") from e
+        if name in out:
+            raise CheckpointError(f"repeated record name {name!r} at byte {name_at}")
         (rank,) = struct.unpack("<I", take(4, "rank"))
         shape = struct.unpack(f"<{rank}I", take(4 * rank, "extents")) if rank else ()
         count = math.prod(shape)  # Python ints: extents cannot overflow

@@ -16,10 +16,10 @@ import numpy as np
 
 from . import analysis, dataio, gradcheck, ppm
 from .config import TrainConfig, format_config, load_config
-from .inference import average_precision, detect, write_detections
+from .inference import average_precision, detect, postprocess, write_detections
 from .model import MODES, DetectionModel
 from .scenes import GroundTruth
-from .training import TrainingDiverged, train_from_config
+from .training import TrainingDiverged, holdout_scenes, train_from_config
 
 __all__ = ["main", "build_parser"]
 
@@ -221,8 +221,8 @@ def _load_image_file(path) -> np.ndarray:
 def _cmd_render(args) -> int:
     model = DetectionModel.load(args.ckpt)
     image = _load_image_file(args.image)
-    dets = detect(model, image, score_thresh=args.score_thresh)
     state = model.forward(image)
+    dets = postprocess(state, image.shape[2], image.shape[1], score_thresh=args.score_thresh)
     points = []
     grid_points = []
     for det in dets:
@@ -243,9 +243,6 @@ def _cmd_ablate(args) -> int:
     cfg = load_config(args.config)
     out_dir = os.path.join(cfg.out_dir, args.mode)
     model, history, ckpt_path = _train_common(cfg, args.mode, out_dir)
-
-    from .training import holdout_scenes
-
     scenes = holdout_scenes(cfg, args.eval_count)
     dets = {i: detect(model, img, image_id=i) for i, (img, _) in enumerate(scenes)}
     gts = {i: gt for i, (_, gt) in enumerate(scenes)}

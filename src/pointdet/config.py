@@ -73,6 +73,8 @@ def load_config(path) -> TrainConfig:
 
 
 def format_config(cfg: TrainConfig) -> str:
+    if cfg.out_dir != cfg.out_dir.strip() or len(cfg.out_dir.splitlines()) > 1:
+        raise ValueError(f"out_dir {cfg.out_dir!r} does not fit on one config line")
     lines = []
     for f in fields(TrainConfig):
         val = getattr(cfg, f.name)

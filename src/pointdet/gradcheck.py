@@ -51,8 +51,9 @@ def _max_err_over(f, arr, grad, indices=None, eps=EPS) -> float:
 def check_conv(seed: int = 3) -> float:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for stride in (1, 2):
-        x = rng.normal(size=(2, 4, 4))
+    # 5x8 at stride 2 leaves the last input column unread: (8 + 2 - 3) % 2 != 0
+    for (h, wd), stride in (((4, 4), 1), ((4, 4), 2), ((5, 8), 2)):
+        x = rng.normal(size=(2, h, wd))
         w = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
         y0, _ = ops.conv2d(x, w, b, stride=stride, padding=1)

@@ -16,6 +16,7 @@ __all__ = [
     "decode_detections",
     "nms",
     "detect",
+    "postprocess",
     "average_precision",
     "write_detections",
     "read_detections",
@@ -117,13 +118,21 @@ def detect(model: DetectionModel, image, score_thresh: float = DEFAULT_SCORE_THR
            nms_iou: float = DEFAULT_NMS_IOU,
            max_detections: int = DEFAULT_MAX_DETECTIONS,
            image_id: int = 0) -> list[Detection]:
-    """Full inference for one image: forward, decode, NMS, cap."""
+    """Full inference for one image: forward, then :func:`postprocess`."""
     image = np.asarray(image, dtype=np.float64)
-    state = model.forward(image)
-    dets = decode_detections(state, image.shape[2], image.shape[1],
-                             score_thresh, topk_per_level)
-    dets = nms(dets, nms_iou)
-    dets = dets[:max_detections]  # nms output is already score-sorted
+    return postprocess(model.forward(image), image.shape[2], image.shape[1], score_thresh,
+                       topk_per_level, nms_iou, max_detections, image_id)
+
+
+def postprocess(state: ModelState, image_width: float, image_height: float,
+                score_thresh: float = DEFAULT_SCORE_THRESH,
+                topk_per_level: int = DEFAULT_TOPK_PER_LEVEL,
+                nms_iou: float = DEFAULT_NMS_IOU,
+                max_detections: int = DEFAULT_MAX_DETECTIONS,
+                image_id: int = 0) -> list[Detection]:
+    """Detections of one forward pass: decode, NMS, cap."""
+    dets = decode_detections(state, image_width, image_height, score_thresh, topk_per_level)
+    dets = nms(dets, nms_iou)[:max_detections]  # nms output is already score-sorted
     for d in dets:
         d.image_id = image_id
     return dets

@@ -95,7 +95,7 @@ class ModelState:
 
 _MODE_IDS = {m: i for i, m in enumerate(MODES)}
 _INT_MAX = 2**31 - 1
-# checkpoint metadata records and the closed range of their integer values
+# checkpoint metadata records in file order, and the closed range of their values
 _META_RANGES = {
     "meta.format_version": (1, 1),
     "meta.mode": (0, len(MODES) - 1),
@@ -108,8 +108,8 @@ _META_RANGES = {
 }
 
 
-def _read_meta(arrays, path) -> dict[str, list[int]]:
-    """Validated metadata: one integer per record, a list for the offsets."""
+def _read_meta(arrays, path) -> dict:
+    """Validated metadata by field name: an integer, a tuple for the offsets."""
     meta = {}
     for name, (lo, hi) in _META_RANGES.items():
         if name not in arrays:
@@ -124,7 +124,7 @@ def _read_meta(arrays, path) -> dict[str, list[int]]:
                 f"checkpoint {path!r}: metadata record {name!r} must hold {what} "
                 f"in [{lo}, {hi}], got {vals}"
             )
-        meta[name[len("meta."):]] = [int(v) for v in vals]
+        meta[name[len("meta."):]] = int(vals[0]) if single else tuple(int(v) for v in vals)
     return meta
 
 
@@ -138,9 +138,6 @@ class DetectionModel:
 
     def parameters(self):
         return self.backbone.parameters() + self.head.parameters()
-
-    def param_dict(self):
-        return {p.name: p for p in self.parameters()}
 
     # ------------------------------------------------------------------
     def forward(self, image) -> ModelState:
@@ -187,16 +184,9 @@ class DetectionModel:
 
     def save(self, path) -> None:
         cfg = self.config
-        records = [
-            ("meta.format_version", np.array([1.0])),
-            ("meta.mode", np.array([float(_MODE_IDS[cfg.mode])])),
-            ("meta.classes", np.array([float(cfg.classes)])),
-            ("meta.n_semantic", np.array([float(cfg.n_semantic)])),
-            ("meta.channels", np.array([float(cfg.channels)])),
-            ("meta.levels", np.array([float(cfg.levels)])),
-            ("meta.base_stride", np.array([float(cfg.base_stride)])),
-            ("meta.neighbor_offsets", np.array([float(o) for o in cfg.neighbor_offsets])),
-        ]
+        values = dict(vars(cfg), format_version=1, mode=_MODE_IDS[cfg.mode])
+        records = [(name, np.array(values[name[len("meta."):]], dtype=np.float64).reshape(-1))
+                   for name in _META_RANGES]
         records.extend((p.name, p.value) for p in self.parameters())
         save_checkpoint(path, records)
 
@@ -204,17 +194,9 @@ class DetectionModel:
     def load(cls, path) -> "DetectionModel":
         arrays = load_checkpoint(path)
         meta = _read_meta(arrays, path)
-        cfg = ModelConfig(
-            classes=meta["classes"][0],
-            n_semantic=meta["n_semantic"][0],
-            channels=meta["channels"][0],
-            levels=meta["levels"][0],
-            base_stride=meta["base_stride"][0],
-            neighbor_offsets=tuple(meta["neighbor_offsets"]),
-            mode=MODES[meta["mode"][0]],
-        )
-        model = cls(cfg, seed=0)
-        params = model.param_dict()
+        del meta["format_version"]  # its range admits only the current version
+        model = cls(ModelConfig(**dict(meta, mode=MODES[meta["mode"]])), seed=0)
+        params = {p.name for p in model.parameters()}
         for name in arrays:
             if name not in _META_RANGES and name not in params:
                 raise ValueError(f"checkpoint {path!r} holds unknown record {name!r}")

@@ -31,11 +31,6 @@ __all__ = [
 ]
 
 
-def _require_finite(name: str, arr) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-
-
 # ---------------------------------------------------------------------------
 # convolution
 
@@ -78,11 +73,17 @@ def conv2d(x, w, b=None, stride=1, padding=0):
         if b.shape != (cout,):
             raise ValueError(f"bias shape {b.shape} does not match {cout} output channels")
 
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding))) if padding else x
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    win = win[:, ::stride, ::stride]
-    # rows are output positions (row-major), columns are (cin, ky, kx)
-    cols = np.ascontiguousarray(win.transpose(1, 2, 0, 3, 4)).reshape(ho * wo, cin * kh * kw)
+    # im2col rows are output positions (row-major), columns (cin, ky, kx). This
+    # layout is fixed: training is bit-identical only for this GEMM, cols @ w.T;
+    # w @ cols.T rounds differently at some shapes. Built from one zero-framed
+    # channels-last copy of x and k*k strided slices of it.
+    xp = np.zeros((h + 2 * padding, wd + 2 * padding, cin))
+    xp[padding : padding + h, padding : padding + wd] = x.transpose(1, 2, 0)
+    cols = np.empty((ho, wo, cin, kh, kw))
+    for u in range(kh):
+        for v in range(kw):
+            cols[..., u, v] = xp[u : u + stride * ho : stride, v : v + stride * wo : stride]
+    cols = cols.reshape(ho * wo, cin * kh * kw)
     y = cols @ w.reshape(cout, -1).T
     if b is not None:
         y += b
@@ -168,7 +169,8 @@ def softmax(v, axis=-1):
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise ValueError("softmax of an empty vector")
-    _require_finite("softmax input", v)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("softmax input contains non-finite values")
     e = np.exp(v - v.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)
 

@@ -251,3 +251,52 @@ def focal_loss_reference(scores, targets, alpha=0.25, gamma=2.0, n_positives=Non
     if n_positives is None:
         n_positives = sum(1 for t in targets if t >= 0)
     return total / max(1, n_positives)
+
+
+def _conv_taps(h, w, k, stride, padding, i, j):
+    """``(u, v, y, x)`` for every kernel tap of output (i, j) that lands
+    inside the [H,W] input; taps in the zero padding are left out."""
+    for u in range(k):
+        for v in range(k):
+            y, x = i * stride + u - padding, j * stride + v - padding
+            if 0 <= y < h and 0 <= x < w:
+                yield u, v, y, x
+
+
+def conv2d_reference(x, w, b, stride, padding):
+    """Cross-correlation by its definition: ``x`` [Cin][H][W], ``w``
+    [Cout][Cin][k][k], ``b`` [Cout] or None. ``y[o][i][j]`` is ``b[o]`` plus
+    ``w[o][c][u][v] * x[c][i*stride + u - padding][j*stride + v - padding]``
+    summed over c, u, v, with x read as zero outside its extent."""
+    cin, h, wd, k = len(x), len(x[0]), len(x[0][0]), len(w[0][0])
+    ho, wo = (h + 2 * padding - k) // stride + 1, (wd + 2 * padding - k) // stride + 1
+    out = [[[0.0] * wo for _ in range(ho)] for _ in w]
+    for o in range(len(w)):
+        for i in range(ho):
+            for j in range(wo):
+                acc = 0.0 if b is None else float(b[o])
+                for c in range(cin):
+                    for u, v, y, xx in _conv_taps(h, wd, k, stride, padding, i, j):
+                        acc += w[o][c][u][v] * x[c][y][xx]
+                out[o][i][j] = float(acc)
+    return out
+
+
+def conv2d_backward_reference(x, w, gy, stride, padding, has_bias=True):
+    """Gradients of ``sum(gy * conv2d_reference(x, w, b, ...))`` with respect
+    to x, w and b, accumulated tap by tap. Returns ``(gx, gw, gb)`` as nested
+    lists; ``gb`` is None without a bias."""
+    cin, h, wd, k = len(x), len(x[0]), len(x[0][0]), len(w[0][0])
+    gx = [[[0.0] * wd for _ in range(h)] for _ in range(cin)]
+    gw = [[[[0.0] * k for _ in range(k)] for _ in range(cin)] for _ in w]
+    gb = [0.0] * len(w)
+    for o in range(len(w)):
+        for i in range(len(gy[o])):
+            for j in range(len(gy[o][i])):
+                g = float(gy[o][i][j])
+                gb[o] += g
+                for c in range(cin):
+                    for u, v, y, xx in _conv_taps(h, wd, k, stride, padding, i, j):
+                        gx[c][y][xx] += w[o][c][u][v] * g
+                        gw[o][c][u][v] += x[c][y][xx] * g
+    return gx, gw, (gb if has_bias else None)

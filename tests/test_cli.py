@@ -176,6 +176,24 @@ def test_render_cli_draws_points_of_source_grids(tmp_path, capsys):
     assert checked[SEMANTIC_COLOR.tobytes()] >= 9 * len(dets) // 2
 
 
+def test_render_cli_runs_one_forward(tmp_path, capsys, monkeypatch):
+    from pointdet.model import DetectionModel, ModelConfig
+    from pointdet.scenes import generate_scene
+
+    ckpt = str(tmp_path / "model.pdn")
+    DetectionModel(ModelConfig(channels=8), seed=0).save(ckpt)
+    img, _ = generate_scene(4, width=32, height=32)
+    np.save(tmp_path / "scene.npy", img)
+    calls = []
+    forward = DetectionModel.forward
+    monkeypatch.setattr(DetectionModel, "forward",
+                        lambda self, image: calls.append(1) or forward(self, image))
+    rc = main(["render", "--ckpt", ckpt, "--image", str(tmp_path / "scene.npy"),
+               "--out", str(tmp_path / "render.ppm"), "--score-thresh", "0.0"])
+    assert rc == 0
+    assert len(calls) == 1
+
+
 def test_analyze_cli(tmp_path, capsys):
     config_path, cfg = _write_config(tmp_path, iters=10)
     main(["train", "--config", str(config_path)])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointdet.geometry import Box
 from pointdet.inference import (
@@ -258,3 +260,39 @@ def test_ground_truth_jsonl_roundtrip(tmp_path):
     back = read_ground_truths(path)
     assert np.array_equal(back[1].boxes, gts[1].boxes)
     assert np.array_equal(back[0].labels, gts[0].labels)
+
+
+_coords = st.floats(-1e6, 1e6, allow_nan=False)
+_boxes = st.tuples(_coords, _coords, _coords, _coords).map(
+    lambda v: (min(v[0], v[2]), min(v[1], v[3]), max(v[0], v[2]), max(v[1], v[3]))
+)
+_image_ids = st.integers(0, 2**31 - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw=st.dictionaries(_image_ids, st.lists(
+    st.tuples(_boxes, st.integers(0, 20), st.floats(0.0, 1.0)), min_size=1, max_size=4),
+    max_size=4))
+def test_detections_jsonl_roundtrip_property(tmp_path_factory, raw):
+    # an image without detections writes no line; readers take a missing image as empty
+    dets = {img: [Detection(Box(*box), cls, score, img) for box, cls, score in rows]
+            for img, rows in raw.items()}
+    path = tmp_path_factory.mktemp("dets") / "dets.jsonl"
+    write_detections(path, dets)
+    assert read_detections(path) == dets
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw=st.dictionaries(_image_ids, st.lists(
+    st.tuples(_boxes, st.integers(0, 20)), min_size=1, max_size=4), max_size=4))
+def test_ground_truth_jsonl_roundtrip_property(tmp_path_factory, raw):
+    # non-empty images only: the format has no line for an image without objects
+    gts = {img: GroundTruth([box for box, _ in rows], [label for _, label in rows])
+           for img, rows in raw.items()}
+    path = tmp_path_factory.mktemp("gts") / "gts.jsonl"
+    write_ground_truths(path, gts)
+    back = read_ground_truths(path)
+    assert sorted(back) == sorted(gts)
+    for img, gt in gts.items():
+        assert back[img].boxes.tobytes() == gt.boxes.tobytes()
+        assert back[img].labels.tobytes() == gt.labels.tobytes()

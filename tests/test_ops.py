@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import conv2d_backward_reference, conv2d_reference
 from pointdet import ops
 
 
@@ -76,6 +77,34 @@ def test_conv_deterministic():
     y1, _ = ops.conv2d(x, w, b, padding=1)
     y2, _ = ops.conv2d(x, w, b, padding=1)
     assert np.array_equal(y1, y2)
+
+
+def _max_rel_err(a, ref):
+    a, ref = np.asarray(a), np.asarray(ref, dtype=np.float64)
+    assert a.shape == ref.shape
+    return float((np.abs(a - ref) / np.maximum(1.0, np.abs(ref))).max(initial=0.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cin=st.integers(1, 4), cout=st.integers(1, 5), h=st.integers(1, 9),
+       w=st.integers(1, 9), k=st.sampled_from([1, 3, 5]), stride=st.sampled_from([1, 2]),
+       padding=st.integers(0, 5), bias=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_conv_matches_direct_loop_oracle(cin, cout, h, w, k, stride, padding, bias, seed):
+    assume(padding <= k and h + 2 * padding >= k and w + 2 * padding >= k)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(cin, h, w))
+    wt = rng.normal(size=(cout, cin, k, k))
+    b = rng.normal(size=cout) if bias else None
+    y, cache = ops.conv2d(x, wt, b, stride=stride, padding=padding)
+    assert _max_rel_err(y, conv2d_reference(x, wt, b, stride, padding)) < 1e-12
+    gy = rng.normal(size=y.shape)
+    gx, gw, gb = ops.conv2d_backward(cache, gy)
+    rgx, rgw, rgb = conv2d_backward_reference(x, wt, gy, stride, padding, has_bias=bias)
+    assert _max_rel_err(gx, rgx) < 1e-12
+    assert _max_rel_err(gw, rgw) < 1e-12
+    assert (gb is None) == (rgb is None)
+    if bias:
+        assert _max_rel_err(gb, rgb) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,25 @@ def test_checkpoint_overflowing_extents_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_non_utf8_name_rejected(tmp_path):
+    path = tmp_path / "ck.pdn"
+    save_checkpoint(path, [("a", np.zeros(1)), ("bc", np.ones(2))])
+    raw = path.read_bytes()
+    # magic (4), record "a" (4 + 1 + 4 + 4 + 8), then the second name length (4)
+    at = raw.index(b"bc")
+    assert at == 29
+    path.write_bytes(raw[:at] + b"\xff\xfe" + raw[at + 2 :])
+    with pytest.raises(CheckpointError, match="record name at byte 29 is not UTF-8"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_repeated_name_rejected(tmp_path):
+    path = tmp_path / "ck.pdn"
+    save_checkpoint(path, [("x", np.zeros(1)), ("x", np.ones(2))])
+    with pytest.raises(CheckpointError, match="repeated record name 'x'"):
+        load_checkpoint(path)
+
+
 _names = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
 _arrays = st.lists(st.integers(0, 3), max_size=3).flatmap(
     lambda shape: st.lists(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointdet.config import TrainConfig, format_config, parse_config_text
 from pointdet.geometry import Box, iou
@@ -267,6 +269,31 @@ def test_config_parse_roundtrip():
     cfg = TrainConfig(seed=5, iters=123, lr=0.02, neighbor_set=(-1, 0), out_dir="x/y")
     back = parse_config_text(format_config(cfg))
     assert back == cfg
+
+
+_float_fields = st.floats(allow_nan=False)
+_config_strategy = st.builds(
+    TrainConfig,
+    seed=st.integers(), iters=st.integers(), lr=_float_fields, momentum=_float_fields,
+    weight_decay=_float_fields, lambda1=_float_fields, lambda2=_float_fields,
+    n_semantic=st.integers(), classes=st.integers(), image_size=st.integers(),
+    max_objects=st.integers(), levels=st.integers(),
+    neighbor_set=st.lists(st.integers(), max_size=4).map(tuple),
+    out_dir=st.text().filter(lambda s: s == s.strip() and len(s.splitlines()) <= 1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=_config_strategy)
+def test_config_format_parse_roundtrip_property(cfg):
+    assert parse_config_text(format_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("out_dir", ["runs/a\n", " runs/a", "runs/a ", "runs\r/a", "a\x85b"])
+def test_config_format_rejects_out_dir_that_cannot_read_back(out_dir):
+    # parsing strips the value and splits lines, so these would not read back
+    with pytest.raises(ValueError, match="one config line"):
+        format_config(TrainConfig(out_dir=out_dir))
 
 
 def test_config_defaults_and_overrides():
