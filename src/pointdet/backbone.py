@@ -1,16 +1,17 @@
 """Tiny convolutional pyramid standing in for a backbone + FPN.
 
-Two stride-2 stem convs bring a [3,H,W] image to the base stride (4), then
-one stride-2 conv per additional level. ReLU follows every conv; strides
-double per level and all levels share the channel count.
+Each pyramid level is one conv-ReLU chain that continues from the previous
+level's feature: level 0 is the two stride-2 stem convs that bring a
+[3,H,W] image to the base stride (4), every further level is one stride-2
+``down{i}`` conv. A level's feature is the end of its chain; strides double
+per level and all levels share the channel count.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import ops
-from .layers import ConvLayer
+from .layers import ConvLayer, relu_chain, relu_chain_backward
 
 __all__ = ["Backbone"]
 
@@ -24,20 +25,15 @@ class Backbone:
         self.channels = channels
         self.levels = levels
         self.strides = tuple(base_stride * (1 << i) for i in range(levels))
-        self.layers = [
+        self.chains = [[
             ConvLayer("backbone.stem0", in_channels, channels, rng, stride=2),
             ConvLayer("backbone.stem1", channels, channels, rng, stride=2),
-        ]
+        ]]
         for i in range(levels - 1):
-            self.layers.append(ConvLayer(f"backbone.down{i}", channels, channels, rng, stride=2))
-        # pyramid features are tapped after these layer indices
-        self._taps = [1 + i for i in range(levels)]
+            self.chains.append([ConvLayer(f"backbone.down{i}", channels, channels, rng, stride=2)])
 
     def parameters(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.parameters())
-        return out
+        return [p for chain in self.chains for layer in chain for p in layer.parameters()]
 
     def forward(self, image):
         """Run the pyramid. Returns ``(features, cache)`` with one [C,H/s,W/s]
@@ -55,24 +51,17 @@ class Backbone:
         x = image
         feats = []
         cache = []
-        for idx, layer in enumerate(self.layers):
-            y, conv_cache = layer.forward(x)
-            act, mask = ops.relu(y)
-            cache.append((conv_cache, mask))
-            x = act
-            if idx in self._taps:
-                feats.append(act)
+        for chain in self.chains:
+            x, chain_cache = relu_chain(chain, x)
+            feats.append(x)
+            cache.append(chain_cache)
         return feats, cache
 
     def backward(self, cache, gfeats):
-        """Accumulate parameter gradients given per-level feature gradients."""
+        """Accumulate parameter gradients given per-level feature gradients.
+        Returns the image gradient."""
         g = None
-        tap_for = {idx: i for i, idx in enumerate(self._taps)}
-        for idx in range(len(self.layers) - 1, -1, -1):
-            conv_cache, mask = cache[idx]
-            if idx in tap_for:
-                gf = gfeats[tap_for[idx]]
-                g = gf if g is None else g + gf
-            g = ops.relu_backward(mask, g)
-            g = self.layers[idx].backward(conv_cache, g)
+        for chain, chain_cache, gf in zip(self.chains[::-1], cache[::-1], gfeats[::-1]):
+            g = gf if g is None else g + gf
+            g = relu_chain_backward(chain, chain_cache, g)
         return g

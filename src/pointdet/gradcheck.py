@@ -56,15 +56,14 @@ def check_conv(seed: int = 3) -> float:
         x = rng.normal(size=(2, h, wd))
         w = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
-        y0, _ = ops.conv2d(x, w, b, stride=stride, padding=1)
+        y0, cache = ops.conv2d(x, w, b, stride=stride, padding=1)
         r = rng.normal(size=y0.shape)
+        gx, gw, gb = ops.conv2d_backward(cache, r)
 
         def f():
             y, _ = ops.conv2d(x, w, b, stride=stride, padding=1)
             return float((y * r).sum())
 
-        _, cache = ops.conv2d(x, w, b, stride=stride, padding=1)
-        gx, gw, gb = ops.conv2d_backward(cache, r)
         worst = max(worst, _max_err_over(f, x, gx))
         worst = max(worst, _max_err_over(f, w, gw))
         worst = max(worst, _max_err_over(f, b, gb))
@@ -180,21 +179,20 @@ def _sampled_indices(rng, arr, count=_SAMPLES_PER_TENSOR):
 
 
 def _param_fd_check(model, loss_and_grads, rng) -> float:
-    """Sampled per-parameter FD plus a directional derivative over all."""
-    loss0, _ = loss_and_grads()
+    """Sampled per-parameter FD plus a directional derivative over all.
+
+    ``loss_and_grads(backward=False)`` returns the loss as a float and, with
+    ``backward=True``, also accumulates the parameter gradients.
+    """
     model.zero_grad()
-    _, _ = loss_and_grads(backward=True)
+    loss_and_grads(backward=True)
     grads = {p.name: p.grad.copy() for p in model.parameters()}
     model.zero_grad()
 
     worst = 0.0
     for p in model.parameters():
-        def f(p=p):
-            val, _ = loss_and_grads()
-            return val
-
         for idx in _sampled_indices(rng, p.value):
-            worst = max(worst, rel_err(grads[p.name][idx], _fd(f, p.value, idx)))
+            worst = max(worst, rel_err(grads[p.name][idx], _fd(loss_and_grads, p.value, idx)))
 
     direction = {p.name: rng.normal(size=p.value.shape) for p in model.parameters()}
     norm = np.sqrt(sum((d**2).sum() for d in direction.values()))
@@ -203,10 +201,10 @@ def _param_fd_check(model, loss_and_grads, rng) -> float:
     analytic_dir = sum((grads[p.name] * direction[p.name]).sum() for p in model.parameters())
     for p in model.parameters():
         p.value += EPS * direction[p.name]
-    hi, _ = loss_and_grads()
+    hi = loss_and_grads()
     for p in model.parameters():
         p.value -= 2 * EPS * direction[p.name]
-    lo, _ = loss_and_grads()
+    lo = loss_and_grads()
     for p in model.parameters():
         p.value += EPS * direction[p.name]
     worst = max(worst, rel_err(analytic_dir, (hi - lo) / (2 * EPS)))
@@ -227,7 +225,7 @@ def check_backbone(seed: int = 15) -> float:
         val = float(sum((f * r).sum() for f, r in zip(feats, projections)))
         if backward:
             model.backbone.backward(cache, list(projections))
-        return val, None
+        return val
 
     return _param_fd_check(model, loss_and_grads, rng)
 
@@ -250,7 +248,7 @@ def check_head(seed: int = 17) -> float:
             grads.append({"gboxes": rb, "gz": rs * ops.sigmoid_grad(c.scores), "gcoarse": rc})
         if backward:
             model.backward(state, grads)
-        return float(val), None
+        return float(val)
 
     return _param_fd_check(model, loss_and_grads, rng)
 
@@ -278,7 +276,7 @@ def check_total_loss(seed: int = 19) -> float:
         total, _, level_grads, _ = compute_losses(st, gt, assignment=assignment)
         if backward:
             model.backward(st, level_grads)
-        return float(total), None
+        return float(total)
 
     return _param_fd_check(model, loss_and_grads, rng)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .layers import ConvLayer
+from .layers import ConvLayer, relu_chain, relu_chain_backward
 
 __all__ = [
     "LevelMaps",
@@ -332,106 +332,70 @@ def collect_level_backward(maps, col: LevelCollection, cfg, gboxes, gz, gcoarse,
 
 
 class Head:
-    """Shared-weight conv branches applied to every pyramid level."""
+    """Shared-weight conv branches applied to every pyramid level.
+
+    ``trunks`` maps each branch (``reg``, ``cls``, ``gen``) to its conv-ReLU
+    chain over the level feature. ``outputs`` is the ordered table
+    ``{map name: (trunk, ConvLayer)}`` of the raw maps read off the trunk
+    ends; it holds only the maps the mode needs, and its names are the
+    :class:`LevelMaps` fields. Both orders are the creation order, which
+    fixes the initial weights and the parameter order.
+    """
 
     def __init__(self, cfg, rng):
         ch = cfg.channels
-        self.cfg = cfg
-        self.trunk_reg = [ConvLayer(f"head.reg{i}", ch, ch, rng) for i in range(2)]
-        self.trunk_cls = [ConvLayer(f"head.cls{i}", ch, ch, rng) for i in range(2)]
-        self.trunk_gen = [ConvLayer(f"head.gen{i}", ch, ch, rng) for i in range(2)]
-        # per-side bias breaks the left/right (top/bottom) role symmetry at
-        # init: boxes start properly oriented around their anchor, so the
-        # GIoU loss never settles into a globally swapped solution
-        self.out_reg = ConvLayer("head.out_reg", ch, 4, rng, weight_scale=0.05,
-                                 bias_fill=np.array([-0.5, -0.5, 0.5, 0.5]))
+        self.trunks = {
+            name: [ConvLayer(f"head.{name}{i}", ch, ch, rng) for i in range(2)]
+            for name in ("reg", "cls", "gen")
+        }
         prior_bias = -math.log((1.0 - CLASS_PRIOR) / CLASS_PRIOR) / cfg.n_points
-        self.out_cls = ConvLayer(
-            "head.out_cls", ch, cfg.n_points * cfg.classes, rng,
-            weight_scale=0.01, bias_fill=prior_bias,
+        # map, trunk, channels, init weight scale, init bias, needed by the mode;
+        # the per-side reg bias breaks the left/right (top/bottom) role
+        # symmetry at init: boxes start properly oriented around their anchor,
+        # so the GIoU loss never settles into a globally swapped solution
+        specs = (
+            ("reg", "reg", 4, 0.05, np.array([-0.5, -0.5, 0.5, 0.5]), True),
+            ("cls", "cls", cfg.n_points * cfg.classes, 0.01, prior_bias, True),
+            ("coarse", "gen", 4, 0.05, COARSE_BIAS, True),
+            ("bshift", "gen", 4, 0.01, 0.0, cfg.loc_decoupled),
+            ("sshift", "gen", 2 * cfg.n_points, 0.01, 0.0, cfg.cls_decoupled),
+            ("lvlw", "gen", 4 * len(cfg.offsets), 0.01, 0.0, cfg.has_lvlw),
         )
-        self.out_coarse = ConvLayer(
-            "head.out_coarse", ch, 4, rng, weight_scale=0.05, bias_fill=COARSE_BIAS
-        )
-        self.out_bshift = (
-            ConvLayer("head.out_bshift", ch, 4, rng, weight_scale=0.01)
-            if cfg.loc_decoupled else None
-        )
-        self.out_sshift = (
-            ConvLayer("head.out_sshift", ch, 2 * cfg.n_points, rng, weight_scale=0.01)
-            if cfg.cls_decoupled else None
-        )
-        self.out_lvlw = (
-            ConvLayer("head.out_lvlw", ch, 4 * len(cfg.offsets), rng, weight_scale=0.01)
-            if cfg.has_lvlw else None
-        )
+        self.outputs = {
+            name: (trunk, ConvLayer(f"head.out_{name}", ch, cout, rng,
+                                    weight_scale=scale, bias_fill=bias))
+            for name, trunk, cout, scale, bias, needed in specs if needed
+        }
 
     def parameters(self):
-        out = []
-        for layer in self.trunk_reg + self.trunk_cls + self.trunk_gen:
-            out.extend(layer.parameters())
-        for layer in (self.out_reg, self.out_cls, self.out_coarse,
-                      self.out_bshift, self.out_sshift, self.out_lvlw):
-            if layer is not None:
-                out.extend(layer.parameters())
-        return out
-
-    def _run_trunk(self, trunk, x):
-        caches = []
-        for layer in trunk:
-            y, cc = layer.forward(x)
-            act, mask = ops.relu(y)
-            caches.append((cc, mask))
-            x = act
-        return x, caches
-
-    def _trunk_backward(self, trunk, caches, g):
-        for layer, (cc, mask) in zip(reversed(trunk), reversed(caches)):
-            g = ops.relu_backward(mask, g)
-            g = layer.backward(cc, g)
-        return g
+        layers = [layer for trunk in self.trunks.values() for layer in trunk]
+        layers += [layer for _, layer in self.outputs.values()]
+        return [p for layer in layers for p in layer.parameters()]
 
     def forward(self, feats, strides):
         maps = []
         caches = []
         for feat, stride in zip(feats, strides):
-            f_reg, creg = self._run_trunk(self.trunk_reg, feat)
-            f_cls, ccls = self._run_trunk(self.trunk_cls, feat)
-            f_gen, cgen = self._run_trunk(self.trunk_gen, feat)
-            reg, c_reg_out = self.out_reg.forward(f_reg)
-            cls, c_cls_out = self.out_cls.forward(f_cls)
-            coarse, c_coarse = self.out_coarse.forward(f_gen)
-            level_cache = {
-                "trunks": (creg, ccls, cgen),
-                "outs": {"reg": c_reg_out, "cls": c_cls_out, "coarse": c_coarse},
-            }
-            kw = {}
-            if self.out_bshift is not None:
-                kw["bshift"], level_cache["outs"]["bshift"] = self.out_bshift.forward(f_gen)
-            if self.out_sshift is not None:
-                kw["sshift"], level_cache["outs"]["sshift"] = self.out_sshift.forward(f_gen)
-            if self.out_lvlw is not None:
-                kw["lvlw"], level_cache["outs"]["lvlw"] = self.out_lvlw.forward(f_gen)
-            maps.append(LevelMaps(stride=stride, reg=reg, cls=cls, coarse=coarse, **kw))
-            caches.append(level_cache)
+            ends, trunk_caches = {}, {}
+            for name, trunk in self.trunks.items():
+                ends[name], trunk_caches[name] = relu_chain(trunk, feat)
+            raw, out_caches = {}, {}
+            for name, (trunk, layer) in self.outputs.items():
+                raw[name], out_caches[name] = layer.forward(ends[trunk])
+            maps.append(LevelMaps(stride=stride, **raw))
+            caches.append((trunk_caches, out_caches))
         return maps, caches
 
     def backward(self, caches, gmaps):
         gfeats = []
-        for level_cache, gm in zip(caches, gmaps):
-            outs = level_cache["outs"]
-            creg, ccls, cgen = level_cache["trunks"]
-            g_reg_feat = self.out_reg.backward(outs["reg"], gm["reg"])
-            g_cls_feat = self.out_cls.backward(outs["cls"], gm["cls"])
-            g_gen_feat = self.out_coarse.backward(outs["coarse"], gm["coarse"])
-            if self.out_bshift is not None:
-                g_gen_feat += self.out_bshift.backward(outs["bshift"], gm["bshift"])
-            if self.out_sshift is not None:
-                g_gen_feat += self.out_sshift.backward(outs["sshift"], gm["sshift"])
-            if self.out_lvlw is not None:
-                g_gen_feat += self.out_lvlw.backward(outs["lvlw"], gm["lvlw"])
-            gfeat = self._trunk_backward(self.trunk_reg, creg, g_reg_feat)
-            gfeat = gfeat + self._trunk_backward(self.trunk_cls, ccls, g_cls_feat)
-            gfeat = gfeat + self._trunk_backward(self.trunk_gen, cgen, g_gen_feat)
+        for (trunk_caches, out_caches), gm in zip(caches, gmaps):
+            gends = {}
+            for name, (trunk, layer) in self.outputs.items():
+                g = layer.backward(out_caches[name], gm[name])
+                gends[trunk] = gends[trunk] + g if trunk in gends else g
+            gfeat = None
+            for name, trunk in self.trunks.items():
+                g = relu_chain_backward(trunk, trunk_caches[name], gends[name])
+                gfeat = g if gfeat is None else gfeat + g
             gfeats.append(gfeat)
         return gfeats

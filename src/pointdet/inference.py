@@ -256,10 +256,13 @@ def read_detections(path) -> dict:
 
 
 def write_ground_truths(path, gts_per_image: dict) -> None:
-    """Ground-truth JSONL: {image_id, class_id, box:[l,t,r,b]}."""
+    """Ground-truth JSONL: {image_id, class_id, box:[l,t,r,b]} per object,
+    and one bare {image_id} line for an image without objects."""
     with open(path, "w", encoding="utf-8") as f:
         for img in sorted(gts_per_image.keys()):
             gt = gts_per_image[img]
+            if len(gt) == 0:
+                f.write(json.dumps({"image_id": int(img)}) + "\n")
             for box, label in zip(gt.boxes, gt.labels):
                 rec = {
                     "image_id": int(img),
@@ -272,12 +275,19 @@ def write_ground_truths(path, gts_per_image: dict) -> None:
 def read_ground_truths(path) -> dict:
     rows: dict[int, list] = {}
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
             rec = json.loads(line)
-            rows.setdefault(int(rec["image_id"]), []).append(rec)
+            recs = rows.setdefault(int(rec["image_id"]), [])
+            if ("class_id" in rec) != ("box" in rec):
+                raise ValueError(
+                    f"ground-truth line {lineno} of {str(path)!r} has only one of "
+                    f"'class_id' and 'box'; an image without objects has neither"
+                )
+            if "box" in rec:
+                recs.append(rec)
     out = {}
     for img, recs in rows.items():
         boxes = np.array([r["box"] for r in recs], dtype=np.float64)

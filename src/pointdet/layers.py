@@ -7,7 +7,7 @@ import numpy as np
 from . import ops
 from .optim import Parameter
 
-__all__ = ["ConvLayer"]
+__all__ = ["ConvLayer", "relu_chain", "relu_chain_backward"]
 
 
 class ConvLayer:
@@ -41,3 +41,20 @@ class ConvLayer:
 
     def parameters(self):
         return [self.w, self.b]
+
+
+def relu_chain(layers, x):
+    """Apply each layer then a ReLU, in order. Returns ``(out, caches)``."""
+    caches = []
+    for layer in layers:
+        y, conv_cache = layer.forward(x)
+        x, mask = ops.relu(y)
+        caches.append((conv_cache, mask))
+    return x, caches
+
+
+def relu_chain_backward(layers, caches, g):
+    """Reverse :func:`relu_chain`; returns the gradient of its input."""
+    for layer, (conv_cache, mask) in zip(reversed(layers), reversed(caches)):
+        g = layer.backward(conv_cache, ops.relu_backward(mask, g))
+    return g

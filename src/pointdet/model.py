@@ -79,18 +79,12 @@ class ModelConfig:
 
 @dataclass
 class ModelState:
-    """Forward pass artifacts: features, dense maps, per-level collections."""
+    """Forward pass artifacts: dense maps and per-level collections."""
 
-    image_shape: tuple
-    feats: list
     maps: list[LevelMaps]
     collections: list[LevelCollection]
     _bcache: list = field(repr=False, default_factory=list)
     _hcache: list = field(repr=False, default_factory=list)
-
-    @property
-    def n_grids(self) -> int:
-        return sum(c.n_grids for c in self.collections)
 
 
 _MODE_IDS = {m: i for i, m in enumerate(MODES)}
@@ -144,10 +138,7 @@ class DetectionModel:
         feats, bcache = self.backbone.forward(image)
         maps, hcache = self.head.forward(feats, self.backbone.strides)
         collections = [collect_level(maps, i, self.config) for i in range(len(maps))]
-        return ModelState(
-            image_shape=tuple(np.shape(image)), feats=feats, maps=maps,
-            collections=collections, _bcache=bcache, _hcache=hcache,
-        )
+        return ModelState(maps=maps, collections=collections, _bcache=bcache, _hcache=hcache)
 
     def backward(self, state: ModelState, level_grads) -> None:
         """Accumulate parameter gradients.
@@ -155,20 +146,8 @@ class DetectionModel:
         ``level_grads`` is a per-level list of dicts with optional entries
         ``gboxes`` [G,4], ``gz`` [C,G], ``gcoarse`` [G,4].
         """
-        gmaps = []
-        for m in state.maps:
-            buf = {
-                "reg": np.zeros_like(m.reg),
-                "cls": np.zeros_like(m.cls),
-                "coarse": np.zeros_like(m.coarse),
-            }
-            if m.bshift is not None:
-                buf["bshift"] = np.zeros_like(m.bshift)
-            if m.sshift is not None:
-                buf["sshift"] = np.zeros_like(m.sshift)
-            if m.lvlw is not None:
-                buf["lvlw"] = np.zeros_like(m.lvlw)
-            gmaps.append(buf)
+        gmaps = [{name: np.zeros_like(getattr(m, name)) for name in self.head.outputs}
+                 for m in state.maps]
         for col, grads in zip(state.collections, level_grads):
             collect_level_backward(
                 state.maps, col, self.config,

@@ -39,6 +39,7 @@ __all__ = [
 IOU_POSITIVE_THRESHOLD = 0.6
 FOCAL_ALPHA = 0.25
 FOCAL_GAMMA = 2.0
+MAX_GRAD_NORM = 2.0
 
 
 @dataclass
@@ -161,8 +162,7 @@ def total_loss(l_cls: float, l_reg: float, l_reg2: float,
 
 
 def compute_losses(state: ModelState, gt: GroundTruth, lambda1=2.0, lambda2=0.5,
-                   alpha=FOCAL_ALPHA, gamma=FOCAL_GAMMA, assignment=None,
-                   assignment_rule: str = "coarse-iou"):
+                   assignment=None, assignment_rule: str = "coarse-iou"):
     """Losses plus the per-level collection gradients.
 
     Returns ``(total, components, level_grads, assignment)`` where
@@ -180,7 +180,7 @@ def compute_losses(state: ModelState, gt: GroundTruth, lambda1=2.0, lambda2=0.5,
         targets[li][flat] = gt.labels[gi]
     z_all = np.concatenate([c.z for c in cols], axis=1)
     t_all = np.concatenate(targets)
-    l_cls, dz_all = focal_loss_from_logits(z_all, t_all, alpha, gamma, n_positives=p)
+    l_cls, dz_all = focal_loss_from_logits(z_all, t_all, n_positives=p)
 
     level_grads = [{"gz": None, "gboxes": None, "gcoarse": None} for _ in cols]
     start = 0
@@ -248,12 +248,11 @@ def lr_at(base_lr: float, it: int, total_iters: int) -> float:
 def run_training(model: DetectionModel, provider, iters: int, lr: float,
                  momentum: float = 0.9, weight_decay: float = 1e-4,
                  lambda1: float = 2.0, lambda2: float = 0.5,
-                 max_grad_norm: float = 2.0, assignment_rule: str = "coarse-iou",
-                 log_fn=None):
+                 assignment_rule: str = "coarse-iou", log_fn=None):
     """Optimize ``model`` for ``iters`` steps over scenes from ``provider``.
 
     ``provider(it)`` returns ``(image, GroundTruth)``. Gradients are clipped
-    to a global norm of ``max_grad_norm`` before each step; single-scene
+    to a global norm of ``MAX_GRAD_NORM`` before each step; single-scene
     batches occasionally spike otherwise and momentum then overshoots the
     coarse boxes into GIoU saturation. On divergence the model is restored
     to the last parameters that produced a finite loss and
@@ -279,16 +278,15 @@ def run_training(model: DetectionModel, provider, iters: int, lr: float,
             raise TrainingDiverged(it, f"loss became {total}", model)
         last_good = model.clone_params()
         model.backward(state, level_grads)
-        if max_grad_norm is not None:
-            with np.errstate(over="ignore"):
-                gnorm = np.sqrt(sum(float((p.grad**2).sum()) for p in model.parameters()))
-            if not np.isfinite(gnorm):
-                model.restore_params(last_good)
-                raise TrainingDiverged(it, f"gradient norm became {gnorm}", model)
-            if gnorm > max_grad_norm:
-                scale = max_grad_norm / gnorm
-                for p in model.parameters():
-                    p.grad *= scale
+        with np.errstate(over="ignore"):
+            gnorm = np.sqrt(sum(float((p.grad**2).sum()) for p in model.parameters()))
+        if not np.isfinite(gnorm):
+            model.restore_params(last_good)
+            raise TrainingDiverged(it, f"gradient norm became {gnorm}", model)
+        if gnorm > MAX_GRAD_NORM:
+            scale = MAX_GRAD_NORM / gnorm
+            for p in model.parameters():
+                p.grad *= scale
         try:
             opt.step(lr=lr_at(lr, it, iters))
         except NonFiniteGradientError as e:

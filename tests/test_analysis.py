@@ -142,7 +142,7 @@ def test_analysis_does_not_mutate_model():
 
 def test_point_distances_zero_shift_dynamic_equals_midpoint():
     model, img, gt = _model_and_scene()
-    for layer in (model.head.out_bshift,):
+    for _, layer in (model.head.outputs["bshift"],):
         layer.w.value[...] = 0.0
         layer.b.value[...] = 0.0
     out = point_distance_distribution(model, [(img, gt)])

@@ -14,7 +14,7 @@ def test_backbone_level_shapes():
 
 def test_backbone_zero_image_zero_biases_gives_zero_features():
     bb = Backbone(np.random.default_rng(1))
-    for layer in bb.layers:
+    for layer in [layer for chain in bb.chains for layer in chain]:
         layer.b.value[...] = 0.0
     feats, _ = bb.forward(np.zeros((3, 64, 64)))
     for f in feats:

@@ -52,7 +52,27 @@ def test_head_gradients_in_ablation_modes(mode):
             grads.append({"gboxes": rb, "gz": rs * ops.sigmoid_grad(c.scores), "gcoarse": rc})
         if backward:
             model.backward(state, grads)
-        return float(val), None
+        return float(val)
 
     err = _param_fd_check(model, loss_and_grads, rng)
     assert err < PIPELINE_TOLERANCE, f"{mode}: max rel err {err:.3e}"
+
+
+def test_check_head_runs_one_forward_per_loss_evaluation(monkeypatch):
+    from pointdet import gradcheck
+    from pointdet.model import DetectionModel
+
+    calls = 0
+    forward = DetectionModel.forward
+
+    def counting_forward(self, image):
+        nonlocal calls
+        calls += 1
+        return forward(self, image)
+
+    monkeypatch.setattr(DetectionModel, "forward", counting_forward)
+    gradcheck.check_head()
+    samples = sum(min(gradcheck._SAMPLES_PER_TENSOR, p.value.size)
+                  for p in gradcheck._tiny_model().parameters())
+    # probe shapes, analytic gradients, two per sampled entry, two directional
+    assert calls == 1 + 1 + 2 * samples + 2

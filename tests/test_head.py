@@ -243,7 +243,7 @@ def test_head_zero_shift_raws_give_prior_points():
     model = DetectionModel(ModelConfig(channels=8), seed=1)
     img = np.random.default_rng(7).uniform(size=(3, 32, 32))
     # force shift heads to zero output
-    for layer in (model.head.out_bshift, model.head.out_sshift):
+    for _, layer in (model.head.outputs["bshift"], model.head.outputs["sshift"]):
         layer.w.value[...] = 0.0
         layer.b.value[...] = 0.0
     state = model.forward(img)

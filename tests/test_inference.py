@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -284,9 +286,8 @@ def test_detections_jsonl_roundtrip_property(tmp_path_factory, raw):
 
 @settings(max_examples=100, deadline=None)
 @given(raw=st.dictionaries(_image_ids, st.lists(
-    st.tuples(_boxes, st.integers(0, 20)), min_size=1, max_size=4), max_size=4))
+    st.tuples(_boxes, st.integers(0, 20)), min_size=0, max_size=4), max_size=4))
 def test_ground_truth_jsonl_roundtrip_property(tmp_path_factory, raw):
-    # non-empty images only: the format has no line for an image without objects
     gts = {img: GroundTruth([box for box, _ in rows], [label for _, label in rows])
            for img, rows in raw.items()}
     path = tmp_path_factory.mktemp("gts") / "gts.jsonl"
@@ -296,3 +297,26 @@ def test_ground_truth_jsonl_roundtrip_property(tmp_path_factory, raw):
     for img, gt in gts.items():
         assert back[img].boxes.tobytes() == gt.boxes.tobytes()
         assert back[img].labels.tobytes() == gt.labels.tobytes()
+
+
+def test_ground_truth_jsonl_keeps_image_without_objects(tmp_path):
+    # detections on an image without objects are false positives, also after
+    # the ground truths went through a JSONL round trip
+    gts = {0: GroundTruth([[10.0, 10.0, 30.0, 30.0]], [0]), 1: GroundTruth([], [])}
+    dets = {0: [_det(10, 10, 30, 30, score=0.5, img=0)],
+            1: [_det(10, 10, 30, 30, score=0.9, img=1)]}
+    path = tmp_path / "gts.jsonl"
+    write_ground_truths(path, gts)
+    back = read_ground_truths(path)
+    assert sorted(back) == [0, 1] and len(back[1]) == 0
+    assert average_precision(dets, gts)["AP50"] == pytest.approx(0.5)
+    assert average_precision(dets, back)["AP50"] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("record", [{"image_id": 3, "class_id": 1},
+                                    {"image_id": 3, "box": [0, 0, 1, 1]}])
+def test_ground_truth_jsonl_rejects_half_record(tmp_path, record):
+    path = tmp_path / "gts.jsonl"
+    path.write_text(json.dumps({"image_id": 0}) + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(ValueError, match="line 2"):
+        read_ground_truths(path)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 
@@ -73,6 +74,55 @@ def test_sgd_rejects_bad_lr():
 
 # ---------------------------------------------------------------------------
 # checkpoint format
+
+
+
+def _conv_params(name, cout, cin=32):
+    return [(f"{name}.w", (cout, cin, 3, 3)), (f"{name}.b", (cout,))]
+
+
+_TRUNK_PARAMS = [
+    p for name, cin in (("backbone.stem0", 3), ("backbone.stem1", 32), ("backbone.down0", 32),
+                        ("backbone.down1", 32), ("head.reg0", 32), ("head.reg1", 32),
+                        ("head.cls0", 32), ("head.cls1", 32), ("head.gen0", 32),
+                        ("head.gen1", 32))
+    for p in _conv_params(name, 32, cin)
+]
+# per mode: the head outputs with their channel counts, then the SHA-256 of
+# the seed-0 checkpoint of a fresh default model
+_MODE_FINGERPRINTS = {
+    "decoupled": (
+        [("out_reg", 4), ("out_cls", 27), ("out_coarse", 4), ("out_bshift", 4),
+         ("out_sshift", 18), ("out_lvlw", 8)],
+        "b8761280ea8e834b726f3b71870c29209184d1535baf1a8fb3038e143f575806",
+    ),
+    "coupled": (
+        [("out_reg", 4), ("out_cls", 3), ("out_coarse", 4)],
+        "1d0fa6c03d02b29ba68cccde3b3396f51d3d682c69fe8f82ba5ffb0b134bcad8",
+    ),
+    "loc-only": (
+        [("out_reg", 4), ("out_cls", 3), ("out_coarse", 4), ("out_bshift", 4), ("out_lvlw", 8)],
+        "55595cb649b67c74d58b5894da05c1cd7c33931ba71b4fbf602d09de30e0d821",
+    ),
+    "cls-only": (
+        [("out_reg", 4), ("out_cls", 27), ("out_coarse", 4), ("out_sshift", 18)],
+        "bffb577c577ac8bb9d2a0182a1f21287fb8566ea9a79f0b709b0d206ed06c2a9",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_MODE_FINGERPRINTS))
+def test_fresh_model_parameters_and_checkpoint_bytes_are_pinned(tmp_path, mode):
+    # the parameter order fixes the initial RNG draws, the checkpoint record
+    # order and the summation order of the gradient norm
+    outputs, digest = _MODE_FINGERPRINTS[mode]
+    expected = _TRUNK_PARAMS + [p for name, cout in outputs
+                                for p in _conv_params(f"head.{name}", cout)]
+    model = DetectionModel(ModelConfig(mode=mode), seed=0)
+    assert [(p.name, p.value.shape) for p in model.parameters()] == expected
+    path = tmp_path / "fresh.pdn"
+    model.save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
