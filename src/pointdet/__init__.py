@@ -12,7 +12,7 @@ plain numpy float64 arrays.
 """
 
 from .estimator import PointDetector, check_annotations, check_images
-from .geometry import Box, clamp_box, giou, giou_loss, iou
+from .geometry import Box
 from .inference import Detection, average_precision, detect, nms
 from .model import DetectionModel, ModelConfig
 from .scenes import GroundTruth, generate_scene
@@ -24,10 +24,6 @@ __all__ = [
     "check_images",
     "check_annotations",
     "Box",
-    "iou",
-    "giou",
-    "giou_loss",
-    "clamp_box",
     "Detection",
     "detect",
     "nms",

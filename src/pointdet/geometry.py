@@ -13,10 +13,6 @@ import numpy as np
 
 __all__ = [
     "Box",
-    "iou",
-    "giou",
-    "giou_loss",
-    "clamp_box",
     "iou_array",
     "iou_matrix",
     "giou_array",
@@ -55,25 +51,6 @@ class Box:
     @property
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.l + self.r), 0.5 * (self.t + self.b))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.l, self.t, self.r, self.b], dtype=np.float64)
-
-    @staticmethod
-    def from_array(a) -> "Box":
-        return Box(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
-
-
-def clamp_box(box: Box, width: float, height: float) -> Box:
-    """Clip a box to the image rectangle [0,width] x [0,height]."""
-    if width <= 0 or height <= 0:
-        raise ValueError(f"image extents must be positive, got {width}x{height}")
-    return Box(
-        min(max(box.l, 0.0), width),
-        min(max(box.t, 0.0), height),
-        min(max(box.r, 0.0), width),
-        min(max(box.b, 0.0), height),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -230,23 +207,3 @@ def giou_loss_grad_array(pred, gt):
     gp[:, 1] = np.where(swap_y, gpred[:, 3], gpred[:, 1])
     gp[:, 3] = np.where(swap_y, gpred[:, 1], gpred[:, 3])
     return loss, gp
-
-
-# ---------------------------------------------------------------------------
-# scalar wrappers
-
-
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union of two boxes; 0 when the union is empty."""
-    return float(iou_array(a.as_array(), b.as_array()))
-
-
-def giou(a: Box, b: Box) -> float:
-    """Generalized IoU of two boxes, in (-1, 1]."""
-    return float(giou_array(a.as_array(), b.as_array()))
-
-
-def giou_loss(a: Box, b: Box) -> float:
-    """GIoU loss ``1 - giou(a, b)``, in [0, 2)."""
-    return 1.0 - giou(a, b)
-

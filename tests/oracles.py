@@ -46,6 +46,32 @@ def nms_reference(boxes, scores, classes, iou_thresh):
     return kept
 
 
+def decode_reference(collections, width, height, score_thresh, topk_per_level):
+    """Loop transcription of decoding. ``collections[i]`` has ``scores``
+    [C][G], ``boxes`` [G][4] and ``level``. Per level: every class-grid pair
+    with score strictly above the threshold, in flat index order c * G + g;
+    when more than ``topk_per_level`` pass, the top-k by score, ties to the
+    lower flat index. Each box is folded (min and max of its coordinate
+    pairs), then clamped to [0, width] x [0, height]. Returns ``(box, score,
+    class, level, grid)`` tuples, levels in order."""
+    out = []
+    for col in collections:
+        n_grid = len(col.scores[0])
+        passed = [(c * n_grid + g, float(col.scores[c][g]))
+                  for c in range(len(col.scores)) for g in range(n_grid)
+                  if col.scores[c][g] > score_thresh]
+        if len(passed) > topk_per_level:
+            passed = sorted(passed, key=lambda e: (-e[1], e[0]))[:topk_per_level]
+        for flat, score in passed:
+            c, g = divmod(flat, n_grid)
+            l, t, r, b = (float(v) for v in col.boxes[g])
+            folded = (min(l, r), min(t, b), max(l, r), max(t, b))
+            box = tuple(float(min(max(v, 0.0), hi))
+                        for v, hi in zip(folded, (width, height, width, height)))
+            out.append((box, score, c, col.level, g))
+    return out
+
+
 def average_precision_reference(dets_per_image, gts_per_image, iou_thresholds,
                                 recall_points=101):
     """Loop transcription of 101-point interpolated COCO-style AP.

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from pointdet.geometry import Box
 from pointdet.inference import (
     AP_IOU_THRESHOLDS,
+    DEFAULT_MAX_DETECTIONS,
+    DEFAULT_NMS_IOU,
     Detection,
     average_precision,
     decode_detections,
     detect,
     nms,
+    postprocess,
     read_detections,
     read_ground_truths,
     write_detections,
@@ -21,7 +24,7 @@ from pointdet.inference import (
 from pointdet.model import DetectionModel, ModelConfig
 from pointdet.scenes import GroundTruth
 
-from oracles import average_precision_reference, nms_reference
+from oracles import average_precision_reference, decode_reference, nms_reference
 
 
 def _det(l, t, r, b, cls=0, score=0.5, img=0):
@@ -40,8 +43,8 @@ def _tiny_state():
 
 def test_decode_all_below_threshold_empty():
     state = _tiny_state()
-    dets = decode_detections(state, 32, 32, score_thresh=0.9999)
-    assert dets == []
+    cand = decode_detections(state, 32, 32, score_thresh=0.9999)
+    assert len(cand) == 0 and cand.boxes.shape == (0, 4)
 
 
 def test_decode_single_survivor():
@@ -51,20 +54,20 @@ def test_decode_single_survivor():
     # make all other levels quiet
     for other in state.collections[1:]:
         other.scores[...] = 0.0
-    dets = decode_detections(state, 32, 32, score_thresh=thresh)
-    assert len(dets) == 1
-    assert dets[0].score == pytest.approx(col.scores.max())
-    b = dets[0].box
-    assert 0 <= b.l <= b.r <= 32 and 0 <= b.t <= b.b <= 32
+    cand = decode_detections(state, 32, 32, score_thresh=thresh)
+    assert len(cand) == 1
+    assert cand.scores[0] == pytest.approx(col.scores.max())
+    l, t, r, b = cand.boxes[0]
+    assert 0 <= l <= r <= 32 and 0 <= t <= b <= 32
 
 
 def test_decode_respects_topk_cap():
     state = _tiny_state()
-    dets = decode_detections(state, 32, 32, score_thresh=0.0, topk_per_level=3)
-    assert len(dets) <= 3 * len(state.collections)
+    cand = decode_detections(state, 32, 32, score_thresh=0.0, topk_per_level=3)
+    assert len(cand) <= 3 * len(state.collections)
     per_level = {}
-    for d in dets:
-        per_level[d.source_level] = per_level.get(d.source_level, 0) + 1
+    for level in cand.levels.tolist():
+        per_level[level] = per_level.get(level, 0) + 1
     assert all(v <= 3 for v in per_level.values())
 
 
@@ -76,34 +79,83 @@ def test_decode_validates_arguments():
         decode_detections(state, 32, 32, topk_per_level=0)
 
 
+def test_decode_folds_and_clamps_boxes_to_the_image():
+    state = _tiny_state()
+    for col in state.collections:
+        col.scores[...] = 0.0
+    col = state.collections[0]
+    col.scores[0, :4] = 0.9
+    col.boxes[:4] = [[-5, -5, 40, 10], [12, 9, 3, 4], [33, 33, 36, 40], [-0.0, 0.0, 0.0, -0.0]]
+    cand = decode_detections(state, 32, 32, score_thresh=0.5)
+    assert cand.boxes[:3].tolist() == [[0, 0, 32, 10], [3, 4, 12, 9], [32, 32, 32, 32]]
+    # down to the sign of zero, as Python's min/max fold and clamp it
+    want = decode_reference(state.collections, 32, 32, 0.5, 1000)
+    assert [tuple(v.hex() for v in row) for row in cand.boxes.tolist()] == [
+        tuple(v.hex() for v in box) for box, *_ in want]
+    with pytest.raises(ValueError, match="positive"):
+        decode_detections(state, 0, 32)
+
+
+def test_decode_rejects_non_finite_surviving_box():
+    state = _tiny_state()
+    state.collections[0].boxes[0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        decode_detections(state, 32, 32, score_thresh=0.0)
+
+
+def test_postprocess_equals_scalar_reference_pipeline():
+    # fresh model, every candidate above 0: top-k binds on the two finer
+    # levels and several hundred candidates reach NMS
+    model = DetectionModel(ModelConfig(), seed=0)
+    state = model.forward(np.random.default_rng(0).uniform(size=(3, 64, 64)))
+    topk = 150
+    ref = decode_reference(state.collections, 64, 64, 0.0, topk)
+    assert len(ref) == 2 * topk + state.collections[2].scores.size
+    kept = nms_reference([r[0] for r in ref], [r[1] for r in ref], [r[2] for r in ref],
+                         DEFAULT_NMS_IOU)[:DEFAULT_MAX_DETECTIONS]
+    want = [tuple(v.hex() for v in ref[i][0]) + (ref[i][1].hex(),) + ref[i][2:] for i in kept]
+    dets = postprocess(state, 64, 64, score_thresh=0.0, topk_per_level=topk, image_id=5)
+    got = [(d.box.l.hex(), d.box.t.hex(), d.box.r.hex(), d.box.b.hex(), d.score.hex(),
+            d.class_id, d.source_level, d.source_grid) for d in dets]
+    assert len(got) == DEFAULT_MAX_DETECTIONS and got == want
+    assert all(d.image_id == 5 for d in dets)
+
+
 # ---------------------------------------------------------------------------
 # NMS
 
 
 def test_nms_spec_example():
-    b1 = _det(0, 0, 10, 10, score=0.9)
-    b2 = _det(0.5, 0.5, 10, 10.8, score=0.8)   # IoU(b1) ~ 0.79 > 0.6
-    b3 = _det(6, 6, 16, 16, score=0.7)         # IoU(b1) ~ 0.19
-    kept = nms([b1, b2, b3], iou_thresh=0.6)
-    assert [d.score for d in kept] == [0.9, 0.7]
+    boxes = [[0, 0, 10, 10],
+             [0.5, 0.5, 10, 10.8],   # IoU(box 0) ~ 0.79 > 0.6
+             [6, 6, 16, 16]]         # IoU(box 0) ~ 0.19
+    scores = [0.9, 0.8, 0.7]
+    kept = nms(boxes, scores, [0, 0, 0], 0.6)
+    assert [scores[i] for i in kept] == [0.9, 0.7]
 
 
 def test_nms_disjoint_all_kept():
-    dets = [_det(i * 20, 0, i * 20 + 10, 10, score=0.5 + i * 0.01) for i in range(4)]
-    assert len(nms(dets)) == 4
+    boxes = [[i * 20, 0, i * 20 + 10, 10] for i in range(4)]
+    assert len(nms(boxes, [0.5 + i * 0.01 for i in range(4)], [0] * 4)) == 4
 
 
 def test_nms_classwise_rule():
-    a = _det(0, 0, 10, 10, cls=0, score=0.9)
-    b = _det(0, 0, 10, 10, cls=1, score=0.8)
-    assert len(nms([a, b])) == 2
+    assert len(nms([[0, 0, 10, 10], [0, 0, 10, 10]], [0.9, 0.8], [0, 1])) == 2
 
 
 def test_nms_tie_break_by_insertion_order():
-    a = _det(0, 0, 10, 10, cls=0, score=0.5)
-    b = _det(1, 0, 11, 10, cls=0, score=0.5)   # overlaps a above 0.6
-    kept = nms([a, b], iou_thresh=0.6)
-    assert len(kept) == 1 and kept[0] is a
+    boxes = [[0, 0, 10, 10],
+             [1, 0, 11, 10]]   # overlaps box 0 above 0.6
+    kept = nms(boxes, [0.5, 0.5], [0, 0], 0.6)
+    assert len(kept) == 1 and kept[0] == 0
+
+
+def test_nms_validates_arguments():
+    with pytest.raises(ValueError, match="IoU threshold"):
+        nms([[0, 0, 1, 1]], [0.5], [0], 0.0)
+    with pytest.raises(ValueError, match="one score and class per box"):
+        nms([[0, 0, 1, 1], [0, 0, 2, 2]], [0.5], [0, 0])
+    assert nms(np.zeros((0, 4)), [], []) == []
 
 
 def _random_instance(rng, n_max=200):
@@ -125,13 +177,7 @@ def test_nms_matches_bruteforce_reference_small():
     rng = np.random.default_rng(42)
     for _ in range(50):
         boxes, scores, classes = _random_instance(rng, n_max=60)
-        dets = [
-            _det(*boxes[i], cls=int(classes[i]), score=float(scores[i]))
-            for i in range(len(boxes))
-        ]
-        kept = nms(dets, iou_thresh=0.6)
-        by_id = {id(d): i for i, d in enumerate(dets)}
-        kept_idx = [by_id[id(d)] for d in kept]
+        kept_idx = nms(boxes, scores, classes, 0.6)
         ref = nms_reference(boxes, scores, classes, 0.6)
         assert kept_idx == ref
 
@@ -320,3 +366,59 @@ def test_ground_truth_jsonl_rejects_half_record(tmp_path, record):
     path.write_text(json.dumps({"image_id": 0}) + "\n" + json.dumps(record) + "\n")
     with pytest.raises(ValueError, match="line 2"):
         read_ground_truths(path)
+
+
+# Each corruption turns one well-formed object line into a malformed one.
+_CORRUPTIONS = {
+    "no image_id": lambda rec: json.dumps({k: v for k, v in rec.items() if k != "image_id"}),
+    "string image_id": lambda rec: json.dumps({**rec, "image_id": str(rec["image_id"])}),
+    "JSON array": lambda rec: json.dumps(list(rec.values())),
+    "JSON scalar": lambda rec: json.dumps(rec["image_id"]),
+    "invalid JSON": lambda rec: json.dumps(rec)[:-1],
+    "3-element box": lambda rec: json.dumps({**rec, "box": rec["box"][:3]}),
+    "non-finite box": lambda rec: json.dumps({**rec, "box": [0.0, float("nan"), 1.0, 1.0]}),
+    "infinite box": lambda rec: json.dumps({**rec, "box": [0.0, 0.0, float("inf"), 1.0]}),
+    "string in box": lambda rec: json.dumps({**rec, "box": [0, 0, "1", 1]}),
+    "r < l": lambda rec: json.dumps({**rec, "box": [1.0, 0.0, 0.0, 1.0]}),
+    "b < t": lambda rec: json.dumps({**rec, "box": [0.0, 1.0, 1.0, 0.0]}),
+    "box not a list": lambda rec: json.dumps({**rec, "box": 4}),
+    "fractional class_id": lambda rec: json.dumps({**rec, "class_id": 1.5}),
+    "string class_id": lambda rec: json.dumps({**rec, "class_id": "1"}),
+}
+
+
+def _assert_names_line(read, path, lineno):
+    with pytest.raises(ValueError) as err:
+        read(path)
+    assert f"line {lineno} of {str(path)!r}" in str(err.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(_image_ids, st.integers(0, 20), _boxes, st.floats(0.0, 1.0)),
+                     min_size=1, max_size=5),
+       data=st.data())
+def test_detections_jsonl_names_the_corrupt_line_property(tmp_path_factory, rows, data):
+    lines = [{"image_id": img, "class_id": cls, "score": score, "box": list(box)}
+             for img, cls, box, score in rows]
+    bad = data.draw(st.integers(0, len(lines) - 1))
+    kind = data.draw(st.sampled_from(sorted(_CORRUPTIONS) + ["no score", "string score"]))
+    corrupt = {"no score": lambda rec: json.dumps({k: v for k, v in rec.items() if k != "score"}),
+               "string score": lambda rec: json.dumps({**rec, "score": "0.5"}),
+               **_CORRUPTIONS}[kind]
+    text = [corrupt(rec) if k == bad else json.dumps(rec) for k, rec in enumerate(lines)]
+    path = tmp_path_factory.mktemp("dets") / "dets.jsonl"
+    path.write_text("\n".join(text) + "\n")
+    _assert_names_line(read_detections, path, bad + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(_image_ids, st.integers(0, 20), _boxes), min_size=1, max_size=5),
+       data=st.data())
+def test_ground_truth_jsonl_names_the_corrupt_line_property(tmp_path_factory, rows, data):
+    lines = [{"image_id": img, "class_id": cls, "box": list(box)} for img, cls, box in rows]
+    bad = data.draw(st.integers(0, len(lines) - 1))
+    corrupt = _CORRUPTIONS[data.draw(st.sampled_from(sorted(_CORRUPTIONS)))]
+    text = [corrupt(rec) if k == bad else json.dumps(rec) for k, rec in enumerate(lines)]
+    path = tmp_path_factory.mktemp("gts") / "gts.jsonl"
+    path.write_text("\n".join(text) + "\n")
+    _assert_names_line(read_ground_truths, path, bad + 1)

@@ -1,10 +1,12 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointdet.config import TrainConfig, format_config, parse_config_text
-from pointdet.geometry import Box, iou
 from pointdet.model import DetectionModel, ModelConfig
 from pointdet.ops import sigmoid
 from pointdet.scenes import GroundTruth, generate_scene
@@ -18,7 +20,7 @@ from pointdet.training import (
     train_from_config,
 )
 
-from oracles import focal_loss_reference
+from oracles import focal_loss_reference, iou_scalar
 
 
 def _forward_state(seed=0, image_seed=0, size=32, **cfg_kw):
@@ -49,7 +51,7 @@ def test_assignment_threshold_strictness():
     fake = _FakeCollection(
         np.stack([gt.boxes[0], box_exact_06]), np.array([2.0, 2.0]), np.array([2.0, 2.0])
     )
-    assert iou(Box(*box_exact_06), Box(*gt.boxes[0])) == 0.6
+    assert iou_scalar(box_exact_06, gt.boxes[0]) == 0.6
     asn = assign_samples([fake], gt)
     assert 0 in asn.pos_flat
     assert 1 not in asn.pos_flat
@@ -57,7 +59,7 @@ def test_assignment_threshold_strictness():
     # IoU just above the threshold is positive: I=13, U=19 -> 13/19 > 0.6
     box = np.array([0.0, 0.0, 4.0, 4.0])
     gt_above = GroundTruth(np.array([[0.75, 0.0, 4.75, 4.0]]), np.array([0]))
-    assert iou(Box(*box), Box(*gt_above.boxes[0])) == pytest.approx(13.0 / 19.0)
+    assert iou_scalar(box, gt_above.boxes[0]) == pytest.approx(13.0 / 19.0)
     asn2 = assign_samples([_FakeCollection(box[None], [2.0], [2.0])], gt_above)
     assert asn2.n_positives == 1
 
@@ -94,8 +96,7 @@ def test_assignment_positive_soundness_recheck():
     asn = assign_samples(state.collections, gt)
     for li, flat, gi in zip(asn.pos_level, asn.pos_flat, asn.pos_gt):
         col = state.collections[li]
-        box = Box(*col.coarse[flat])
-        ious = [iou(box, Box(*g)) for g in gt.boxes]
+        ious = [iou_scalar(col.coarse[flat], g) for g in gt.boxes]
         assert max(ious) > 0.6
         assert int(np.argmax(ious)) == gi
 
@@ -225,6 +226,29 @@ def test_short_training_is_bit_reproducible():
     for p, q in zip(model_a.parameters(), model_b.parameters()):
         assert p.value.tobytes() == q.value.tobytes(), f"non-deterministic {p.name}"
     assert hist_a == hist_b
+
+
+
+# SHA-256 of the default-config 200-iteration run: the JSON loss history, then
+# each parameter's name and value bytes in ``parameters()`` order.
+TRAINING_SHA256 = "816c23667f91ea4d64f5899dc76197bdc348d03a0590e6f7ce0b5b07f5e4423e"
+
+
+def test_default_training_numerics_fingerprint_is_pinned():
+    """Pins every bit of ``train_from_config(TrainConfig(iters=200))``.
+
+    Taken with numpy 2.4.6 on scipy-openblas 0.3.31 (Haswell kernels,
+    DYNAMIC_ARCH, x86_64, Python 3.11), the same with one BLAS thread or
+    more. Another numpy or BLAS build may round its GEMMs differently; a
+    change that reorders float operations on purpose updates the value and
+    says why.
+    """
+    model, history = train_from_config(TrainConfig(iters=200))
+    h = hashlib.sha256(json.dumps(history).encode())
+    for p in model.parameters():
+        h.update(p.name.encode())
+        h.update(p.value.tobytes())
+    assert h.hexdigest() == TRAINING_SHA256
 
 
 def test_short_training_decreases_loss():
