@@ -78,6 +78,7 @@ def compute_accuracy_maps(model: DetectionModel, image, gt: GroundTruth,
     h, w = col.h, col.w
     cx = col.grid_cx.reshape(h, w)
     cy = col.grid_cy.reshape(h, w)
+    pred, _, _ = fold_boxes(col.boxes)  # same folded view inference uses
     out = []
     for k in range(len(gt)):
         box = gt.boxes[k]
@@ -94,7 +95,6 @@ def compute_accuracy_maps(model: DetectionModel, image, gt: GroundTruth,
             )
             continue
         conf = col.scores[label].reshape(h, w).copy()
-        pred, _, _ = fold_boxes(col.boxes)  # same folded view inference uses
         inv_err = -np.abs(pred - box[None, :]).T.reshape(4, h, w)
         det_iou = iou_array(pred, box[None, :]).reshape(h, w)
         out.append(
@@ -139,30 +139,35 @@ def best_location_histogram(maps: list[AccuracyMaps], bins: int = HIST_BINS,
     return {"hist": hists, "analyzed": analyzed, "bins": bins, "range": tuple(value_range)}
 
 
-def _edge_distance(px, py, side: int, box) -> float:
-    """Normalized distance from a point to a gt edge segment."""
-    l, t, r, b = box
-    bw = max(r - l, 1e-9)
-    bh = max(b - t, 1e-9)
-    if side in (0, 2):  # vertical edges: x fixed, y spans [t, b]
-        dx = px - (l if side == 0 else r)
-        dy = max(0.0, abs(py - 0.5 * (t + b)) - 0.5 * (b - t))
-    else:  # horizontal edges
-        dx = max(0.0, abs(px - 0.5 * (l + r)) - 0.5 * (r - l))
-        dy = py - (t if side == 1 else b)
-    return float(np.hypot(dx / bw, dy / bh))
+# per side: True for the vertical edges (l, r), whose x is fixed
+_VERTICAL = np.array([True, False, True, False])
 
 
-def _edge_center_distance(px, py, side: int, box) -> float:
-    """Normalized distance from a point to the center of a gt edge."""
-    l, t, r, b = box
-    bw = max(r - l, 1e-9)
-    bh = max(b - t, 1e-9)
-    mx = 0.5 * (l + r)
-    my = 0.5 * (t + b)
-    edge_x = (l, mx, r, mx)[side]
-    edge_y = (my, t, my, b)[side]
-    return float(np.hypot((px - edge_x) / bw, (py - edge_y) / bh))
+def _edge_distance(px, py, boxes):
+    """Normalized distance from points to gt edge segments.
+
+    ``px``, ``py`` broadcast against ``boxes`` [P,4]; column k is side k.
+    """
+    l, t, r, b = (boxes[:, i:i + 1] for i in range(4))
+    bw = np.maximum(r - l, 1e-9)
+    bh = np.maximum(b - t, 1e-9)
+    # along a vertical edge x is fixed and y spans [t, b]; the reverse for a horizontal one
+    beyond_x = np.maximum(0.0, np.abs(px - 0.5 * (l + r)) - 0.5 * (r - l))
+    beyond_y = np.maximum(0.0, np.abs(py - 0.5 * (t + b)) - 0.5 * (b - t))
+    dx = np.where(_VERTICAL, px - boxes, beyond_x)
+    dy = np.where(_VERTICAL, beyond_y, py - boxes)
+    return np.hypot(dx / bw, dy / bh)
+
+
+def _edge_center_distance(px, py, boxes):
+    """Normalized distance from points to the centers of gt edges, laid out
+    as in :func:`_edge_distance`."""
+    l, t, r, b = (boxes[:, i:i + 1] for i in range(4))
+    bw = np.maximum(r - l, 1e-9)
+    bh = np.maximum(b - t, 1e-9)
+    edge_x = np.where(_VERTICAL, boxes, 0.5 * (l + r))
+    edge_y = np.where(_VERTICAL, 0.5 * (t + b), boxes)
+    return np.hypot((px - edge_x) / bw, (py - edge_y) / bh)
 
 
 def point_distance_distribution(model: DetectionModel, scenes, bins: int = 30,
@@ -175,60 +180,51 @@ def point_distance_distribution(model: DetectionModel, scenes, bins: int = 30,
     midpoint, and the dynamic boundary point. Returns per-config pooled
     distances, medians, and fixed-range histograms.
     """
-    pooled = {c: [] for c in DISTANCE_CONFIGS}
-    pooled_center = {c: [] for c in DISTANCE_CONFIGS}
-    per_side = {c: {s: [] for s in _SIDES} for c in DISTANCE_CONFIGS}
+    # per config, one [P,4] array (positive, side) per scene
+    dist = {c: [np.zeros((0, 4))] for c in DISTANCE_CONFIGS}
+    center = {c: [np.zeros((0, 4))] for c in DISTANCE_CONFIGS}
     for image, gt in scenes:
         if len(gt) == 0:
             continue
         state = model.forward(np.asarray(image, dtype=np.float64))
-        asn = assign_samples(state.collections, gt)
-        for li, flat, gi in zip(asn.pos_level, asn.pos_flat, asn.pos_gt):
-            col = state.collections[li]
-            box = gt.boxes[gi]
-            cx = col.grid_cx[flat]
-            cy = col.grid_cy[flat]
-            coarse = col.coarse[flat]  # L,T,R,B
-            midx = 0.5 * (coarse[0] + coarse[2])
-            midy = 0.5 * (coarse[1] + coarse[3])
-            for side in range(4):
-                # points per configuration, in image space
-                grid_pt = (cx, cy)
-                if side == 0:
-                    off_pt = (coarse[0], cy)
-                    mid_pt = (coarse[0], midy)
-                elif side == 1:
-                    off_pt = (cx, coarse[1])
-                    mid_pt = (midx, coarse[1])
-                elif side == 2:
-                    off_pt = (coarse[2], cy)
-                    mid_pt = (coarse[2], midy)
-                else:
-                    off_pt = (cx, coarse[3])
-                    mid_pt = (midx, coarse[3])
-                dyn_pt = (col.bx[side, flat], col.by[side, flat])
-                for cfg_name, (px, py) in zip(
-                    DISTANCE_CONFIGS, (grid_pt, off_pt, mid_pt, dyn_pt)
-                ):
-                    pooled[cfg_name].append(_edge_distance(px, py, side, box))
-                    pooled_center[cfg_name].append(_edge_center_distance(px, py, side, box))
-                    per_side[cfg_name][_SIDES[side]].append(pooled[cfg_name][-1])
+        cols = state.collections
+        asn = assign_samples(cols, gt)
+        pos = asn.pos_grid
+        box = gt.boxes[asn.pos_gt]
+        cx = np.concatenate([c.grid_cx for c in cols])[pos, None]
+        cy = np.concatenate([c.grid_cy for c in cols])[pos, None]
+        coarse = np.concatenate([c.coarse for c in cols])[pos]  # L,T,R,B
+        midx = 0.5 * (coarse[:, 0:1] + coarse[:, 2:3])
+        midy = 0.5 * (coarse[:, 1:2] + coarse[:, 3:4])
+        # points per configuration, in image space; each side moves its own coordinate
+        points = {
+            "grid": (cx, cy),
+            "grid_offset": (np.where(_VERTICAL, coarse, cx), np.where(_VERTICAL, cy, coarse)),
+            "midpoint": (np.where(_VERTICAL, coarse, midx), np.where(_VERTICAL, midy, coarse)),
+            "dynamic": (np.concatenate([c.bx for c in cols], axis=1)[:, pos].T,
+                        np.concatenate([c.by for c in cols], axis=1)[:, pos].T),
+        }
+        for cfg_name, (px, py) in points.items():
+            dist[cfg_name].append(_edge_distance(px, py, box))
+            center[cfg_name].append(_edge_center_distance(px, py, box))
 
     lo, hi = dist_range
     result = {}
     for cfg_name in DISTANCE_CONFIGS:
-        arr = np.array(pooled[cfg_name], dtype=np.float64)
-        center = np.array(pooled_center[cfg_name], dtype=np.float64)
+        per_side = np.concatenate(dist[cfg_name])
+        arr = per_side.ravel()  # pooled in (scene, positive, side) order
+        to_center = np.concatenate(center[cfg_name]).ravel()
         hist, _ = np.histogram(arr, bins=bins, range=(lo, hi))
         result[cfg_name] = {
             "count": int(arr.size),
             "median": float(np.median(arr)) if arr.size else float("nan"),
             "mean": float(arr.mean()) if arr.size else float("nan"),
-            "median_to_edge_center": float(np.median(center)) if center.size else float("nan"),
+            "median_to_edge_center": (float(np.median(to_center)) if to_center.size
+                                      else float("nan")),
             "histogram": hist.tolist(),
             "per_side_median": {
-                s: (float(np.median(v)) if v else float("nan"))
-                for s, v in per_side[cfg_name].items()
+                s: (float(np.median(per_side[:, k])) if len(per_side) else float("nan"))
+                for k, s in enumerate(_SIDES)
             },
         }
     result["bins"] = bins

@@ -13,20 +13,21 @@ import numpy as np
 
 from .layers import ConvLayer, relu_chain, relu_chain_backward
 
-__all__ = ["Backbone"]
+__all__ = ["Backbone", "BASE_STRIDE"]
+
+# stride of level 0: the two stride-2 stem convs
+BASE_STRIDE = 4
 
 
 class Backbone:
-    def __init__(self, rng, channels=32, levels=3, base_stride=4, in_channels=3):
-        if base_stride != 4:
-            raise ValueError("base stride is fixed at 4 (two stem downsamples)")
+    def __init__(self, rng, channels=32, levels=3):
         if levels < 1:
             raise ValueError(f"need at least one pyramid level, got {levels}")
         self.channels = channels
         self.levels = levels
-        self.strides = tuple(base_stride * (1 << i) for i in range(levels))
+        self.strides = tuple(BASE_STRIDE << i for i in range(levels))
         self.chains = [[
-            ConvLayer("backbone.stem0", in_channels, channels, rng, stride=2),
+            ConvLayer("backbone.stem0", 3, channels, rng, stride=2),
             ConvLayer("backbone.stem1", channels, channels, rng, stride=2),
         ]]
         for i in range(levels - 1):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 __all__ = ["TrainConfig", "parse_config_text", "load_config", "format_config"]
@@ -26,6 +27,8 @@ class TrainConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}
+# a negative seed is no numpy seed, and negative iters would save an untrained model
+_NON_NEGATIVE = ("seed", "iters")
 
 
 def _parse_value(key: str, raw: str):
@@ -39,20 +42,24 @@ def _parse_value(key: str, raw: str):
             raise ValueError(f"config key 'neighbor_set' expects comma-separated ints, got {raw!r}")
     kind = _FIELD_TYPES[key]
     try:
-        if kind == "int":
-            return int(raw)
-        return float(raw)
+        value = int(raw) if kind == "int" else float(raw)
     except ValueError:
         raise ValueError(f"config key {key!r} expects a {kind}, got {raw!r}")
+    if kind == "float" and not math.isfinite(value):
+        raise ValueError(f"config key {key!r} must be finite, got {raw!r}")
+    if key in _NON_NEGATIVE and value < 0:
+        raise ValueError(f"config key {key!r} must be non-negative, got {raw!r}")
+    return value
 
 
 def parse_config_text(text: str) -> TrainConfig:
     """Parse ``key = value`` lines; blank lines and ``#`` comments allowed.
 
-    Unknown keys are an error.
+    Unknown or repeated keys, values of the wrong type, non-finite floats
+    and a negative ``seed`` or ``iters`` raise a ``ValueError`` that names
+    the key and the line.
     """
-    cfg = TrainConfig()
-    seen = {}
+    values, lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -63,8 +70,14 @@ def parse_config_text(text: str) -> TrainConfig:
         key = key.strip()
         if key not in _FIELD_TYPES:
             raise ValueError(f"unknown config key {key!r} on line {lineno}")
-        seen[key] = _parse_value(key, raw)
-    return replace(cfg, **seen)
+        if key in lines:
+            raise ValueError(f"config key {key!r} on line {lineno} repeats line {lines[key]}")
+        try:
+            values[key] = _parse_value(key, raw)
+        except ValueError as e:
+            raise ValueError(f"{e} on line {lineno}") from None
+        lines[key] = lineno
+    return replace(TrainConfig(), **values)
 
 
 def load_config(path) -> TrainConfig:

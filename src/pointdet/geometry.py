@@ -15,7 +15,6 @@ __all__ = [
     "Box",
     "iou_array",
     "iou_matrix",
-    "giou_array",
     "giou_loss_grad_array",
     "fold_boxes",
 ]
@@ -77,29 +76,6 @@ def iou_matrix(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     return iou_array(a[:, None, :], b[None, :, :])
-
-
-def giou_array(a, b):
-    """Element-wise generalized IoU: IoU - (C - U)/C with C the smallest
-    enclosing box area. Defined as 0 when both boxes are degenerate."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-    union = area_a + area_b - inter
-    cw = np.maximum(a[..., 2], b[..., 2]) - np.minimum(a[..., 0], b[..., 0])
-    ch = np.maximum(a[..., 3], b[..., 3]) - np.minimum(a[..., 1], b[..., 1])
-    enclose = cw * ch
-    shape = np.broadcast(union, enclose).shape
-    out = np.zeros(shape, dtype=np.float64)
-    ok = union > 0
-    iou_v = np.divide(inter, union, out=np.zeros(shape), where=ok)
-    penalty = np.divide(enclose - union, enclose, out=np.zeros(shape), where=enclose > 0)
-    out = np.where(ok, iou_v - penalty, 0.0)
-    return out
 
 
 def fold_boxes(boxes):

@@ -230,9 +230,9 @@ def check_backbone(seed: int = 15) -> float:
     return _param_fd_check(model, loss_and_grads, rng)
 
 
-def check_head(seed: int = 17) -> float:
+def check_head(seed: int = 17, mode: str = "decoupled") -> float:
     rng = np.random.default_rng(seed)
-    model = _tiny_model(seed=6)
+    model = _tiny_model(seed=6, mode=mode)
     image = rng.uniform(0.1, 0.9, size=(3, 16, 16))
     st0 = model.forward(image)
     r_box = [rng.normal(size=c.boxes.shape) for c in st0.collections]
@@ -241,14 +241,13 @@ def check_head(seed: int = 17) -> float:
 
     def loss_and_grads(backward=False):
         state = model.forward(image)
-        val = 0.0
-        grads = []
-        for c, rb, rs, rc in zip(state.collections, r_box, r_sc, r_co):
-            val += (c.boxes * rb).sum() + (c.scores * rs).sum() + (c.coarse * rc).sum()
-            grads.append({"gboxes": rb, "gz": rs * ops.sigmoid_grad(c.scores), "gcoarse": rc})
+        cols = state.collections
         if backward:
-            model.backward(state, grads)
-        return float(val)
+            gz = [rs * ops.sigmoid_grad(c.scores) for c, rs in zip(cols, r_sc)]
+            model.backward(state, np.concatenate(gz, axis=1), np.concatenate(r_box),
+                           np.concatenate(r_co))
+        return float(sum((c.boxes * rb).sum() + (c.scores * rs).sum() + (c.coarse * rc).sum()
+                         for c, rb, rs, rc in zip(cols, r_box, r_sc, r_co)))
 
     return _param_fd_check(model, loss_and_grads, rng)
 
@@ -264,18 +263,16 @@ def check_total_loss(seed: int = 19) -> float:
     n1 = state.collections[1].n_grids
     m = len(gt)
     assignment = Assignment(
-        pos_level=np.array([0, 0, 1], dtype=np.int64),
-        pos_flat=np.array([n0 // 3, 2 * n0 // 3, n1 // 2], dtype=np.int64),
+        pos_grid=np.array([n0 // 3, 2 * n0 // 3, n0 + n1 // 2], dtype=np.int64),
         pos_gt=np.array([0, m - 1, 0], dtype=np.int64),
-        center_level=np.zeros(m, dtype=np.int64),
-        center_flat=(np.arange(m) * 7 % n0).astype(np.int64),
+        center_grid=(np.arange(m) * 7 % n0).astype(np.int64),
     )
 
     def loss_and_grads(backward=False):
         st = model.forward(image)
-        total, _, level_grads, _ = compute_losses(st, gt, assignment=assignment)
+        total, _, grads, _ = compute_losses(st, gt, assignment=assignment)
         if backward:
-            model.backward(st, level_grads)
+            model.backward(st, *grads)
         return float(total)
 
     return _param_fd_check(model, loss_and_grads, rng)

@@ -12,6 +12,10 @@ of the neighboring levels at the boundary points (blended with softmax level
 weights), sample each semantic point's own classification map, and reduce to
 a final box plus C class scores. :func:`collect_level` does this for every
 grid of a level at once and :func:`collect_level_backward` reverses it.
+The loss side sees all levels' grids as one grid index (levels in
+collection order, each row-major); :meth:`DetectionModel.backward` slices
+its gradients back into the per-level arguments of
+:func:`collect_level_backward`.
 
 Coordinate conventions: grid (i, j) at stride s sits at image point
 ((j+0.5)s, (i+0.5)s); image point x maps to level grid coordinate
@@ -226,8 +230,9 @@ def collect_level_backward(maps, col: LevelCollection, cfg, gboxes, gz, gcoarse,
     """Reverse the collection of one level.
 
     ``gboxes`` [G,4] is dLoss/d(final box), ``gz`` [C,G] is dLoss/d(summed
-    logits), ``gcoarse`` [G,4] is the direct dLoss/d(coarse L,T,R,B); any may
-    be None. Gradients accumulate into ``gmaps`` (per-level dicts of arrays
+    logits), ``gcoarse`` [G,4] is the direct dLoss/d(coarse L,T,R,B). An
+    all-zero ``gboxes`` skips the regression path, which would only add
+    zeros. Gradients accumulate into ``gmaps`` (per-level dicts of arrays
     keyed like LevelMaps fields).
     """
     cache = col._cache
@@ -238,45 +243,37 @@ def collect_level_backward(maps, col: LevelCollection, cfg, gboxes, gz, gcoarse,
     d = cache["d"]
     wbox, hbox = cache["wbox"], cache["hbox"]
 
-    box_grad_l = np.zeros(g)
-    box_grad_t = np.zeros(g)
-    box_grad_r = np.zeros(g)
-    box_grad_b = np.zeros(g)
-    if gcoarse is not None:
-        box_grad_l += gcoarse[:, 0]
-        box_grad_t += gcoarse[:, 1]
-        box_grad_r += gcoarse[:, 2]
-        box_grad_b += gcoarse[:, 3]
+    # fresh accumulators that start from +0, like every other sum here
+    box_grad_l, box_grad_t, box_grad_r, box_grad_b = 0.0 + gcoarse.T
 
     gbx = np.zeros((4, g))
     gby = np.zeros((4, g))
 
     # classification path
-    if gz is not None:
-        glogits = np.broadcast_to(gz[None], (n_pts, c, g))
-        _, gxs_flat, gys_flat = ops.bilinear_gather_backward(
-            cache["cls_cache"], glogits.ravel(), gmaps[col.level]["cls"]
-        )
-        gsx = gxs_flat.reshape(n_pts, c, g).sum(axis=1) / s0
-        gsy = gys_flat.reshape(n_pts, c, g).sum(axis=1) / s0
-        if cfg.cls_decoupled:
-            ts = cache["ts"]
-            fx, fy = cache["prior_fx"], cache["prior_fy"]
-            coef_x = fx[:, None] + 0.5 * ts[:, 0]
-            coef_y = fy[:, None] + 0.5 * ts[:, 1]
-            box_grad_l += (gsx * (1.0 - coef_x)).sum(axis=0)
-            box_grad_r += (gsx * coef_x).sum(axis=0)
-            box_grad_t += (gsy * (1.0 - coef_y)).sum(axis=0)
-            box_grad_b += (gsy * coef_y).sum(axis=0)
-            gts = np.empty((n_pts, 2, g))
-            gts[:, 0] = gsx * 0.5 * wbox[None]
-            gts[:, 1] = gsy * 0.5 * hbox[None]
-            graw = gts * (1.0 - cache["ts"] ** 2)
-            gmaps[col.level]["sshift"] += graw.reshape(2 * n_pts, col.h, col.w)
-        # else: points are grid centers; nothing to propagate
+    glogits = np.broadcast_to(gz[None], (n_pts, c, g))
+    _, gxs_flat, gys_flat = ops.bilinear_gather_backward(
+        cache["cls_cache"], glogits.ravel(), gmaps[col.level]["cls"]
+    )
+    gsx = gxs_flat.reshape(n_pts, c, g).sum(axis=1) / s0
+    gsy = gys_flat.reshape(n_pts, c, g).sum(axis=1) / s0
+    if cfg.cls_decoupled:
+        ts = cache["ts"]
+        fx, fy = cache["prior_fx"], cache["prior_fy"]
+        coef_x = fx[:, None] + 0.5 * ts[:, 0]
+        coef_y = fy[:, None] + 0.5 * ts[:, 1]
+        box_grad_l += (gsx * (1.0 - coef_x)).sum(axis=0)
+        box_grad_r += (gsx * coef_x).sum(axis=0)
+        box_grad_t += (gsy * (1.0 - coef_y)).sum(axis=0)
+        box_grad_b += (gsy * coef_y).sum(axis=0)
+        gts = np.empty((n_pts, 2, g))
+        gts[:, 0] = gsx * 0.5 * wbox[None]
+        gts[:, 1] = gsy * 0.5 * hbox[None]
+        graw = gts * (1.0 - cache["ts"] ** 2)
+        gmaps[col.level]["sshift"] += graw.reshape(2 * n_pts, col.h, col.w)
+    # else: points are grid centers; nothing to propagate
 
     # regression path
-    if gboxes is not None:
+    if gboxes.any():
         goffset = gboxes.T.copy()  # [4,G]
         gbx[0] += gboxes[:, 0]
         gby[1] += gboxes[:, 1]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backbone import Backbone
+from .backbone import BASE_STRIDE, Backbone
 from .checkpoint import load_checkpoint, save_checkpoint
 from .head import Head, LevelCollection, LevelMaps, collect_level, collect_level_backward
 
@@ -33,7 +33,6 @@ class ModelConfig:
     n_semantic: int = 9
     channels: int = 32
     levels: int = 3
-    base_stride: int = 4
     neighbor_offsets: tuple = (-1, 0)
     mode: str = "decoupled"
 
@@ -74,7 +73,7 @@ class ModelConfig:
 
     @property
     def strides(self) -> tuple:
-        return tuple(self.base_stride * (1 << i) for i in range(self.levels))
+        return tuple(BASE_STRIDE << i for i in range(self.levels))
 
 
 @dataclass
@@ -97,7 +96,7 @@ _META_RANGES = {
     "meta.n_semantic": (1, _INT_MAX),
     "meta.channels": (1, _INT_MAX),
     "meta.levels": (1, _INT_MAX),
-    "meta.base_stride": (1, _INT_MAX),
+    "meta.base_stride": (BASE_STRIDE, BASE_STRIDE),
     "meta.neighbor_offsets": (-_INT_MAX, _INT_MAX),
 }
 
@@ -126,8 +125,7 @@ class DetectionModel:
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
         rng = np.random.default_rng(np.random.SeedSequence([17, seed]))
-        self.backbone = Backbone(rng, channels=config.channels, levels=config.levels,
-                                 base_stride=config.base_stride)
+        self.backbone = Backbone(rng, channels=config.channels, levels=config.levels)
         self.head = Head(config, rng)
 
     def parameters(self):
@@ -140,19 +138,23 @@ class DetectionModel:
         collections = [collect_level(maps, i, self.config) for i in range(len(maps))]
         return ModelState(maps=maps, collections=collections, _bcache=bcache, _hcache=hcache)
 
-    def backward(self, state: ModelState, level_grads) -> None:
+    def backward(self, state: ModelState, gz, gboxes, gcoarse) -> None:
         """Accumulate parameter gradients.
 
-        ``level_grads`` is a per-level list of dicts with optional entries
-        ``gboxes`` [G,4], ``gz`` [C,G], ``gcoarse`` [G,4].
+        The arguments are the loss gradients over the grid index of
+        :mod:`pointdet.training` (every level's grids concatenated in
+        collection order, each row-major): ``gz`` [C,G] with respect to the
+        summed logits, ``gboxes`` [G,4] to the collected boxes and
+        ``gcoarse`` [G,4] to the coarse boxes.
         """
         gmaps = [{name: np.zeros_like(getattr(m, name)) for name in self.head.outputs}
                  for m in state.maps]
-        for col, grads in zip(state.collections, level_grads):
-            collect_level_backward(
-                state.maps, col, self.config,
-                grads.get("gboxes"), grads.get("gz"), grads.get("gcoarse"), gmaps,
-            )
+        start = 0
+        for col in state.collections:
+            grids = slice(start, start + col.n_grids)
+            start = grids.stop
+            collect_level_backward(state.maps, col, self.config, gboxes[grids], gz[:, grids],
+                                   gcoarse[grids], gmaps)
         gfeats = self.head.backward(state._hcache, gmaps)
         self.backbone.backward(state._bcache, gfeats)
 
@@ -163,7 +165,8 @@ class DetectionModel:
 
     def save(self, path) -> None:
         cfg = self.config
-        values = dict(vars(cfg), format_version=1, mode=_MODE_IDS[cfg.mode])
+        values = dict(vars(cfg), format_version=1, mode=_MODE_IDS[cfg.mode],
+                      base_stride=BASE_STRIDE)
         records = [(name, np.array(values[name[len("meta."):]], dtype=np.float64).reshape(-1))
                    for name in _META_RANGES]
         records.extend((p.name, p.value) for p in self.parameters())
@@ -173,7 +176,8 @@ class DetectionModel:
     def load(cls, path) -> "DetectionModel":
         arrays = load_checkpoint(path)
         meta = _read_meta(arrays, path)
-        del meta["format_version"]  # its range admits only the current version
+        # their ranges admit only the current version and the fixed stride
+        del meta["format_version"], meta["base_stride"]
         model = cls(ModelConfig(**dict(meta, mode=MODES[meta["mode"]])), seed=0)
         params = {p.name for p in model.parameters()}
         for name in arrays:

@@ -46,10 +46,9 @@ class GroundTruth:
             raise ValueError(
                 f"{len(self.boxes)} boxes but {len(self.labels)} labels"
             )
-        if np.any(self.boxes[:, 2] < self.boxes[:, 0]) or np.any(
-            self.boxes[:, 3] < self.boxes[:, 1]
-        ):
-            raise ValueError("ground-truth boxes must satisfy r >= l and b >= t")
+        b = self.boxes
+        if not (np.isfinite(b).all() and (b[:, 2] >= b[:, 0]).all() and (b[:, 3] >= b[:, 1]).all()):
+            raise ValueError("ground-truth boxes must be finite and satisfy r >= l and b >= t")
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -6,6 +6,12 @@ mean GIoU loss of the collected boxes over positive grids, and L_reg2 is the
 mean GIoU loss of the coarse boxes matched to each ground truth's
 center-closest grid. A grid is positive iff its coarse box overlaps its
 best-IoU ground truth strictly above 0.6.
+
+Everything here indexes the grids of all pyramid levels as one axis: the
+levels concatenated in collection order, each level row-major, so level
+``l`` grid ``g`` has index ``sum(n_grids of levels < l) + g``. Assignments
+and loss gradients use that index; only :meth:`DetectionModel.backward`
+slices it back into levels.
 """
 
 from __future__ import annotations
@@ -44,17 +50,15 @@ MAX_GRAD_NORM = 2.0
 
 @dataclass
 class Assignment:
-    """Positive grids and per-gt center matches, flat row-major grid indices."""
+    """Positive grids and per-gt center matches, as grid indices over all levels."""
 
-    pos_level: np.ndarray   # [P]
-    pos_flat: np.ndarray    # [P]
-    pos_gt: np.ndarray      # [P]
-    center_level: np.ndarray  # [M]
-    center_flat: np.ndarray   # [M]
+    pos_grid: np.ndarray     # [P]
+    pos_gt: np.ndarray       # [P]
+    center_grid: np.ndarray  # [M]
 
     @property
     def n_positives(self) -> int:
-        return len(self.pos_flat)
+        return len(self.pos_grid)
 
 
 def assign_samples(collections, gt: GroundTruth, rule: str = "coarse-iou") -> Assignment:
@@ -71,59 +75,33 @@ def assign_samples(collections, gt: GroundTruth, rule: str = "coarse-iou") -> As
     """
     if rule not in ("coarse-iou", "inside-box"):
         raise ValueError(f"unknown assignment rule {rule!r}")
-    m = len(gt)
-    pos_level, pos_flat, pos_gt = [], [], []
-    center_level = np.zeros(m, dtype=np.int64)
-    center_flat = np.zeros(m, dtype=np.int64)
-    if m == 0:
-        return Assignment(
-            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
+    if len(gt) == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return Assignment(empty, empty, empty)
+    cx = np.concatenate([c.grid_cx for c in collections])
+    cy = np.concatenate([c.grid_cy for c in collections])
+    if rule == "coarse-iou":
+        ious = iou_matrix(np.concatenate([c.coarse for c in collections]), gt.boxes)
+        best_gt = ious.argmax(axis=1)
+        pos = np.nonzero(ious[np.arange(len(best_gt)), best_gt] > IOU_POSITIVE_THRESHOLD)[0]
+    else:
+        inside = (
+            (cx[:, None] > gt.boxes[None, :, 0]) & (cx[:, None] < gt.boxes[None, :, 2])
+            & (cy[:, None] > gt.boxes[None, :, 1]) & (cy[:, None] < gt.boxes[None, :, 3])
         )
-    areas = (gt.boxes[:, 2] - gt.boxes[:, 0]) * (gt.boxes[:, 3] - gt.boxes[:, 1])
-    for li, col in enumerate(collections):
-        if rule == "coarse-iou":
-            ious = iou_matrix(col.coarse, gt.boxes)
-            best_gt = ious.argmax(axis=1)
-            best_iou = ious[np.arange(len(best_gt)), best_gt]
-            mask = best_iou > IOU_POSITIVE_THRESHOLD
-            idx = np.nonzero(mask)[0]
-            matched = best_gt[idx]
-        else:
-            inside = (
-                (col.grid_cx[:, None] > gt.boxes[None, :, 0])
-                & (col.grid_cx[:, None] < gt.boxes[None, :, 2])
-                & (col.grid_cy[:, None] > gt.boxes[None, :, 1])
-                & (col.grid_cy[:, None] < gt.boxes[None, :, 3])
-            )
-            cost = np.where(inside, areas[None, :], np.inf)
-            matched_all = cost.argmin(axis=1)
-            idx = np.nonzero(inside.any(axis=1))[0]
-            matched = matched_all[idx]
-        pos_level.append(np.full(len(idx), li, dtype=np.int64))
-        pos_flat.append(idx.astype(np.int64))
-        pos_gt.append(matched.astype(np.int64))
+        areas = (gt.boxes[:, 2] - gt.boxes[:, 0]) * (gt.boxes[:, 3] - gt.boxes[:, 1])
+        best_gt = np.where(inside, areas[None, :], np.inf).argmin(axis=1)
+        pos = np.nonzero(inside.any(axis=1))[0]
 
     gcx = 0.5 * (gt.boxes[:, 0] + gt.boxes[:, 2])
     gcy = 0.5 * (gt.boxes[:, 1] + gt.boxes[:, 3])
-    best_d = np.full(m, np.inf)
-    for li in range(len(collections) - 1, -1, -1):  # coarser levels win ties
-        col = collections[li]
-        d = (col.grid_cx[:, None] - gcx[None, :]) ** 2 + (
-            col.grid_cy[:, None] - gcy[None, :]
-        ) ** 2
-        flat = d.argmin(axis=0)
-        dval = d[flat, np.arange(m)]
-        better = dval < best_d
-        best_d[better] = dval[better]
-        center_level[better] = li
-        center_flat[better] = flat[better]
-
-    return Assignment(
-        np.concatenate(pos_level), np.concatenate(pos_flat),
-        np.concatenate(pos_gt), center_level, center_flat,
-    )
+    d = (cx[:, None] - gcx[None, :]) ** 2 + (cy[:, None] - gcy[None, :]) ** 2
+    # argmin keeps the first minimum, so list the levels coarsest first
+    bounds = np.cumsum([0] + [len(c.grid_cx) for c in collections])
+    levels = list(zip(bounds[:-1], bounds[1:]))[::-1]
+    coarse_first = np.concatenate([np.arange(a, b) for a, b in levels])
+    center = coarse_first[d[coarse_first].argmin(axis=0)]
+    return Assignment(pos, best_gt[pos], center)
 
 
 # ---------------------------------------------------------------------------
@@ -163,62 +141,44 @@ def total_loss(l_cls: float, l_reg: float, l_reg2: float,
 
 def compute_losses(state: ModelState, gt: GroundTruth, lambda1=2.0, lambda2=0.5,
                    assignment=None, assignment_rule: str = "coarse-iou"):
-    """Losses plus the per-level collection gradients.
+    """Losses plus their gradients with respect to the collections.
 
-    Returns ``(total, components, level_grads, assignment)`` where
-    ``level_grads`` feeds :meth:`DetectionModel.backward`.
+    Returns ``(total, components, (gz, gboxes, gcoarse), assignment)``. The
+    gradients are dense over the grid index: ``gz`` [C,G] with respect to
+    the summed logits, ``gboxes`` [G,4] to the collected boxes and
+    ``gcoarse`` [G,4] to the coarse boxes, zero where a grid takes no part.
+    They are the arguments of :meth:`DetectionModel.backward`.
     """
     cols = state.collections
     if assignment is None:
         assignment = assign_samples(cols, gt, rule=assignment_rule)
-    n_levels = len(cols)
     m = len(gt)
     p = assignment.n_positives
 
-    targets = [np.full(c.n_grids, -1, dtype=np.int64) for c in cols]
-    for li, flat, gi in zip(assignment.pos_level, assignment.pos_flat, assignment.pos_gt):
-        targets[li][flat] = gt.labels[gi]
-    z_all = np.concatenate([c.z for c in cols], axis=1)
-    t_all = np.concatenate(targets)
-    l_cls, dz_all = focal_loss_from_logits(z_all, t_all, n_positives=p)
+    z = np.concatenate([c.z for c in cols], axis=1)
+    targets = np.full(z.shape[1], -1, dtype=np.int64)
+    targets[assignment.pos_grid] = gt.labels[assignment.pos_gt]
+    l_cls, gz = focal_loss_from_logits(z, targets, n_positives=p)
 
-    level_grads = [{"gz": None, "gboxes": None, "gcoarse": None} for _ in cols]
-    start = 0
-    for li, c in enumerate(cols):
-        level_grads[li]["gz"] = dz_all[:, start : start + c.n_grids]
-        start += c.n_grids
-
+    gboxes = np.zeros((z.shape[1], 4))
     l_reg = 0.0
     if p > 0:
-        pred = np.stack(
-            [cols[li].boxes[flat] for li, flat in zip(assignment.pos_level, assignment.pos_flat)]
-        )
+        pred = np.concatenate([c.boxes for c in cols])[assignment.pos_grid]
         losses, gpred = giou_loss_grad_array(pred, gt.boxes[assignment.pos_gt])
         l_reg = float(losses.mean())
-        scale = lambda1 / p
-        for k in range(p):
-            li = assignment.pos_level[k]
-            if level_grads[li]["gboxes"] is None:
-                level_grads[li]["gboxes"] = np.zeros((cols[li].n_grids, 4))
-            level_grads[li]["gboxes"][assignment.pos_flat[k]] += scale * gpred[k]
+        np.add.at(gboxes, assignment.pos_grid, lambda1 / p * gpred)
 
+    gcoarse = np.zeros((z.shape[1], 4))
     l_reg2 = 0.0
     if m > 0:
-        coarse_sel = np.stack(
-            [cols[li].coarse[flat] for li, flat in zip(assignment.center_level, assignment.center_flat)]
-        )
-        losses2, gcoarse = giou_loss_grad_array(coarse_sel, gt.boxes)
+        coarse = np.concatenate([c.coarse for c in cols])[assignment.center_grid]
+        losses2, gcenter = giou_loss_grad_array(coarse, gt.boxes)
         l_reg2 = float(losses2.mean())
-        scale = lambda2 / m
-        for k in range(m):
-            li = assignment.center_level[k]
-            if level_grads[li]["gcoarse"] is None:
-                level_grads[li]["gcoarse"] = np.zeros((cols[li].n_grids, 4))
-            level_grads[li]["gcoarse"][assignment.center_flat[k]] += scale * gcoarse[k]
+        np.add.at(gcoarse, assignment.center_grid, lambda2 / m * gcenter)
 
     total = total_loss(l_cls, l_reg, l_reg2, lambda1, lambda2)
     comps = {"l_cls": l_cls, "l_reg": l_reg, "l_reg2": l_reg2}
-    return total, comps, level_grads, assignment
+    return total, comps, (gz, gboxes, gcoarse), assignment
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +225,7 @@ def run_training(model: DetectionModel, provider, iters: int, lr: float,
         image, gt = provider(it)
         try:
             state = model.forward(image)
-            total, comps, level_grads, _ = compute_losses(
+            total, comps, grads, _ = compute_losses(
                 state, gt, lambda1=lambda1, lambda2=lambda2,
                 assignment_rule=assignment_rule,
             )
@@ -277,7 +237,7 @@ def run_training(model: DetectionModel, provider, iters: int, lr: float,
             model.restore_params(last_good)
             raise TrainingDiverged(it, f"loss became {total}", model)
         last_good = model.clone_params()
-        model.backward(state, level_grads)
+        model.backward(state, *grads)
         with np.errstate(over="ignore"):
             gnorm = np.sqrt(sum(float((p.grad**2).sum()) for p in model.parameters()))
         if not np.isfinite(gnorm):

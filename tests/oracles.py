@@ -23,6 +23,67 @@ def iou_scalar(a, b) -> float:
     return inter / union if union > 0 else 0.0
 
 
+def giou_scalar(a, b) -> float:
+    """Generalized IoU: IoU - (C - U)/C with C the area of the smallest
+    enclosing box; 0 when the union is empty."""
+    ix = min(a[2], b[2]) - max(a[0], b[0])
+    iy = min(a[3], b[3]) - max(a[1], b[1])
+    inter = max(ix, 0.0) * max(iy, 0.0)
+    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
+    if union <= 0:
+        return 0.0
+    enclose = (max(a[2], b[2]) - min(a[0], b[0])) * (max(a[3], b[3]) - min(a[1], b[1]))
+    return inter / union - (enclose - union) / enclose
+
+
+def assign_reference(collections, gt_boxes, rule="coarse-iou", iou_thresh=0.6):
+    """Loop transcription of sample assignment over the grid index: every
+    level's grids in collection order, each row-major. ``collections[i]``
+    has ``coarse`` [G][4], ``grid_cx`` and ``grid_cy`` [G].
+
+    ``coarse-iou``: a grid is positive iff its best IoU exceeds the
+    threshold strictly, matched to the first gt of that IoU. ``inside-box``:
+    a grid whose center lies strictly inside some gt box is positive,
+    matched to the first gt of the smallest area that contains it. Each gt
+    gets the grid whose center is nearest to the gt center, scanning levels
+    coarsest first and keeping only strictly nearer grids, so ties go to the
+    coarser level, then to the earlier grid. Returns ``(pos_grid, pos_gt,
+    center_grid)`` lists."""
+    grids = []  # (level, coarse box, cx, cy) in grid-index order
+    for li, col in enumerate(collections):
+        for g in range(len(col.grid_cx)):
+            grids.append((li, col.coarse[g], float(col.grid_cx[g]), float(col.grid_cy[g])))
+    pos_grid, pos_gt = [], []
+    if not len(gt_boxes):
+        return pos_grid, pos_gt, []
+    for k, (_, coarse, cx, cy) in enumerate(grids):
+        best, best_val = None, None
+        for j, box in enumerate(gt_boxes):
+            if rule == "coarse-iou":
+                val = iou_scalar(coarse, box)
+                if best is None or val > best_val:
+                    best, best_val = j, val
+            elif box[0] < cx < box[2] and box[1] < cy < box[3]:
+                val = (box[2] - box[0]) * (box[3] - box[1])
+                if best is None or val < best_val:
+                    best, best_val = j, val
+        if best is not None and (rule == "inside-box" or best_val > iou_thresh):
+            pos_grid.append(k)
+            pos_gt.append(best)
+    center_grid = []
+    for box in gt_boxes:
+        gcx = 0.5 * (box[0] + box[2])
+        gcy = 0.5 * (box[1] + box[3])
+        best, best_d = None, math.inf
+        for li in range(len(collections) - 1, -1, -1):
+            for k, (level, _, cx, cy) in enumerate(grids):
+                d = (cx - gcx) ** 2 + (cy - gcy) ** 2
+                if level == li and d < best_d:
+                    best, best_d = k, d
+        center_grid.append(best)
+    return pos_grid, pos_gt, center_grid
+
+
 def nms_reference(boxes, scores, classes, iou_thresh):
     """Textbook greedy NMS: repeatedly take the max-score remaining entry
     (ties: earliest index), drop same-class entries overlapping above the

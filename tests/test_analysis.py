@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,6 +156,23 @@ def test_point_distances_zero_shift_dynamic_equals_midpoint():
 
 # ---------------------------------------------------------------------------
 # PPM rendering
+
+
+# SHA-256 of the JSON of ``point_distance_distribution`` and a level-0
+# ``best_location_histogram`` (iou_min 0) for the fresh seed-0 default model
+# on scenes 0-15 (18 positives, 29 analyzed objects).
+ANALYSIS_SHA256 = "a815b97640760343710d531f4877808df20461c78e7d9eaf08a7e343eb5cee8e"
+
+
+def test_analysis_output_is_pinned():
+    model = DetectionModel(ModelConfig(), seed=0)
+    scenes = [generate_scene(s) for s in range(16)]
+    dist = point_distance_distribution(model, scenes)
+    maps = [m for img, gt in scenes for m in compute_accuracy_maps(model, img, gt, level=0)]
+    hist = best_location_histogram(maps, iou_min=0.0)
+    hist["hist"] = {t: h.tolist() for t, h in hist["hist"].items()}
+    blob = json.dumps({"distances": dist, "best_location": hist}, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == ANALYSIS_SHA256
 
 
 def test_ppm_header_and_roundtrip(tmp_path):

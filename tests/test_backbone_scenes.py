@@ -105,3 +105,10 @@ def test_groundtruth_validation():
         GroundTruth(np.zeros((2, 4)), np.zeros(1, dtype=np.int64))
     with pytest.raises(ValueError, match="r >= l"):
         GroundTruth(np.array([[5.0, 0.0, 1.0, 2.0]]), np.array([0]))
+
+
+@pytest.mark.parametrize("box", [[np.nan, 0.0, 10.0, 10.0], [0.0, 0.0, np.inf, 10.0],
+                                 [0.0, -np.inf, 10.0, 10.0], [0.0, 0.0, 10.0, np.nan]])
+def test_groundtruth_rejects_non_finite_boxes(box):
+    with pytest.raises(ValueError, match="finite"):
+        GroundTruth([box], [0])

@@ -52,6 +52,11 @@ def test_check_annotations_rejects_label_out_of_range():
         )
 
 
+def test_check_annotations_rejects_non_finite_box():
+    with pytest.raises(ValueError, match="finite"):
+        check_annotations([([[np.nan, 0.0, 10.0, 10.0]], [0])], 1, classes=3)
+
+
 def test_check_annotations_length_mismatch():
     with pytest.raises(ValueError, match="annotation entries"):
         check_annotations([], 2, classes=2)

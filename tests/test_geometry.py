@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 from pointdet.geometry import (
     Box,
     fold_boxes,
-    giou_array,
     giou_loss_grad_array,
     iou_array,
     iou_matrix,
 )
 
-from oracles import iou_scalar
+from oracles import giou_scalar, iou_scalar
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
 
@@ -28,10 +27,6 @@ def boxes(max_coord=10.0):
 
 def iou(a, b):
     return float(iou_array(a, b))
-
-
-def giou(a, b):
-    return float(giou_array(a, b))
 
 
 def giou_loss(a, b):
@@ -61,19 +56,19 @@ def test_iou_zero_union_defined_as_zero():
 
 
 def test_giou_identity():
-    assert giou(UNIT, UNIT) == 1.0
+    assert giou_scalar(UNIT, UNIT) == 1.0
     assert giou_loss(UNIT, UNIT) == 0.0
 
 
 def test_giou_hand_values():
-    assert giou((0, 0, 2, 2), (1, 1, 3, 3)) == pytest.approx(1.0 / 7.0 - 2.0 / 9.0)
-    assert giou((0, 0, 1, 1), (2, 2, 3, 3)) == pytest.approx(-7.0 / 9.0)
+    assert giou_scalar((0, 0, 2, 2), (1, 1, 3, 3)) == pytest.approx(1.0 / 7.0 - 2.0 / 9.0)
+    assert giou_scalar((0, 0, 1, 1), (2, 2, 3, 3)) == pytest.approx(-7.0 / 9.0)
 
 
 def test_giou_both_degenerate_defined_zero():
     a = (1.0, 1.0, 1.0, 1.0)
     b = (4.0, 2.0, 4.0, 2.0)
-    assert giou(a, b) == 0.0
+    assert giou_scalar(a, b) == 0.0
     for pred, gt in ((a, b), (b, a)):
         loss, gpred = giou_loss_grad_array(np.array([pred]), np.array([gt]))
         assert loss[0] == 1.0
@@ -84,17 +79,18 @@ def test_giou_both_degenerate_defined_zero():
 @given(a=boxes(), b=boxes())
 def test_symmetry_and_giou_bounds(a, b):
     assert iou(a, b) == pytest.approx(iou(b, a), abs=1e-12)
-    g = giou(a, b)
-    assert g == pytest.approx(giou(b, a), abs=1e-12)
+    g = giou_scalar(a, b)
+    assert g == pytest.approx(giou_scalar(b, a), abs=1e-12)
     assert -1.0 <= g <= 1.0 + 1e-12
     assert g <= iou(a, b) + 1e-12
     assert 0.0 <= giou_loss(a, b) < 2.0 + 1e-12
+    assert giou_loss(a, b) == pytest.approx(1.0 - g, abs=1e-12)
 
 
 def test_giou_equals_iou_under_containment():
     outer = (0, 0, 10, 10)
     inner = (2, 3, 5, 6)
-    assert giou(outer, inner) == pytest.approx(iou(outer, inner))
+    assert giou_scalar(outer, inner) == pytest.approx(iou(outer, inner))
 
 
 def test_giou_gradients_match_fd():

@@ -27,34 +27,7 @@ def test_run_checks_rejects_unknown():
 
 @pytest.mark.parametrize("mode", ["coupled", "loc-only", "cls-only"])
 def test_head_gradients_in_ablation_modes(mode):
-    import numpy as np
-
-    from pointdet import ops
-    from pointdet.gradcheck import _param_fd_check
-    from pointdet.model import DetectionModel, ModelConfig
-
-    rng = np.random.default_rng(31)
-    model = DetectionModel(
-        ModelConfig(classes=2, n_semantic=4, channels=8, mode=mode), seed=6
-    )
-    image = rng.uniform(0.1, 0.9, size=(3, 16, 16))
-    st0 = model.forward(image)
-    r_box = [rng.normal(size=c.boxes.shape) for c in st0.collections]
-    r_sc = [rng.normal(size=c.scores.shape) for c in st0.collections]
-    r_co = [rng.normal(size=c.coarse.shape) * 0.1 for c in st0.collections]
-
-    def loss_and_grads(backward=False):
-        state = model.forward(image)
-        val = 0.0
-        grads = []
-        for c, rb, rs, rc in zip(state.collections, r_box, r_sc, r_co):
-            val += (c.boxes * rb).sum() + (c.scores * rs).sum() + (c.coarse * rc).sum()
-            grads.append({"gboxes": rb, "gz": rs * ops.sigmoid_grad(c.scores), "gcoarse": rc})
-        if backward:
-            model.backward(state, grads)
-        return float(val)
-
-    err = _param_fd_check(model, loss_and_grads, rng)
+    err = CHECKS["head"](seed=31, mode=mode)
     assert err < PIPELINE_TOLERANCE, f"{mode}: max rel err {err:.3e}"
 
 

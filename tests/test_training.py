@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from pointdet.config import TrainConfig, format_config, parse_config_text
 from pointdet.model import DetectionModel, ModelConfig
 from pointdet.ops import sigmoid
-from pointdet.scenes import GroundTruth, generate_scene
+from pointdet.scenes import GroundTruth, generate_scene, scene_seed
 from pointdet.training import (
     assign_samples,
     compute_losses,
@@ -20,7 +21,7 @@ from pointdet.training import (
     train_from_config,
 )
 
-from oracles import focal_loss_reference, iou_scalar
+from oracles import assign_reference, focal_loss_reference, iou_scalar
 
 
 def _forward_state(seed=0, image_seed=0, size=32, **cfg_kw):
@@ -53,8 +54,8 @@ def test_assignment_threshold_strictness():
     )
     assert iou_scalar(box_exact_06, gt.boxes[0]) == 0.6
     asn = assign_samples([fake], gt)
-    assert 0 in asn.pos_flat
-    assert 1 not in asn.pos_flat
+    assert 0 in asn.pos_grid
+    assert 1 not in asn.pos_grid
 
     # IoU just above the threshold is positive: I=13, U=19 -> 13/19 > 0.6
     box = np.array([0.0, 0.0, 4.0, 4.0])
@@ -69,7 +70,7 @@ def test_assignment_empty_scene():
     gt = GroundTruth(np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
     asn = assign_samples(state.collections, gt)
     assert asn.n_positives == 0
-    assert len(asn.center_flat) == 0
+    assert len(asn.center_grid) == 0
     total, comps, grads, _ = compute_losses(state, gt)
     assert comps["l_reg"] == 0.0 and comps["l_reg2"] == 0.0
     assert total == comps["l_cls"]
@@ -80,9 +81,9 @@ def test_assignment_center_match_is_closest_grid():
     gt = GroundTruth(np.array([[10.0, 10.0, 26.0, 24.0]]), np.array([1]))
     asn = assign_samples(state.collections, gt)
     # gt center (18, 17): nearest stride-4 grid center is (18, 18) = grid (4, 4)
-    assert asn.center_level[0] == 0
     col = state.collections[0]
-    flat = asn.center_flat[0]
+    flat = asn.center_grid[0]
+    assert flat < col.n_grids  # level 0 comes first in the grid index
     cx, cy = col.grid_cx[flat], col.grid_cy[flat]
     d_star = (cx - 18.0) ** 2 + (cy - 17.0) ** 2
     dall = (col.grid_cx - 18.0) ** 2 + (col.grid_cy - 17.0) ** 2
@@ -94,11 +95,36 @@ def test_assignment_positive_soundness_recheck():
     img, gt = generate_scene(17)
     state = model.forward(img)
     asn = assign_samples(state.collections, gt)
-    for li, flat, gi in zip(asn.pos_level, asn.pos_flat, asn.pos_gt):
-        col = state.collections[li]
-        ious = [iou_scalar(col.coarse[flat], g) for g in gt.boxes]
+    coarse = np.concatenate([c.coarse for c in state.collections])
+    for grid, gi in zip(asn.pos_grid, asn.pos_gt):
+        ious = [iou_scalar(coarse[grid], g) for g in gt.boxes]
         assert max(ious) > 0.6
         assert int(np.argmax(ious)) == gi
+
+
+@pytest.mark.parametrize("rule", ["coarse-iou", "inside-box"])
+def test_assignment_matches_reference(rule):
+    positives = 0
+    for seed in range(3):
+        model = DetectionModel(ModelConfig(channels=8), seed=seed)
+        for index in range(4):
+            img, gt = generate_scene(scene_seed(seed, 0, index))
+            cols = model.forward(img).collections
+            asn = assign_samples(cols, gt, rule=rule)
+            got = (asn.pos_grid.tolist(), asn.pos_gt.tolist(), asn.center_grid.tolist())
+            assert got == assign_reference(cols, gt.boxes, rule)
+            positives += asn.n_positives
+    assert positives > 0
+
+
+def test_assignment_center_tie_goes_to_the_coarser_level():
+    # the gt center (3, 3) is equally far from level 0 grid 0 at (2, 2) and
+    # level 1 grid 0 at (4, 4); on a 64x64 image level 0 has 256 grids
+    _, state = _forward_state(size=64)
+    gt = GroundTruth([[1.0, 1.0, 5.0, 5.0]], [0])
+    asn = assign_samples(state.collections, gt)
+    assert asn.center_grid.tolist() == [256]
+    assert assign_reference(state.collections, gt.boxes)[2] == [256]
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +199,7 @@ def test_reg2_averages_over_gt_count():
     _, comps, _, asn = compute_losses(state, gt)
     from pointdet.geometry import giou_loss_grad_array
 
-    sel = np.stack([
-        state.collections[li].coarse[flat]
-        for li, flat in zip(asn.center_level, asn.center_flat)
-    ])
+    sel = np.concatenate([c.coarse for c in state.collections])[asn.center_grid]
     losses, _ = giou_loss_grad_array(sel, boxes)
     assert comps["l_reg2"] == pytest.approx(float(losses.mean()), rel=1e-12)
 
@@ -295,10 +318,11 @@ def test_config_parse_roundtrip():
     assert back == cfg
 
 
-_float_fields = st.floats(allow_nan=False)
+_float_fields = st.floats(allow_nan=False, allow_infinity=False)
 _config_strategy = st.builds(
     TrainConfig,
-    seed=st.integers(), iters=st.integers(), lr=_float_fields, momentum=_float_fields,
+    seed=st.integers(min_value=0), iters=st.integers(min_value=0), lr=_float_fields,
+    momentum=_float_fields,
     weight_decay=_float_fields, lambda1=_float_fields, lambda2=_float_fields,
     n_semantic=st.integers(), classes=st.integers(), image_size=st.integers(),
     max_objects=st.integers(), levels=st.integers(),
@@ -343,3 +367,48 @@ def test_config_bad_value_rejected():
 def test_config_comments_and_blanks():
     cfg = parse_config_text("# comment\n\nseed = 9\n")
     assert cfg.seed == 9
+
+
+@pytest.mark.parametrize("text, match", [
+    ("lr = 0.1\niters = 5\nlr = 0.2\n", "'lr' on line 3 repeats line 1"),
+    ("lr = nan\n", "'lr' must be finite, got 'nan' on line 1"),
+    ("seed = 3\nlr = inf\n", "'lr' must be finite, got 'inf' on line 2"),
+    ("momentum = -inf\n", "'momentum' must be finite"),
+    ("iters = -5\n", "'iters' must be non-negative, got '-5' on line 1"),
+    ("\nseed = -1\n", "'seed' must be non-negative, got '-1' on line 2"),
+    ("iters = banana\n", "'iters' expects a int, got 'banana' on line 1"),
+])
+def test_config_rejects_values_it_would_misuse(text, match):
+    with pytest.raises(ValueError, match=re.escape(match)):
+        parse_config_text(text)
+
+
+# Each corruption turns one line of a valid config text into one the parser
+# must refuse: (the keys it applies to, the bad values). A "repeat" copies a
+# line right below itself instead.
+_CONFIG_CORRUPTIONS = {
+    "non-finite": (("lr", "momentum", "weight_decay", "lambda1", "lambda2"),
+                   st.sampled_from(["nan", "inf", "-inf"])),
+    "negative": (("seed", "iters"), st.integers(max_value=-1).map(str)),
+    "not a number": (("seed", "lr", "classes"), st.sampled_from(["x", "1.5.", ""])),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=_config_strategy, data=st.data())
+def test_config_names_the_corrupt_line_property(cfg, data):
+    lines = format_config(cfg).splitlines()
+    kind = data.draw(st.sampled_from(["repeat", *_CONFIG_CORRUPTIONS]))
+    if kind == "repeat":
+        at = data.draw(st.integers(0, len(lines) - 1)) + 1
+        lines.insert(at, lines[at - 1])
+        key = lines[at].partition(" = ")[0]
+    else:
+        keys, values = _CONFIG_CORRUPTIONS[kind]
+        key = data.draw(st.sampled_from(keys))
+        at = [ln.partition(" = ")[0] for ln in lines].index(key)
+        lines[at] = f"{key} = {data.draw(values)}"
+    with pytest.raises(ValueError) as err:
+        parse_config_text("\n".join(lines) + "\n")
+    assert repr(key) in str(err.value)
+    assert re.search(rf"line {at + 1}\b", str(err.value))
