@@ -94,4 +94,6 @@ def format_config(cfg: TrainConfig) -> str:
         if f.name == "neighbor_set":
             val = ",".join(str(v) for v in val)
         lines.append(f"{f.name} = {val}")
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    parse_config_text(text)  # refuse what would not read back
+    return text

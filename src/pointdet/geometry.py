@@ -96,6 +96,15 @@ def fold_boxes(boxes):
     return folded, swap_x, swap_y
 
 
+def _over_square(a, da, b):
+    """``a * da / b**2`` row-wise; where ``b**2`` leaves the normal range it
+    is ``(a / b) * (da / b)``, which cannot underflow to 0/0."""
+    sq = b**2
+    tiny = sq < np.finfo(np.float64).tiny
+    return np.where(tiny[:, None], (a / b)[:, None] * (da / b[:, None]),
+                    a[:, None] * da / np.where(tiny, 1.0, sq)[:, None])
+
+
 def giou_loss_grad_array(pred, gt):
     """GIoU loss ``1 - giou`` and its gradients for [n,4] box arrays.
 
@@ -170,9 +179,9 @@ def giou_loss_grad_array(pred, gt):
     # d giou = dI/U - I dU/U^2 + dU/C - U dC/C^2 ; d loss = -d giou
     g = (
         di / safe_u[:, None]
-        - inter[:, None] * du / (safe_u**2)[:, None]
+        - _over_square(inter, du, safe_u)
         + du / safe_c[:, None]
-        - union[:, None] * dc / (safe_c**2)[:, None]
+        - _over_square(union, dc, safe_c)
     )
     gpred = np.where(ok[:, None], -g, 0.0)
 

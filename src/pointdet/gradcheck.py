@@ -84,11 +84,11 @@ def check_bilinear(seed: int = 5) -> float:
     r = rng.normal(size=n)
 
     def f():
-        vals, _ = ops.bilinear_gather(maps, ch, xs, ys)
+        vals, _ = ops.bilinear_gather([maps], ch, xs, ys)
         return float((vals * r).sum())
 
-    _, cache = ops.bilinear_gather(maps, ch, xs, ys)
-    gmaps, gxs, gys = ops.bilinear_gather_backward(cache, r)
+    _, cache = ops.bilinear_gather([maps], ch, xs, ys)
+    (gmaps,), gxs, gys = ops.bilinear_gather_backward(cache, r)
     worst = _max_err_over(f, maps, gmaps)
     worst = max(worst, _max_err_over(f, xs, gxs, indices=[(i,) for i in range(n)]))
     worst = max(worst, _max_err_over(f, ys, gys, indices=[(i,) for i in range(n)]))
@@ -168,8 +168,9 @@ def check_focal(seed: int = 13) -> float:
     return _max_err_over(f, z, dz)
 
 
-def _tiny_model(seed=0, mode="decoupled"):
-    cfg = ModelConfig(classes=2, n_semantic=4, channels=8, levels=3, mode=mode)
+def _tiny_model(seed=0, mode="decoupled", offsets=(-1, 0)):
+    cfg = ModelConfig(classes=2, n_semantic=4, channels=8, levels=3, mode=mode,
+                      neighbor_offsets=offsets)
     return DetectionModel(cfg, seed=seed)
 
 
@@ -230,9 +231,10 @@ def check_backbone(seed: int = 15) -> float:
     return _param_fd_check(model, loss_and_grads, rng)
 
 
-def check_head(seed: int = 17, mode: str = "decoupled") -> float:
+def check_head(seed: int = 17, mode: str = "decoupled", offsets=(-1, 0)) -> float:
+    """Head and collection on a 16x16 image: levels of 4x4, 2x2 and 1x1 grids."""
     rng = np.random.default_rng(seed)
-    model = _tiny_model(seed=6, mode=mode)
+    model = _tiny_model(seed=6, mode=mode, offsets=offsets)
     image = rng.uniform(0.1, 0.9, size=(3, 16, 16))
     st0 = model.forward(image)
     r_box = [rng.normal(size=c.boxes.shape) for c in st0.collections]

@@ -11,11 +11,16 @@ on each coarse edge and N semantic points inside, sample the regression maps
 of the neighboring levels at the boundary points (blended with softmax level
 weights), sample each semantic point's own classification map, and reduce to
 a final box plus C class scores. :func:`collect_level` does this for every
-grid of a level at once and :func:`collect_level_backward` reverses it.
-The loss side sees all levels' grids as one grid index (levels in
-collection order, each row-major); :meth:`DetectionModel.backward` slices
-its gradients back into the per-level arguments of
-:func:`collect_level_backward`.
+grid of every level in one pass over the grid index (the levels'
+grids concatenated in level order, each row-major), with the stride as a
+per-grid array; :func:`collect_level_backward` reverses it from gradients
+over the same index. Neighbor slot q of a level reads the level of
+offset q, and a level without that neighbor has a padding slot of weight 0
+and value 0, so every blended sum keeps the bits of a per-level pass. The
+two bilinear gathers (regression, classification) run once each; the
+regression gather's backward adds map gradients in (collection level,
+slot, corner, side, grid) order, which keeps the bits where a level's
+regression map is read by its own collection and the level above.
 
 Coordinate conventions: grid (i, j) at stride s sits at image point
 ((j+0.5)s, (i+0.5)s); image point x maps to level grid coordinate
@@ -101,7 +106,9 @@ def available_levels(s0: int, n_levels: int, offsets) -> list[tuple[int | None, 
 
 @dataclass
 class LevelCollection:
-    """All per-grid collection results of one level, grids in row-major order."""
+    """All per-grid collection results of one level, grids in row-major order:
+    views into the grid-index arrays of one :func:`collect_level` pass, whose
+    backward cache ``_cache`` every level shares."""
 
     level: int
     stride: int
@@ -126,139 +133,138 @@ class LevelCollection:
         return self.h * self.w
 
 
-def collect_level(maps, i0: int, cfg) -> LevelCollection:
-    """Vectorized per-grid collection for pyramid level ``i0``.
+def _grid_rows(maps, name, rows):
+    """Field ``name`` of every level as [rows, G] over the grid index."""
+    return np.concatenate([getattr(m, name).reshape(rows, -1) for m in maps], axis=1)
 
-    ``cfg`` provides loc_decoupled, cls_decoupled, offsets, n_points and
-    classes.
+
+def collect_level(maps, cfg) -> list[LevelCollection]:
+    """Vectorized collection of every grid of every level in one pass.
+
+    Works on the grid index with the stride as a per-grid array and returns
+    one :class:`LevelCollection` per level, whose arrays are views into the
+    grid-index arrays. ``cfg`` provides loc_decoupled, cls_decoupled,
+    offsets, n_points and classes.
     """
-    m0 = maps[i0]
-    s0 = float(m0.stride)
-    h, w = m0.h, m0.w
-    g = h * w
-    ii, jj = np.divmod(np.arange(g), w)
-    cx = (jj + 0.5) * s0
-    cy = (ii + 0.5) * s0
+    sizes = [m.h * m.w for m in maps]
+    ends = np.cumsum(sizes)
+    g = int(ends[-1])
+    level = np.repeat(np.arange(len(maps)), sizes)
+    strides = np.array([float(m.stride) for m in maps])
+    s = strides[level]
+    ii, jj = np.divmod(np.arange(g) - (ends - sizes)[level], np.repeat([m.w for m in maps], sizes))
+    cx = (jj + 0.5) * s
+    cy = (ii + 0.5) * s
 
-    cr = m0.coarse.reshape(4, g)
-    cr_inside = np.abs(cr) < COARSE_RAW_LIMIT
-    d = np.exp(np.clip(cr, -COARSE_RAW_LIMIT, COARSE_RAW_LIMIT)) * s0
-    box_l = cx - d[0]
-    box_t = cy - d[1]
-    box_r = cx + d[2]
-    box_b = cy + d[3]
+    cr = _grid_rows(maps, "coarse", 4)
+    d = np.exp(np.clip(cr, -COARSE_RAW_LIMIT, COARSE_RAW_LIMIT)) * s
+    box_l, box_t, box_r, box_b = cx - d[0], cy - d[1], cx + d[2], cy + d[3]
     wbox = d[0] + d[2]
     hbox = d[1] + d[3]
     midx = 0.5 * (box_l + box_r)
     midy = 0.5 * (box_t + box_b)
 
-    cache: dict = {"d": d, "cr_inside": cr_inside, "wbox": wbox, "hbox": hbox}
-
+    tb = np.tanh(_grid_rows(maps, "bshift", 4)) if cfg.loc_decoupled else None
     if cfg.loc_decoupled:
-        tb = np.tanh(m0.bshift.reshape(4, g))
         bx = np.stack([box_l, midx + tb[1] * 0.5 * wbox, box_r, midx + tb[3] * 0.5 * wbox])
         by = np.stack([midy + tb[0] * 0.5 * hbox, box_t, midy + tb[2] * 0.5 * hbox, box_b])
-        cache["tb"] = tb
     else:
         bx = np.broadcast_to(cx, (4, g)).copy()
         by = np.broadcast_to(cy, (4, g)).copy()
 
-    avail = available_levels(i0, len(maps), cfg.offsets)
-    kav = len(avail)
-    if cfg.loc_decoupled and m0.lvlw is not None and avail[0][0] is not None:
-        k_model = m0.lvlw.shape[0] // 4
-        lw = m0.lvlw.reshape(4, k_model, g)
-        raws_av = lw[:, [q for q, _ in avail], :]
-        weights = ops.softmax(raws_av, axis=1)
-        cache["weights_from_softmax"] = True
-    else:
-        weights = np.full((4, kav, g), 1.0 / kav)
-        cache["weights_from_softmax"] = False
-
-    side_ch = np.repeat(np.arange(4), g)
-    v_img = np.empty((kav, 4, g))
-    reg_caches = []
-    for a, (_, li) in enumerate(avail):
-        sl = float(maps[li].stride)
-        gx = bx / sl - 0.5
-        gy = by / sl - 0.5
-        vals, gc = ops.bilinear_gather(maps[li].reg, side_ch, gx.ravel(), gy.ravel())
-        v_img[a] = vals.reshape(4, g) * sl
-        reg_caches.append(gc)
+    # slot q of level i reads level src[q, i], the level of offset q; the
+    # (None, i) fallback reads level i in slot 0; slots without a level are
+    # padding with weight 0 and value 0. Regression samples go in
+    # (collection level, slot, side, grid) order, one backward segment each.
+    k = len(cfg.offsets)
+    avail = [available_levels(i, len(maps), cfg.offsets) for i in range(len(maps))]
+    src = np.tile(np.arange(len(maps)), (k, 1))
+    present = np.zeros((k, len(maps)), dtype=bool)
+    slots = np.arange(k * 4 * g).reshape(k, 4, g)
+    order, segments = [], []
+    for i, av in enumerate(avail):
+        for q, li in av:
+            src[q or 0, i], present[q or 0, i] = li, True
+            order.append(slots[q or 0, :, ends[i] - sizes[i]:ends[i]])
+            segments.append(4 * sizes[i])
+    order = np.concatenate(order, axis=None)
+    src_stride = strides[src][:, level]  # [K,G]
+    # a fallback or lvlw-less level gets softmax(0) = uniform weights
+    use_softmax = cfg.loc_decoupled and maps[0].lvlw is not None
+    raws = _grid_rows(maps, "lvlw", 4 * k).reshape(4, k, g) if use_softmax else np.zeros((4, k, g))
+    weights = ops.softmax(raws, axis=1, where=present[:, level])
+    reg_ch = 4 * src[:, level][:, None] + np.arange(4)[:, None]  # [K,4,G]
+    gx = bx / src_stride[:, None] - 0.5
+    gy = by / src_stride[:, None] - 0.5
+    vals, reg_cache = ops.bilinear_gather([m.reg for m in maps], reg_ch.ravel()[order],
+                                          gx.ravel()[order], gy.ravel()[order], segments)
+    v_img = np.zeros((k, 4, g))
+    v_img.reshape(-1)[order] = vals
+    v_img *= src_stride[:, None]
     offset = np.einsum("akg,akg->kg", weights.transpose(1, 0, 2), v_img)
     boxes = np.stack(
         [offset[0] + bx[0], offset[1] + by[1], offset[2] + bx[2], offset[3] + by[3]], axis=1
     )
-    cache["v_img"] = v_img
-    cache["reg_caches"] = reg_caches
 
     n_pts = cfg.n_points
     c = cfg.classes
+    ts = None
     if cfg.cls_decoupled:
         fx, fy = semantic_prior_fractions(n_pts)
-        ts = np.tanh(m0.sshift.reshape(n_pts, 2, g))
+        ts = np.tanh(_grid_rows(maps, "sshift", 2 * n_pts).reshape(n_pts, 2, g))
         sx = box_l[None] + (fx[:, None] + 0.5 * ts[:, 0]) * wbox[None]
         sy = box_t[None] + (fy[:, None] + 0.5 * ts[:, 1]) * hbox[None]
-        cache["ts"] = ts
-        cache["prior_fx"] = fx
-        cache["prior_fy"] = fy
     else:
         sx = cx[None].copy()
         sy = cy[None].copy()
-
-    gsx = sx / s0 - 0.5
-    gsy = sy / s0 - 0.5
-    cls_ch = (np.arange(n_pts)[:, None, None] * c + np.arange(c)[None, :, None])
-    cls_ch = np.broadcast_to(cls_ch, (n_pts, c, g))
-    xs = np.broadcast_to(gsx[:, None, :], (n_pts, c, g))
-    ys = np.broadcast_to(gsy[:, None, :], (n_pts, c, g))
-    logits_flat, cls_cache = ops.bilinear_gather(m0.cls, cls_ch.ravel(), xs.ravel(), ys.ravel())
-    logits = logits_flat.reshape(n_pts, c, g)
-    z = logits.sum(axis=0)
+    # the C classes of semantic point n at grid g share its cells: [N*G,C]
+    cls_ch = (level * (n_pts * c) + np.arange(n_pts)[:, None] * c)[..., None] + np.arange(c)
+    logits, cls_cache = ops.bilinear_gather([m.cls for m in maps], cls_ch.reshape(-1, c),
+                                            (sx / s - 0.5).ravel(), (sy / s - 0.5).ravel())
+    z = logits.reshape(n_pts, g, c).sum(axis=0).T
     scores = ops.sigmoid(z)
-    cache["cls_cache"] = cls_cache
 
-    return LevelCollection(
-        level=i0, stride=int(s0), h=h, w=w, grid_cx=cx, grid_cy=cy,
-        coarse=np.stack([box_l, box_t, box_r, box_b], axis=1),
-        bx=bx, by=by, sx=sx, sy=sy, weights=weights, avail=avail,
-        boxes=boxes, z=z, scores=scores, _cache=cache,
-    )
+    cuts = [slice(end - size, end) for size, end in zip(sizes, ends)]
+    cache = dict(s=s, d=d, cr_inside=np.abs(cr) < COARSE_RAW_LIMIT, wbox=wbox, hbox=hbox, tb=tb,
+                 ts=ts, weights=weights, v_img=v_img, src_stride=src_stride, order=order,
+                 reg_cache=reg_cache, cls_cache=cls_cache, use_softmax=use_softmax, cuts=cuts)
+    coarse = np.stack([box_l, box_t, box_r, box_b], axis=1)
+    return [LevelCollection(
+        level=i, stride=m.stride, h=m.h, w=m.w, grid_cx=cx[sl], grid_cy=cy[sl],
+        coarse=coarse[sl], bx=bx[:, sl], by=by[:, sl], sx=sx[:, sl], sy=sy[:, sl],
+        weights=weights[:, [q or 0 for q, _ in av], sl], avail=av, boxes=boxes[sl],
+        z=z[:, sl], scores=scores[:, sl], _cache=cache,
+    ) for i, (m, av, sl) in enumerate(zip(maps, avail, cuts))]
 
 
-def collect_level_backward(maps, col: LevelCollection, cfg, gboxes, gz, gcoarse, gmaps) -> None:
-    """Reverse the collection of one level.
+def collect_level_backward(maps, cols, cfg, gz, gboxes, gcoarse) -> list[dict]:
+    """Reverse :func:`collect_level` for every level at once.
 
-    ``gboxes`` [G,4] is dLoss/d(final box), ``gz`` [C,G] is dLoss/d(summed
-    logits), ``gcoarse`` [G,4] is the direct dLoss/d(coarse L,T,R,B). An
-    all-zero ``gboxes`` skips the regression path, which would only add
-    zeros. Gradients accumulate into ``gmaps`` (per-level dicts of arrays
-    keyed like LevelMaps fields).
+    The arguments are loss gradients over the grid index: ``gz`` [C,G] with
+    respect to the summed logits, ``gboxes`` [G,4] to the final boxes and
+    ``gcoarse`` [G,4] to the coarse L,T,R,B; ``maps`` and ``cols`` are the
+    forward's input and output. Returns per level a dict of map gradients
+    keyed like the LevelMaps fields the mode reads, with the bits of
+    per-level accumulation into zero buffers.
     """
-    cache = col._cache
-    g = col.n_grids
+    cache = cols[0]._cache
     n_pts = cfg.n_points
     c = cfg.classes
-    s0 = float(col.stride)
-    d = cache["d"]
-    wbox, hbox = cache["wbox"], cache["hbox"]
+    s = cache["s"]
+    g = len(s)
+    wbox, hbox, tb, ts = cache["wbox"], cache["hbox"], cache["tb"], cache["ts"]
 
     # fresh accumulators that start from +0, like every other sum here
     box_grad_l, box_grad_t, box_grad_r, box_grad_b = 0.0 + gcoarse.T
-
-    gbx = np.zeros((4, g))
-    gby = np.zeros((4, g))
+    per_grid = {}
 
     # classification path
-    glogits = np.broadcast_to(gz[None], (n_pts, c, g))
-    _, gxs_flat, gys_flat = ops.bilinear_gather_backward(
-        cache["cls_cache"], glogits.ravel(), gmaps[col.level]["cls"]
-    )
-    gsx = gxs_flat.reshape(n_pts, c, g).sum(axis=1) / s0
-    gsy = gys_flat.reshape(n_pts, c, g).sum(axis=1) / s0
+    glogits = np.broadcast_to(gz[:, None], (c, n_pts, g)).reshape(c, -1).T  # [N*G,C]
+    gcls, gsx, gsy = ops.bilinear_gather_backward(cache["cls_cache"], glogits)
+    gsx = gsx.reshape(n_pts, g) / s
+    gsy = gsy.reshape(n_pts, g) / s
     if cfg.cls_decoupled:
-        ts = cache["ts"]
-        fx, fy = cache["prior_fx"], cache["prior_fy"]
+        fx, fy = semantic_prior_fractions(n_pts)
         coef_x = fx[:, None] + 0.5 * ts[:, 0]
         coef_y = fy[:, None] + 0.5 * ts[:, 1]
         box_grad_l += (gsx * (1.0 - coef_x)).sum(axis=0)
@@ -268,40 +274,33 @@ def collect_level_backward(maps, col: LevelCollection, cfg, gboxes, gz, gcoarse,
         gts = np.empty((n_pts, 2, g))
         gts[:, 0] = gsx * 0.5 * wbox[None]
         gts[:, 1] = gsy * 0.5 * hbox[None]
-        graw = gts * (1.0 - cache["ts"] ** 2)
-        gmaps[col.level]["sshift"] += graw.reshape(2 * n_pts, col.h, col.w)
+        per_grid["sshift"] = (gts * (1.0 - ts**2)).reshape(2 * n_pts, g)
     # else: points are grid centers; nothing to propagate
 
-    # regression path
-    if gboxes.any():
-        goffset = gboxes.T.copy()  # [4,G]
-        gbx[0] += gboxes[:, 0]
-        gby[1] += gboxes[:, 1]
-        gbx[2] += gboxes[:, 2]
-        gby[3] += gboxes[:, 3]
-
-        v_img = cache["v_img"]
-        weights = col.weights
-        gweights = goffset[None] * v_img if cache["weights_from_softmax"] else None
-        for a, (_, li) in enumerate(col.avail):
-            sl = float(maps[li].stride)
-            gv_raw = goffset * weights[:, a, :] * sl
-            _, gxs, gys = ops.bilinear_gather_backward(
-                cache["reg_caches"][a], gv_raw.ravel(), gmaps[li]["reg"]
-            )
-            gbx += gxs.reshape(4, g) / sl
-            gby += gys.reshape(4, g) / sl
-        if gweights is not None:
-            graws_av = ops.softmax_backward(weights, gweights.transpose(1, 0, 2).copy(), axis=1)
-            lvlw_grad = gmaps[col.level]["lvlw"]
-            k_model = lvlw_grad.shape[0] // 4
-            lvlw_grad_v = lvlw_grad.reshape(4, k_model, g)
-            for a, (q, _) in enumerate(col.avail):
-                lvlw_grad_v[:, q, :] += graws_av[:, a, :]
+    # regression path; a grid without a box gradient adds only zeros
+    goffset = gboxes.T
+    gbx = np.zeros((4, g))
+    gby = np.zeros((4, g))
+    gbx[0::2] += goffset[0::2]
+    gby[1::2] += goffset[1::2]
+    weights, v_img, src_stride = cache["weights"], cache["v_img"], cache["src_stride"]
+    gv_raw = goffset * weights.transpose(1, 0, 2) * src_stride[:, None]
+    greg, gxs, gys = ops.bilinear_gather_backward(cache["reg_cache"],
+                                                  gv_raw.ravel()[cache["order"]])
+    for gpts, acc in ((gxs, gbx), (gys, gby)):
+        slots = np.zeros_like(v_img)
+        slots.reshape(-1)[cache["order"]] = gpts
+        slots /= src_stride[:, None]
+        for slot in slots:  # slot by slot, as the neighbor levels came
+            acc += slot
+    if cache["use_softmax"]:
+        gweights = goffset[None] * v_img
+        graws = ops.softmax_backward(weights, gweights.transpose(1, 0, 2).copy(), axis=1)
+        # a padding slot (weight 0) and a lone weight get a zero gradient
+        per_grid["lvlw"] = graws.reshape(-1, g)
 
     # boundary points -> coarse box / shift raws
     if cfg.loc_decoupled:
-        tb = cache["tb"]
         box_grad_l += gbx[0]
         box_grad_r += gbx[2]
         box_grad_t += gby[1]
@@ -316,12 +315,16 @@ def collect_level_backward(maps, col: LevelCollection, cfg, gboxes, gz, gcoarse,
             box_grad_t += gy_side * (0.5 - 0.5 * tb[side])
             box_grad_b += gy_side * (0.5 + 0.5 * tb[side])
             gtb[side] = gy_side * 0.5 * hbox
-        gmaps[col.level]["bshift"] += ((gtb * (1.0 - tb**2)).reshape(4, col.h, col.w))
+        per_grid["bshift"] = gtb * (1.0 - tb**2)
     # else: boundary points are grid centers (constants)
 
     # coarse box L,T,R,B -> coarse raw via d = exp(clamped raw)*stride
     gd = np.stack([-box_grad_l, -box_grad_t, box_grad_r, box_grad_b])
-    gmaps[col.level]["coarse"] += (gd * d * cache["cr_inside"]).reshape(4, col.h, col.w)
+    per_grid["coarse"] = gd * cache["d"] * cache["cr_inside"]
+    # each level's slice, added to +0 like a fresh zero buffer
+    return [dict(reg=gr, cls=gc, **{name: (0.0 + a[:, sl]).reshape(-1, col.h, col.w)
+                                    for name, a in per_grid.items()})
+            for col, sl, gr, gc in zip(cols, cache["cuts"], greg, gcls)]
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,7 @@ class DetectionModel:
     def forward(self, image) -> ModelState:
         feats, bcache = self.backbone.forward(image)
         maps, hcache = self.head.forward(feats, self.backbone.strides)
-        collections = [collect_level(maps, i, self.config) for i in range(len(maps))]
+        collections = collect_level(maps, self.config)
         return ModelState(maps=maps, collections=collections, _bcache=bcache, _hcache=hcache)
 
     def backward(self, state: ModelState, gz, gboxes, gcoarse) -> None:
@@ -147,14 +147,8 @@ class DetectionModel:
         summed logits, ``gboxes`` [G,4] to the collected boxes and
         ``gcoarse`` [G,4] to the coarse boxes.
         """
-        gmaps = [{name: np.zeros_like(getattr(m, name)) for name in self.head.outputs}
-                 for m in state.maps]
-        start = 0
-        for col in state.collections:
-            grids = slice(start, start + col.n_grids)
-            start = grids.stop
-            collect_level_backward(state.maps, col, self.config, gboxes[grids], gz[:, grids],
-                                   gcoarse[grids], gmaps)
+        gmaps = collect_level_backward(state.maps, state.collections, self.config, gz, gboxes,
+                                       gcoarse)
         gfeats = self.head.backward(state._hcache, gmaps)
         self.backbone.backward(state._bcache, gfeats)
 

@@ -164,14 +164,16 @@ def softplus(x):
     return np.logaddexp(0.0, np.asarray(x, dtype=np.float64))
 
 
-def softmax(v, axis=-1):
-    """Shift-invariant softmax along ``axis``; entries positive, summing to 1."""
+def softmax(v, axis=-1, where=True):
+    """Shift-invariant softmax along ``axis``; entries positive, summing to 1.
+    Entries where ``where`` is false get weight 0 (each row needs one that is not)."""
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise ValueError("softmax of an empty vector")
     if not np.all(np.isfinite(v)):
         raise ValueError("softmax input contains non-finite values")
-    e = np.exp(v - v.max(axis=axis, keepdims=True))
+    shifted = v - v.max(axis=axis, keepdims=True, where=where, initial=-np.inf)
+    e = np.exp(np.where(where, shifted, -np.inf))
     return e / e.sum(axis=axis, keepdims=True)
 
 
@@ -186,70 +188,75 @@ def softmax_backward(s, gs, axis=-1):
 
 
 def _axis_cells(coords, extent):
-    """Clamped cell index, fraction, and interior mask for one axis."""
+    """Clamped cell index, fraction, and interior mask of coordinates along
+    axes of per-point ``extent``; an extent of 1 gives cell 0, fraction 0
+    and no interior."""
     c = np.clip(coords, 0.0, extent - 1.0)
-    if extent == 1:
-        i0 = np.zeros(c.shape, dtype=np.intp)
-        frac = np.zeros_like(c)
-        interior = np.zeros(c.shape, dtype=bool)
-    else:
-        i0 = np.minimum(np.floor(c), extent - 2).astype(np.intp)
-        frac = c - i0
-        interior = (coords >= 0.0) & (coords < extent - 1.0)
+    i0 = np.maximum(np.minimum(np.floor(c), extent - 2), 0).astype(np.intp)
+    frac = np.where(extent > 1, c - i0, 0.0)
+    interior = (coords >= 0.0) & (coords < extent - 1.0)
     return i0, frac, interior
 
 
-def bilinear_gather(maps, channels, xs, ys):
-    """Sample ``maps[channels[k]]`` bilinearly at grid coords ``(xs[k], ys[k])``.
+def bilinear_gather(maps, channels, xs, ys, segments=None):
+    """Sample channels of several maps bilinearly at grid coords ``(xs, ys)``.
 
-    ``maps`` is [M,H,W]; ``channels``, ``xs``, ``ys`` are flat arrays of equal
-    length. Coordinates outside [0,W-1]x[0,H-1] are clamped to the border.
-    Returns ``(values, cache)``.
+    ``maps`` is a list of [M_i,H_i,W_i] arrays whose channels are numbered
+    in list order. ``xs`` and ``ys`` hold S points; ``channels`` is [S], or
+    [S,C] for C channels of one map shape that share each point's cells.
+    Coordinates outside [0,W-1]x[0,H-1] are clamped to the border.
+    ``segments`` are the lengths of consecutive point runs (default one) and
+    fix the order of the backward's map-gradient sums. Returns ``(values
+    shaped like channels, cache)``.
     """
-    maps = np.asarray(maps, dtype=np.float64)
-    m, h, w = maps.shape
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+    maps = [np.asarray(m, dtype=np.float64) for m in maps]
+    pts = np.stack([np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)])
+    if not np.all(np.isfinite(pts)):
         raise ValueError("non-finite sample coordinates")
     ch = np.asarray(channels, dtype=np.intp)
-    x0, fx, inx = _axis_cells(xs, w)
-    y0, fy, iny = _axis_cells(ys, h)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    v00 = maps[ch, y0, x0]
-    v01 = maps[ch, y0, x1]
-    v10 = maps[ch, y1, x0]
-    v11 = maps[ch, y1, x1]
+    # [C,S] in memory too, so elementwise loops run along the points
+    chc = np.ascontiguousarray((ch[:, None] if ch.ndim == 1 else ch).T)
+    # per channel number: width and height [2,M], start in the flat concatenation
+    wh = np.repeat([m.shape[:0:-1] for m in maps], [len(m) for m in maps], axis=0).T
+    starts = np.cumsum(wh[0] * wh[1]) - wh[0] * wh[1]
+    ext = np.take(wh, chc[0], axis=1)  # [2,S]
+    lo, frac, inside = _axis_cells(pts, ext)
+    x, y = np.stack([lo, np.minimum(lo + 1, ext - 1)], axis=1)  # [x0,x1], [y0,y1]
+    # flat indices of the corners 00, 01, 10, 11 of every channel: [4,C,S]
+    idx = starts[chc] + (y[:, None] * ext[0] + x).reshape(4, 1, -1)
+    corners = np.concatenate([m.ravel() for m in maps])[idx]
+    (fx, fy), (v00, v01, v10, v11) = frac, corners
     # convex form is exact at cell corners (fx, fy in {0, 1})
     top = (1.0 - fx) * v00 + fx * v01
     bot = (1.0 - fx) * v10 + fx * v11
     vals = (1.0 - fy) * top + fy * bot
-    cache = (maps.shape, ch, x0, x1, y0, y1, fx, fy, inx, iny, v00, v01, v10, v11)
-    return vals, cache
+    ends = np.cumsum([m.size for m in maps])
+    cache = ([m.shape for m in maps], ends, idx, frac, inside, corners, segments)
+    return vals.T.reshape(ch.shape), cache
 
 
-def bilinear_gather_backward(cache, gvals, gmaps=None):
-    """Backward of :func:`bilinear_gather`.
+def bilinear_gather_backward(cache, gvals):
+    """Backward of :func:`bilinear_gather`: ``(gmaps, gxs, gys)`` with
+    ``gmaps`` a list of arrays shaped like the maps.
 
-    Accumulates map gradients into ``gmaps`` (allocated if None) and returns
-    ``(gmaps, gxs, gys)``.
+    The map gradient is one ``np.bincount``, which adds its weights to their
+    bins in input order from 0. Fed in (segment, corner, channel, point)
+    order, every bin sums like one unbuffered scatter-add per corner into
+    zeros, segment after segment.
     """
-    shape, ch, x0, x1, y0, y1, fx, fy, inx, iny, v00, v01, v10, v11 = cache
-    if gmaps is None:
-        gmaps = np.zeros(shape, dtype=np.float64)
-    gvals = np.asarray(gvals, dtype=np.float64)
-    w00 = (1.0 - fx) * (1.0 - fy) * gvals
-    w01 = fx * (1.0 - fy) * gvals
-    w10 = (1.0 - fx) * fy * gvals
-    w11 = fx * fy * gvals
-    np.add.at(gmaps, (ch, y0, x0), w00)
-    np.add.at(gmaps, (ch, y0, x1), w01)
-    np.add.at(gmaps, (ch, y1, x0), w10)
-    np.add.at(gmaps, (ch, y1, x1), w11)
+    shapes, ends, idx, (fx, fy), (inx, iny), (v00, v01, v10, v11), segments = cache
+    gv = np.ascontiguousarray(np.asarray(gvals, dtype=np.float64).reshape(idx.shape[:0:-1]).T)
+    corner = np.stack([(1.0 - fx) * (1.0 - fy), fx * (1.0 - fy), (1.0 - fx) * fy, fx * fy])
+    bins, wts = idx, corner[:, None] * gv  # [4,C,S]
+    if segments is not None:
+        bins, wts = (np.concatenate([a[..., end - n:end].ravel()
+                                     for n, end in zip(segments, np.cumsum(segments))])
+                     for a in (bins, wts))
+    flat = np.bincount(bins.ravel(), weights=wts.ravel(), minlength=ends[-1])
+    gmaps = [part.reshape(s) for part, s in zip(np.split(flat, ends[:-1]), shapes)]
     dfx = (1.0 - fy) * (v01 - v00) + fy * (v11 - v10)
     dfy = (1.0 - fx) * (v10 - v00) + fx * (v11 - v01)
-    gxs = gvals * dfx * inx
-    gys = gvals * dfy * iny
+    # a point's channels add up one after another, as the [C,S] rows sum
+    gxs = (gv * dfx * inx).sum(axis=0)
+    gys = (gv * dfy * iny).sum(axis=0)
     return gmaps, gxs, gys
-

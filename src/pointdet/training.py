@@ -10,12 +10,14 @@ best-IoU ground truth strictly above 0.6.
 Everything here indexes the grids of all pyramid levels as one axis: the
 levels concatenated in collection order, each level row-major, so level
 ``l`` grid ``g`` has index ``sum(n_grids of levels < l) + g``. Assignments
-and loss gradients use that index; only :meth:`DetectionModel.backward`
-slices it back into levels.
+and loss gradients use that index, and so does the collection's backward,
+which takes the gradients whole.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,8 +218,18 @@ def run_training(model: DetectionModel, provider, iters: int, lr: float,
     batches occasionally spike otherwise and momentum then overshoots the
     coarse boxes into GIoU saturation. On divergence the model is restored
     to the last parameters that produced a finite loss and
-    :class:`TrainingDiverged` is raised. Returns the loss history.
+    :class:`TrainingDiverged` is raised. Returns the loss history. A
+    negative or non-integer ``iters``, a non-positive ``lr`` or a non-finite
+    value raises ValueError.
     """
+    if not (isinstance(iters, numbers.Integral) and not isinstance(iters, bool) and iters >= 0):
+        raise ValueError(f"training argument 'iters' must be a non-negative integer, got {iters!r}")
+    for name, value in (("lr", lr), ("momentum", momentum), ("weight_decay", weight_decay),
+                        ("lambda1", lambda1), ("lambda2", lambda2)):
+        finite = isinstance(value, numbers.Real) and math.isfinite(value)
+        if not finite or (name == "lr" and value <= 0):
+            raise ValueError(f"training argument {name!r} must be finite (lr also positive), "
+                             f"got {value!r}")
     opt = SGD(model.parameters(), lr, momentum=momentum, weight_decay=weight_decay)
     history = []
     last_good = model.clone_params()

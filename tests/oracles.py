@@ -324,6 +324,38 @@ def class_scores_reference(cls, classes, semantic, stride):
     return scores
 
 
+def collect_grid_reference(level_maps, level, i, j, loc_decoupled, cls_decoupled, offsets,
+                           classes):
+    """Scalar collection of grid (i, j) of ``level``: ``(coarse box, boundary
+    points, semantic points, weights [4][K], final box, class scores)``.
+    ``level_maps[l]`` has ``stride`` and the raw maps ``reg``, ``cls``,
+    ``coarse``, ``bshift``, ``sshift`` and ``lvlw`` (the last three may be
+    None); ``offsets`` are the neighbor offsets the mode reads. A
+    coordinate that is not decoupled sits at the grid itself, and levels
+    without learned weights blend uniformly."""
+    m = level_maps[level]
+    cx, cy = (j + 0.5) * m.stride, (i + 0.5) * m.stride
+    coarse = coarse_box_reference(cx, cy, m.stride, [m.coarse[k][i][j] for k in range(4)])
+    if loc_decoupled:
+        boundary = boundary_points_reference(coarse, [m.bshift[k][i][j] for k in range(4)])
+    else:
+        boundary = [(cx, cy)] * 4
+    if cls_decoupled:
+        semantic = semantic_points_reference(
+            coarse, [m.sshift[k][i][j] for k in range(len(m.sshift))])
+    else:
+        semantic = [(cx, cy)]
+    levels = neighbor_levels_reference(level, len(level_maps), offsets)
+    if loc_decoupled and m.lvlw is not None and levels[0][0] is not None:
+        weights = level_weights_reference([m.lvlw[k][i][j] for k in range(len(m.lvlw))],
+                                          len(offsets), [q for q, _ in levels])
+    else:
+        weights = [[1.0 / len(levels)] * len(levels) for _ in range(4)]
+    box = collect_box_reference(level_maps, boundary, weights, level, offsets)
+    scores = class_scores_reference(m.cls, classes, semantic, m.stride)
+    return coarse, boundary, semantic, weights, box, scores
+
+
 def focal_loss_reference(scores, targets, alpha=0.25, gamma=2.0, n_positives=None) -> float:
     """Focal loss on probabilities: ``scores[g][c]`` in [0, 1], ``targets[g]``
     the positive class or -1. Sum of -a_t (1 - p_t)^gamma log p_t over every

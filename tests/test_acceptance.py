@@ -361,8 +361,7 @@ def test_criterion_8_structural_invariants(tmp_path):
                 sshift=rng.normal(scale=2.0, size=(2 * cfg.n_points, h, w)),
                 lvlw=rng.normal(scale=3.0, size=(4 * len(cfg.offsets), h, w)),
             ))
-        for li in range(len(maps)):
-            col = collect_level(maps, li, cfg)
+        for col in collect_level(maps, cfg):
             grids += col.n_grids
             l, t, r, b = col.coarse.T
             on_edge &= bool(np.all(col.bx[0] == l) and np.all(col.bx[2] == r))

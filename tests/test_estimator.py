@@ -114,3 +114,11 @@ def test_fit_deterministic_per_seed():
     b = PointDetector(classes=2, n_semantic=4, channels=8, iters=15, seed=3).fit(images, gts)
     for p, q in zip(a.model_.parameters(), b.model_.parameters()):
         assert p.value.tobytes() == q.value.tobytes()
+
+
+def test_fit_rejects_invalid_training_values():
+    images, gts = _dataset(n=1, size=32)
+    with pytest.raises(ValueError, match="'iters'"):
+        PointDetector(classes=3, iters=-5, lr=float("nan")).fit(images, gts)
+    with pytest.raises(ValueError, match="'lr'"):
+        PointDetector(classes=3, iters=1, lr=float("nan")).fit(images, gts)

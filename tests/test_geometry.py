@@ -145,3 +145,15 @@ def test_iou_matrix_matches_scalar():
     for i in range(5):
         for j in range(4):
             assert mat[i, j] == pytest.approx(iou_scalar(a[i], b[j]), abs=1e-12)
+
+
+def test_giou_gradient_finite_when_union_square_underflows():
+    # union 2e-320 is positive, but its square underflows to 0
+    pred = np.array([[0.0, 0.0, 1e-160, 1e-160]])
+    gt = np.array([[0.0, 0.0, 2e-160, 1e-160]])
+    loss, gpred = giou_loss_grad_array(pred, gt)
+    assert loss[0] == 0.5
+    assert np.all(np.isfinite(gpred))
+    # GIoU is scale-free, so the gradient scales as 1 / scale
+    _, unit = giou_loss_grad_array(pred * 1e160, gt * 1e160)
+    np.testing.assert_allclose(gpred * 1e-160, unit, rtol=1e-4)

@@ -31,6 +31,13 @@ def test_head_gradients_in_ablation_modes(mode):
     assert err < PIPELINE_TOLERANCE, f"{mode}: max rel err {err:.3e}"
 
 
+@pytest.mark.parametrize("offsets", [(1,), (-1, 0, 1)])
+def test_head_gradients_on_ragged_pyramids(offsets):
+    # the check's top level is 1x1; (1,) leaves it no neighbour level
+    err = CHECKS["head"](seed=37, offsets=offsets)
+    assert err < PIPELINE_TOLERANCE, f"{offsets}: max rel err {err:.3e}"
+
+
 def test_check_head_runs_one_forward_per_loss_evaluation(monkeypatch):
     from pointdet import gradcheck
     from pointdet.model import DetectionModel

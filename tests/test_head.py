@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointdet import ops
 from pointdet.head import (
@@ -8,13 +10,14 @@ from pointdet.head import (
     collect_level,
     semantic_prior_fractions,
 )
-from pointdet.model import DetectionModel, ModelConfig
+from pointdet.model import MODES, DetectionModel, ModelConfig
 
 from oracles import (
     boundary_points_reference,
     class_scores_reference,
     coarse_box_reference,
     collect_box_reference,
+    collect_grid_reference,
     level_weights_reference,
     neighbor_levels_reference,
     semantic_points_reference,
@@ -39,8 +42,8 @@ def _random_collections(seed, draws, cfg=None, coarse=1.5, shift=2.0, lvlw=3.0):
                 sshift=rng.normal(scale=shift, size=(2 * cfg.n_points, h, w)),
                 lvlw=rng.normal(scale=lvlw, size=(4 * len(cfg.offsets), h, w)),
             ))
-        for li in range(len(maps)):
-            yield maps, collect_level(maps, li, cfg)
+        for col in collect_level(maps, cfg):
+            yield maps, col
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +291,46 @@ def test_vectorized_collection_matches_scalar_ops():
             np.testing.assert_allclose(col.scores[:, flat], scores, atol=1e-9)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(levels=st.integers(1, 4), h0=st.integers(1, 8), w0=st.integers(1, 8),
+       offsets=st.sampled_from([(-1, 0), (-1, 0, 1), (0,), (1,)]), mode=st.sampled_from(MODES),
+       seed=st.integers(0, 2**16))
+def test_collection_matches_scalar_oracles_on_ragged_pyramids(levels, h0, w0, offsets, mode,
+                                                              seed):
+    """Every level count, 1x1 coarse levels (the extent-1 cell branch), the
+    fallback of (1,) at the top level and every mode, grid by grid."""
+    cfg = ModelConfig(classes=2, n_semantic=4, levels=levels, neighbor_offsets=offsets,
+                      mode=mode)
+    rng = np.random.default_rng(seed)
+    maps = []
+    for lv, stride in enumerate(cfg.strides):
+        h, w = -(-h0 // 2**lv), -(-w0 // 2**lv)
+        maps.append(LevelMaps(
+            stride=stride,
+            reg=rng.normal(size=(4, h, w)),
+            cls=rng.normal(size=(cfg.n_points * cfg.classes, h, w)),
+            coarse=rng.normal(scale=1.5, size=(4, h, w)),
+            bshift=rng.normal(scale=2.0, size=(4, h, w)) if cfg.loc_decoupled else None,
+            sshift=(rng.normal(scale=2.0, size=(2 * cfg.n_points, h, w))
+                    if cfg.cls_decoupled else None),
+            lvlw=rng.normal(scale=3.0, size=(4 * len(cfg.offsets), h, w)) if cfg.has_lvlw else None,
+        ))
+    for li, col in enumerate(collect_level(maps, cfg)):
+        for flat in range(col.n_grids):
+            i, j = divmod(flat, col.w)
+            coarse, boundary, semantic, weights, box, scores = collect_grid_reference(
+                maps, li, i, j, cfg.loc_decoupled, cfg.cls_decoupled, cfg.offsets, cfg.classes)
+            for got, want in (
+                (col.coarse[flat], coarse),
+                (np.stack([col.bx[:, flat], col.by[:, flat]], axis=1), boundary),
+                (np.stack([col.sx[:, flat], col.sy[:, flat]], axis=1), semantic),
+                (col.weights[:, :, flat], weights),
+                (col.boxes[flat], box),
+                (col.scores[:, flat], scores),
+            ):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 def test_weight_simplex_invariant_on_random_models():
     for seed in range(5):
         model = DetectionModel(ModelConfig(channels=8), seed=seed)
@@ -308,7 +351,7 @@ def test_eq3_consistency_offset_plus_coordinate():
         for a, (_, lvl) in enumerate(col.avail):
             m = state.maps[lvl]
             vals, _ = ops.bilinear_gather(
-                m.reg, np.zeros(col.n_grids, dtype=np.intp),
+                [m.reg], np.zeros(col.n_grids, dtype=np.intp),
                 col.bx[0] / m.stride - 0.5, col.by[0] / m.stride - 0.5,
             )
             sampled_l += col.weights[0, a] * vals * m.stride
@@ -348,13 +391,13 @@ def test_gradient_locality_follows_sampling_points():
 
     base = col.boxes[grid, 0]
     m.reg[0, cell[0], cell[1]] += 1.0
-    state2_col = collect_level(state.maps, 0, cfg)
+    state2_col = collect_level(state.maps, cfg)[0]
     m.reg[0, cell[0], cell[1]] -= 1.0
     assert abs(state2_col.boxes[grid, 0] - base) > 1e-6
 
     # a far-away cell leaves this grid's left edge untouched
     far = ((cell[0] + 4) % m.h, (cell[1] + 4) % m.w)
     m.reg[0, far[0], far[1]] += 1.0
-    state3_col = collect_level(state.maps, 0, cfg)
+    state3_col = collect_level(state.maps, cfg)[0]
     m.reg[0, far[0], far[1]] -= 1.0
     assert state3_col.boxes[grid, 0] == pytest.approx(base, abs=1e-9)

@@ -422,3 +422,30 @@ def test_ground_truth_jsonl_names_the_corrupt_line_property(tmp_path_factory, ro
     path = tmp_path_factory.mktemp("gts") / "gts.jsonl"
     path.write_text("\n".join(text) + "\n")
     _assert_names_line(read_ground_truths, path, bad + 1)
+
+
+# SHA-256 of every detection of a fresh seed-0 default model on the first 5
+# holdout scenes at score threshold 0: per detection one line of the hex box
+# coordinates and score, the class, the source level and the source grid.
+DETECT_SHA256 = "fbd795acafa028e94d37c57ac9515e47ff3b26b44fdeb3df30507ab78133cf68"
+
+
+def test_detect_numerics_fingerprint_is_pinned():
+    """Pins every bit of ``detect``, the way the training fingerprint pins
+    training; taken on the same numpy and BLAS build as that one."""
+    import hashlib
+
+    from pointdet.config import TrainConfig
+    from pointdet.training import holdout_scenes
+
+    model = DetectionModel(ModelConfig(), seed=0)
+    h = hashlib.sha256()
+    count = 0
+    for image, _ in holdout_scenes(TrainConfig(), 5):
+        for d in detect(model, image, score_thresh=0.0):
+            fields = [float(v).hex() for v in (d.box.l, d.box.t, d.box.r, d.box.b, d.score)]
+            fields += [str(d.class_id), str(d.source_level), str(d.source_grid)]
+            h.update(" ".join(fields).encode() + b"\n")
+            count += 1
+    assert count == 5 * DEFAULT_MAX_DETECTIONS
+    assert h.hexdigest() == DETECT_SHA256

@@ -113,14 +113,14 @@ def test_conv_matches_direct_loop_oracle(cin, cout, h, w, k, stride, padding, bi
 
 def _sample(m, x, y):
     """One bilinear sample of the [H,W] map ``m`` through the batched kernel."""
-    vals, _ = ops.bilinear_gather(m[None], np.zeros(1, dtype=np.intp), [x], [y])
+    vals, _ = ops.bilinear_gather([m[None]], np.zeros(1, dtype=np.intp), [x], [y])
     return float(vals[0])
 
 
 def _sample_grad(m, x, y):
     """``(value, dvalue/dmap [H,W], dvalue/dx, dvalue/dy)`` of one sample."""
-    vals, cache = ops.bilinear_gather(m[None], np.zeros(1, dtype=np.intp), [x], [y])
-    gmaps, gxs, gys = ops.bilinear_gather_backward(cache, np.ones(1))
+    vals, cache = ops.bilinear_gather([m[None]], np.zeros(1, dtype=np.intp), [x], [y])
+    (gmaps,), gxs, gys = ops.bilinear_gather_backward(cache, np.ones(1))
     return float(vals[0]), gmaps[0], float(gxs[0]), float(gys[0])
 
 

@@ -1,0 +1,50 @@
+"""The benchmark's tracer patches pointdet functions by module and name.
+
+A renamed or moved function makes ``Tracer.install`` raise, which otherwise
+only shows when the benchmark runs. These tests run the tracer from
+``perfbench/`` over one default training step and one ``detect``.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from pointdet.config import TrainConfig
+from pointdet.inference import detect
+from pointdet.model import DetectionModel, ModelConfig
+from pointdet.training import holdout_scenes, train_from_config
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    return spans
+
+
+def test_every_patch_site_exists(spans):
+    for owner, attr, *_ in spans._patch_sites():
+        assert attr in owner.__dict__, f"{owner.__name__}.{attr}"
+
+
+def test_tracer_sees_the_collection_in_training_and_detect(spans):
+    with spans.Tracer() as tracer:
+        train_from_config(TrainConfig(iters=1))
+    calls = spans.aggregate(tracer.spans)
+    assert calls["head.collect_level"]["calls"] == 1
+    assert calls["head.collect_level_backward"]["calls"] == 1
+    for name in ("ops.bilinear_gather", "ops.bilinear_gather_backward"):
+        assert calls[name]["incl"] > 0
+        assert tracer.counters[f"{name}.samples"] > 0
+
+    image, _ = holdout_scenes(TrainConfig(), 1)[0]
+    with spans.Tracer() as tracer:
+        detect(DetectionModel(ModelConfig(), seed=0), np.asarray(image))
+    calls = spans.aggregate(tracer.spans)
+    assert calls["head.collect_level"]["calls"] == 1
+    assert "head.collect_level_backward" not in calls
+    assert tracer.counters["ops.bilinear_gather.samples"] > 0

@@ -17,6 +17,7 @@ from pointdet.training import (
     focal_loss_from_logits,
     holdout_scenes,
     lr_at,
+    run_training,
     total_loss,
     train_from_config,
 )
@@ -342,6 +343,34 @@ def test_config_format_rejects_out_dir_that_cannot_read_back(out_dir):
     # parsing strips the value and splits lines, so these would not read back
     with pytest.raises(ValueError, match="one config line"):
         format_config(TrainConfig(out_dir=out_dir))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("iters", -3), ("seed", -1), ("lr", float("nan")), ("momentum", float("inf")),
+    ("iters", 2.5), ("classes", True), ("neighbor_set", (0.5,)),
+])
+def test_config_format_refuses_what_parse_refuses(field, value):
+    with pytest.raises(ValueError, match=repr(field)):
+        format_config(TrainConfig(**{field: value}))
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"iters": -5, "lr": float("nan")}, "iters"), ({"iters": 2.5}, "iters"),
+    ({"iters": True}, "iters"), ({"lr": float("nan")}, "lr"), ({"lr": 0.0}, "lr"),
+    ({"lr": -0.1}, "lr"), ({"momentum": float("inf")}, "momentum"),
+    ({"weight_decay": float("nan")}, "weight_decay"), ({"lambda1": float("inf")}, "lambda1"),
+    ({"lambda2": float("nan")}, "lambda2"),
+])
+def test_run_training_rejects_invalid_values(kwargs, name):
+    model = DetectionModel(ModelConfig(channels=8), seed=0)
+    args = dict({"iters": 1, "lr": 0.01}, **kwargs)
+    with pytest.raises(ValueError, match=f"training argument {name!r}"):
+        run_training(model, lambda it: None, **args)
+
+
+def test_train_from_config_rejects_negative_iters():
+    with pytest.raises(ValueError, match="'iters'"):
+        train_from_config(TrainConfig(iters=-3))
 
 
 def test_config_defaults_and_overrides():
