@@ -70,15 +70,19 @@ def compute_accuracy_maps(model: DetectionModel, image, gt: GroundTruth,
 
     Grids whose centers fall inside the gt box dilated by ``margin`` times
     its extents are marked valid. Ground truths without any valid grid at
-    the chosen level are skipped with a warning.
+    the chosen level are skipped with a warning. A level outside
+    ``[0, levels)`` raises ValueError.
     """
+    if not 0 <= level < model.config.levels:
+        raise ValueError(f"level {level} is outside the pyramid's [0, {model.config.levels})")
     if state is None:
         state = model.forward(np.asarray(image, dtype=np.float64))
-    col = state.collections[level]
-    h, w = col.h, col.w
-    cx = col.grid_cx.reshape(h, w)
-    cy = col.grid_cy.reshape(h, w)
-    pred, _, _ = fold_boxes(col.boxes)  # same folded view inference uses
+    col, lmaps = state.collection, state.maps[level]
+    sl = col.cuts[level]
+    h, w = lmaps.h, lmaps.w
+    cx = col.grid_cx[sl].reshape(h, w)
+    cy = col.grid_cy[sl].reshape(h, w)
+    pred, _, _ = fold_boxes(col.boxes[sl])  # same folded view inference uses
     out = []
     for k in range(len(gt)):
         box = gt.boxes[k]
@@ -94,11 +98,11 @@ def compute_accuracy_maps(model: DetectionModel, image, gt: GroundTruth,
                 f"ground truth {k} has no interior grids at level {level}; skipped"
             )
             continue
-        conf = col.scores[label].reshape(h, w).copy()
+        conf = col.scores[label, sl].reshape(h, w).copy()
         inv_err = -np.abs(pred - box[None, :]).T.reshape(4, h, w)
         det_iou = iou_array(pred, box[None, :]).reshape(h, w)
         out.append(
-            AccuracyMaps(level=level, stride=col.stride, gt_box=box.copy(), label=label,
+            AccuracyMaps(level=level, stride=lmaps.stride, gt_box=box.copy(), label=label,
                          cls_conf=conf, inv_err=inv_err, det_iou=det_iou, valid=valid)
         )
     return out
@@ -187,13 +191,13 @@ def point_distance_distribution(model: DetectionModel, scenes, bins: int = 30,
         if len(gt) == 0:
             continue
         state = model.forward(np.asarray(image, dtype=np.float64))
-        cols = state.collections
-        asn = assign_samples(cols, gt)
+        col = state.collection
+        asn = assign_samples(col, gt)
         pos = asn.pos_grid
         box = gt.boxes[asn.pos_gt]
-        cx = np.concatenate([c.grid_cx for c in cols])[pos, None]
-        cy = np.concatenate([c.grid_cy for c in cols])[pos, None]
-        coarse = np.concatenate([c.coarse for c in cols])[pos]  # L,T,R,B
+        cx = col.grid_cx[pos, None]
+        cy = col.grid_cy[pos, None]
+        coarse = col.coarse[pos]  # L,T,R,B
         midx = 0.5 * (coarse[:, 0:1] + coarse[:, 2:3])
         midy = 0.5 * (coarse[:, 1:2] + coarse[:, 3:4])
         # points per configuration, in image space; each side moves its own coordinate
@@ -201,8 +205,7 @@ def point_distance_distribution(model: DetectionModel, scenes, bins: int = 30,
             "grid": (cx, cy),
             "grid_offset": (np.where(_VERTICAL, coarse, cx), np.where(_VERTICAL, cy, coarse)),
             "midpoint": (np.where(_VERTICAL, coarse, midx), np.where(_VERTICAL, midy, coarse)),
-            "dynamic": (np.concatenate([c.bx for c in cols], axis=1)[:, pos].T,
-                        np.concatenate([c.by for c in cols], axis=1)[:, pos].T),
+            "dynamic": (col.bx[:, pos].T, col.by[:, pos].T),
         }
         for cfg_name, (px, py) in points.items():
             dist[cfg_name].append(_edge_distance(px, py, box))

@@ -24,6 +24,15 @@ from .training import TrainingDiverged, holdout_scenes, train_from_config
 __all__ = ["main", "build_parser"]
 
 
+def _count(minimum):
+    """Argparse type: an integer of at least ``minimum``."""
+    def count(text):
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text}")
+        return int(text)
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pointdet",
@@ -63,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--level", type=int, default=0)
     p.add_argument("--margin", type=float, default=0.5)
-    p.add_argument("--max-heatmaps", type=int, default=8)
+    p.add_argument("--max-heatmaps", type=_count(0), default=8)
 
     p = sub.add_parser("render", help="render detections and points over an image")
     p.add_argument("--ckpt", required=True)
@@ -75,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="train one collection mode and evaluate it")
     p.add_argument("--config", required=True)
     p.add_argument("--mode", choices=MODES, required=True)
-    p.add_argument("--eval-count", type=int, default=100)
+    p.add_argument("--eval-count", type=_count(1), default=100)
 
     return parser
 
@@ -223,14 +232,11 @@ def _cmd_render(args) -> int:
     image = _load_image_file(args.image)
     state = model.forward(image)
     dets = postprocess(state, image.shape[2], image.shape[1], score_thresh=args.score_thresh)
-    points = []
-    grid_points = []
-    for det in dets:
-        col = state.collections[det.source_level]
-        g = det.source_grid
-        points.append((np.stack([col.bx[:, g], col.by[:, g]], axis=1),
-                       np.stack([col.sx[:, g], col.sy[:, g]], axis=1)))
-        grid_points.append((col.grid_cx[g], col.grid_cy[g]))
+    col = state.collection
+    grids = [col.cuts[det.source_level].start + det.source_grid for det in dets]
+    points = [(np.stack([col.bx[:, g], col.by[:, g]], axis=1),
+               np.stack([col.sx[:, g], col.sy[:, g]], axis=1)) for g in grids]
+    grid_points = [(col.grid_cx[g], col.grid_cy[g]) for g in grids]
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
     ppm.render_scene(image, args.out, dets=dets, points=points,

@@ -5,6 +5,7 @@ JSONL, and a manifest with the generation settings."""
 from __future__ import annotations
 
 import json
+import numbers
 import os
 
 import numpy as np
@@ -21,7 +22,9 @@ GTS_NAME = "gts.jsonl"
 
 def write_dataset(out_dir, seed: int, count: int, width: int = 64, height: int = 64,
                   max_objects: int = 3, classes: int = 3) -> dict:
-    """Generate ``count`` scenes (seed stream [seed, i]) into ``out_dir``."""
+    """Generate ``count`` >= 0 scenes (seed stream [seed, i]) into ``out_dir``."""
+    if not (isinstance(count, numbers.Integral) and count >= 0):
+        raise ValueError(f"scene count must be a non-negative integer, got {count!r}")
     os.makedirs(out_dir, exist_ok=True)
     images = np.empty((count, 3, height, width))
     gts = {}

@@ -112,7 +112,8 @@ def giou_loss_grad_array(pred, gt):
     subgradient to the predicted box; degenerate pairs (union and
     enclosing area both zero) get loss 1 and zero gradient. Inverted
     predictions are folded to valid boxes first, with gradients routed
-    through the swap.
+    through the swap. A gradient beyond the float64 range (box extents
+    near 1e-308) comes out as +-inf, or nan where two such terms cancel.
     """
     pred_in = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
@@ -177,12 +178,13 @@ def giou_loss_grad_array(pred, gt):
     dc[:, 3] = (ab >= bb).astype(np.float64) * cw
 
     # d giou = dI/U - I dU/U^2 + dU/C - U dC/C^2 ; d loss = -d giou
-    g = (
-        di / safe_u[:, None]
-        - _over_square(inter, du, safe_u)
-        + du / safe_c[:, None]
-        - _over_square(union, dc, safe_c)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # see the docstring
+        g = (
+            di / safe_u[:, None]
+            - _over_square(inter, du, safe_u)
+            + du / safe_c[:, None]
+            - _over_square(union, dc, safe_c)
+        )
     gpred = np.where(ok[:, None], -g, 0.0)
 
     # route gradients back through the fold

@@ -236,20 +236,18 @@ def check_head(seed: int = 17, mode: str = "decoupled", offsets=(-1, 0)) -> floa
     rng = np.random.default_rng(seed)
     model = _tiny_model(seed=6, mode=mode, offsets=offsets)
     image = rng.uniform(0.1, 0.9, size=(3, 16, 16))
-    st0 = model.forward(image)
-    r_box = [rng.normal(size=c.boxes.shape) for c in st0.collections]
-    r_sc = [rng.normal(size=c.scores.shape) for c in st0.collections]
-    r_co = [rng.normal(size=c.coarse.shape) * 0.1 for c in st0.collections]
+    col0 = model.forward(image).collection
+    r_box = rng.normal(size=col0.boxes.shape)
+    r_sc = rng.normal(size=col0.scores.shape)
+    r_co = rng.normal(size=col0.coarse.shape) * 0.1
 
     def loss_and_grads(backward=False):
         state = model.forward(image)
-        cols = state.collections
+        col = state.collection
         if backward:
-            gz = [rs * ops.sigmoid_grad(c.scores) for c, rs in zip(cols, r_sc)]
-            model.backward(state, np.concatenate(gz, axis=1), np.concatenate(r_box),
-                           np.concatenate(r_co))
-        return float(sum((c.boxes * rb).sum() + (c.scores * rs).sum() + (c.coarse * rc).sum()
-                         for c, rb, rs, rc in zip(cols, r_box, r_sc, r_co)))
+            model.backward(state, r_sc * ops.sigmoid_grad(col.scores), r_box, r_co)
+        return float((col.boxes * r_box).sum() + (col.scores * r_sc).sum()
+                     + (col.coarse * r_co).sum())
 
     return _param_fd_check(model, loss_and_grads, rng)
 
@@ -261,8 +259,7 @@ def check_total_loss(seed: int = 19) -> float:
     state = model.forward(image)
     # frozen synthetic assignment: exercises all three loss paths without
     # depending on the untrained coarse boxes crossing the IoU threshold
-    n0 = state.collections[0].n_grids
-    n1 = state.collections[1].n_grids
+    n0, n1 = (sl.stop - sl.start for sl in state.collection.cuts[:2])
     m = len(gt)
     assignment = Assignment(
         pos_grid=np.array([n0 // 3, 2 * n0 // 3, n0 + n1 // 2], dtype=np.int64),

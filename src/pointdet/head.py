@@ -13,7 +13,8 @@ weights), sample each semantic point's own classification map, and reduce to
 a final box plus C class scores. :func:`collect_level` does this for every
 grid of every level in one pass over the grid index (the levels'
 grids concatenated in level order, each row-major), with the stride as a
-per-grid array; :func:`collect_level_backward` reverses it from gradients
+per-grid array, into one :class:`Collection` whose ``cuts`` mark each
+level's slice; :func:`collect_level_backward` reverses it from gradients
 over the same index. Neighbor slot q of a level reads the level of
 offset q, and a level without that neighbor has a padding slot of weight 0
 and value 0, so every blended sum keeps the bits of a per-level pass. The
@@ -39,7 +40,7 @@ from .layers import ConvLayer, relu_chain, relu_chain_backward
 
 __all__ = [
     "LevelMaps",
-    "LevelCollection",
+    "Collection",
     "Head",
     "available_levels",
     "semantic_prior_fractions",
@@ -105,15 +106,12 @@ def available_levels(s0: int, n_levels: int, offsets) -> list[tuple[int | None, 
 
 
 @dataclass
-class LevelCollection:
-    """All per-grid collection results of one level, grids in row-major order:
-    views into the grid-index arrays of one :func:`collect_level` pass, whose
-    backward cache ``_cache`` every level shares."""
+class Collection:
+    """Per-grid collection results over the grid index, ``cuts[i]`` being
+    level i's slice. Slot q of ``weights`` holds the level of offset q (a
+    level's lone fallback uses slot 0); a padding slot has weight 0."""
 
-    level: int
-    stride: int
-    h: int
-    w: int
+    level: np.ndarray        # [G] pyramid level of each grid
     grid_cx: np.ndarray      # [G]
     grid_cy: np.ndarray      # [G]
     coarse: np.ndarray       # [G,4] L,T,R,B
@@ -121,16 +119,12 @@ class LevelCollection:
     by: np.ndarray           # [4,G]
     sx: np.ndarray           # [N,G] semantic point x
     sy: np.ndarray           # [N,G]
-    weights: np.ndarray      # [4,K_av,G]
-    avail: list              # [(q or None, level)]
+    weights: np.ndarray      # [4,K,G]
     boxes: np.ndarray        # [G,4] final collected box (may be unfolded)
     z: np.ndarray            # [C,G] summed logits
     scores: np.ndarray       # [C,G]
+    cuts: list               # [slice] per level
     _cache: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def n_grids(self) -> int:
-        return self.h * self.w
 
 
 def _grid_rows(maps, name, rows):
@@ -138,17 +132,17 @@ def _grid_rows(maps, name, rows):
     return np.concatenate([getattr(m, name).reshape(rows, -1) for m in maps], axis=1)
 
 
-def collect_level(maps, cfg) -> list[LevelCollection]:
+def collect_level(maps, cfg) -> Collection:
     """Vectorized collection of every grid of every level in one pass.
 
     Works on the grid index with the stride as a per-grid array and returns
-    one :class:`LevelCollection` per level, whose arrays are views into the
-    grid-index arrays. ``cfg`` provides loc_decoupled, cls_decoupled,
-    offsets, n_points and classes.
+    one :class:`Collection` over it. ``cfg`` provides loc_decoupled,
+    cls_decoupled, offsets, n_points and classes.
     """
     sizes = [m.h * m.w for m in maps]
     ends = np.cumsum(sizes)
     g = int(ends[-1])
+    cuts = [slice(end - size, end) for size, end in zip(sizes, ends)]
     level = np.repeat(np.arange(len(maps)), sizes)
     strides = np.array([float(m.stride) for m in maps])
     s = strides[level]
@@ -177,15 +171,14 @@ def collect_level(maps, cfg) -> list[LevelCollection]:
     # padding with weight 0 and value 0. Regression samples go in
     # (collection level, slot, side, grid) order, one backward segment each.
     k = len(cfg.offsets)
-    avail = [available_levels(i, len(maps), cfg.offsets) for i in range(len(maps))]
     src = np.tile(np.arange(len(maps)), (k, 1))
     present = np.zeros((k, len(maps)), dtype=bool)
     slots = np.arange(k * 4 * g).reshape(k, 4, g)
     order, segments = [], []
-    for i, av in enumerate(avail):
-        for q, li in av:
+    for i in range(len(maps)):
+        for q, li in available_levels(i, len(maps), cfg.offsets):
             src[q or 0, i], present[q or 0, i] = li, True
-            order.append(slots[q or 0, :, ends[i] - sizes[i]:ends[i]])
+            order.append(slots[q or 0, :, cuts[i]])
             segments.append(4 * sizes[i])
     order = np.concatenate(order, axis=None)
     src_stride = strides[src][:, level]  # [K,G]
@@ -224,30 +217,26 @@ def collect_level(maps, cfg) -> list[LevelCollection]:
     z = logits.reshape(n_pts, g, c).sum(axis=0).T
     scores = ops.sigmoid(z)
 
-    cuts = [slice(end - size, end) for size, end in zip(sizes, ends)]
     cache = dict(s=s, d=d, cr_inside=np.abs(cr) < COARSE_RAW_LIMIT, wbox=wbox, hbox=hbox, tb=tb,
                  ts=ts, weights=weights, v_img=v_img, src_stride=src_stride, order=order,
-                 reg_cache=reg_cache, cls_cache=cls_cache, use_softmax=use_softmax, cuts=cuts)
-    coarse = np.stack([box_l, box_t, box_r, box_b], axis=1)
-    return [LevelCollection(
-        level=i, stride=m.stride, h=m.h, w=m.w, grid_cx=cx[sl], grid_cy=cy[sl],
-        coarse=coarse[sl], bx=bx[:, sl], by=by[:, sl], sx=sx[:, sl], sy=sy[:, sl],
-        weights=weights[:, [q or 0 for q, _ in av], sl], avail=av, boxes=boxes[sl],
-        z=z[:, sl], scores=scores[:, sl], _cache=cache,
-    ) for i, (m, av, sl) in enumerate(zip(maps, avail, cuts))]
+                 reg_cache=reg_cache, cls_cache=cls_cache, use_softmax=use_softmax)
+    return Collection(level=level, grid_cx=cx, grid_cy=cy,
+                      coarse=np.stack([box_l, box_t, box_r, box_b], axis=1), bx=bx, by=by,
+                      sx=sx, sy=sy, weights=weights, boxes=boxes, z=z, scores=scores, cuts=cuts,
+                      _cache=cache)
 
 
-def collect_level_backward(maps, cols, cfg, gz, gboxes, gcoarse) -> list[dict]:
+def collect_level_backward(maps, col, cfg, gz, gboxes, gcoarse) -> list[dict]:
     """Reverse :func:`collect_level` for every level at once.
 
     The arguments are loss gradients over the grid index: ``gz`` [C,G] with
     respect to the summed logits, ``gboxes`` [G,4] to the final boxes and
-    ``gcoarse`` [G,4] to the coarse L,T,R,B; ``maps`` and ``cols`` are the
+    ``gcoarse`` [G,4] to the coarse L,T,R,B; ``maps`` and ``col`` are the
     forward's input and output. Returns per level a dict of map gradients
     keyed like the LevelMaps fields the mode reads, with the bits of
     per-level accumulation into zero buffers.
     """
-    cache = cols[0]._cache
+    cache = col._cache
     n_pts = cfg.n_points
     c = cfg.classes
     s = cache["s"]
@@ -279,8 +268,7 @@ def collect_level_backward(maps, cols, cfg, gz, gboxes, gcoarse) -> list[dict]:
 
     # regression path; a grid without a box gradient adds only zeros
     goffset = gboxes.T
-    gbx = np.zeros((4, g))
-    gby = np.zeros((4, g))
+    gbx, gby = np.zeros((2, 4, g))
     gbx[0::2] += goffset[0::2]
     gby[1::2] += goffset[1::2]
     weights, v_img, src_stride = cache["weights"], cache["v_img"], cache["src_stride"]
@@ -322,9 +310,9 @@ def collect_level_backward(maps, cols, cfg, gz, gboxes, gcoarse) -> list[dict]:
     gd = np.stack([-box_grad_l, -box_grad_t, box_grad_r, box_grad_b])
     per_grid["coarse"] = gd * cache["d"] * cache["cr_inside"]
     # each level's slice, added to +0 like a fresh zero buffer
-    return [dict(reg=gr, cls=gc, **{name: (0.0 + a[:, sl]).reshape(-1, col.h, col.w)
+    return [dict(reg=gr, cls=gc, **{name: (0.0 + a[:, sl]).reshape(-1, m.h, m.w)
                                     for name, a in per_grid.items()})
-            for col, sl, gr, gc in zip(cols, cache["cuts"], greg, gcls)]
+            for m, sl, gr, gc in zip(maps, col.cuts, greg, gcls)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Detection decoding, class-wise NMS, COCO-style average precision, and the
 JSONL wire formats.
 
-Post-processing runs on arrays from the collections to the final cap.
+Post-processing runs on arrays from the collection to the final cap.
 :func:`decode_detections` returns one :class:`Candidates` struct of arrays,
 :func:`nms` takes box, score and class arrays and returns the kept indices,
 and :func:`postprocess` (and so :func:`detect`) builds :class:`Detection`
@@ -96,15 +96,16 @@ def decode_detections(state: ModelState, image_width: float, image_height: float
         raise ValueError(f"topk_per_level must be >= 1, got {topk_per_level}")
     if image_width <= 0 or image_height <= 0:
         raise ValueError(f"image extents must be positive, got {image_width}x{image_height}")
+    col = state.collection
     parts = []
-    for col in state.collections:
-        flat_scores = col.scores.ravel()  # [C*G], class-major
+    for level, sl in enumerate(col.cuts):
+        flat_scores = col.scores[:, sl].ravel()  # [C*G_level], class-major
         keep = np.nonzero(flat_scores > score_thresh)[0]
         if len(keep) > topk_per_level:
             keep = keep[np.lexsort((keep, -flat_scores[keep]))[:topk_per_level]]
-        class_ids, grids = np.divmod(keep, col.scores.shape[1])
-        parts.append((col.boxes[grids], flat_scores[keep], class_ids,
-                      np.full(len(keep), col.level), grids))
+        class_ids, grids = np.divmod(keep, sl.stop - sl.start)
+        parts.append((col.boxes[sl][grids], flat_scores[keep], class_ids,
+                      np.full(len(keep), level), grids))
     boxes, scores, class_ids, levels, grids = (np.concatenate(p) for p in zip(*parts))
     finite = np.isfinite(boxes).all(axis=1)
     if not finite.all():

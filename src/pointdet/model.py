@@ -20,7 +20,7 @@ import numpy as np
 
 from .backbone import BASE_STRIDE, Backbone
 from .checkpoint import load_checkpoint, save_checkpoint
-from .head import Head, LevelCollection, LevelMaps, collect_level, collect_level_backward
+from .head import Collection, Head, LevelMaps, collect_level, collect_level_backward
 
 MODES = ("decoupled", "coupled", "loc-only", "cls-only")
 
@@ -78,10 +78,10 @@ class ModelConfig:
 
 @dataclass
 class ModelState:
-    """Forward pass artifacts: dense maps and per-level collections."""
+    """Forward pass artifacts: dense maps per level and their collection."""
 
     maps: list[LevelMaps]
-    collections: list[LevelCollection]
+    collection: Collection
     _bcache: list = field(repr=False, default_factory=list)
     _hcache: list = field(repr=False, default_factory=list)
 
@@ -135,8 +135,8 @@ class DetectionModel:
     def forward(self, image) -> ModelState:
         feats, bcache = self.backbone.forward(image)
         maps, hcache = self.head.forward(feats, self.backbone.strides)
-        collections = collect_level(maps, self.config)
-        return ModelState(maps=maps, collections=collections, _bcache=bcache, _hcache=hcache)
+        return ModelState(maps=maps, collection=collect_level(maps, self.config),
+                          _bcache=bcache, _hcache=hcache)
 
     def backward(self, state: ModelState, gz, gboxes, gcoarse) -> None:
         """Accumulate parameter gradients.
@@ -147,7 +147,7 @@ class DetectionModel:
         summed logits, ``gboxes`` [G,4] to the collected boxes and
         ``gcoarse`` [G,4] to the coarse boxes.
         """
-        gmaps = collect_level_backward(state.maps, state.collections, self.config, gz, gboxes,
+        gmaps = collect_level_backward(state.maps, state.collection, self.config, gz, gboxes,
                                        gcoarse)
         gfeats = self.head.backward(state._hcache, gmaps)
         self.backbone.backward(state._bcache, gfeats)

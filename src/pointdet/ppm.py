@@ -8,6 +8,7 @@ source-grid markers over the upscaled image.
 
 from __future__ import annotations
 
+import numbers
 import re
 
 import numpy as np
@@ -140,8 +141,10 @@ def render_scene(image, path, dets=None, points=None, grid_points=None, scale=4)
     ``dets`` draws green boxes; ``points`` holds ``(boundary [4,2], semantic
     [N,2])`` pairs of (x, y) points drawn in light green and orange;
     ``grid_points`` marks source grid centers in red. All overlay
-    coordinates are image-space and get upscaled.
+    coordinates are image-space and get upscaled by the integer ``scale`` >= 1.
     """
+    if not (isinstance(scale, numbers.Integral) and scale >= 1):
+        raise ValueError(f"render scale must be a positive integer, got {scale!r}")
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[0] != 3:
         raise ValueError(f"expected a [3,H,W] image, got shape {image.shape}")

@@ -7,10 +7,10 @@ mean GIoU loss of the coarse boxes matched to each ground truth's
 center-closest grid. A grid is positive iff its coarse box overlaps its
 best-IoU ground truth strictly above 0.6.
 
-Everything here indexes the grids of all pyramid levels as one axis: the
-levels concatenated in collection order, each level row-major, so level
-``l`` grid ``g`` has index ``sum(n_grids of levels < l) + g``. Assignments
-and loss gradients use that index, and so does the collection's backward,
+Everything here indexes the grids of all pyramid levels as one axis, the
+grid index of the collection: the levels in order, each level row-major,
+so level ``l`` grid ``g`` has index ``cuts[l].start + g``. Assignments and
+loss gradients use that index, and so does the collection's backward,
 which takes the gradients whole.
 """
 
@@ -63,8 +63,8 @@ class Assignment:
         return len(self.pos_grid)
 
 
-def assign_samples(collections, gt: GroundTruth, rule: str = "coarse-iou") -> Assignment:
-    """Match grids to ground truths.
+def assign_samples(col, gt: GroundTruth, rule: str = "coarse-iou") -> Assignment:
+    """Match the grids of collection ``col`` to ground truths.
 
     Under the default ``coarse-iou`` rule a grid is positive iff the IoU
     between its coarse box and its best-IoU ground truth exceeds 0.6
@@ -80,10 +80,9 @@ def assign_samples(collections, gt: GroundTruth, rule: str = "coarse-iou") -> As
     if len(gt) == 0:
         empty = np.zeros(0, dtype=np.int64)
         return Assignment(empty, empty, empty)
-    cx = np.concatenate([c.grid_cx for c in collections])
-    cy = np.concatenate([c.grid_cy for c in collections])
+    cx, cy = col.grid_cx, col.grid_cy
     if rule == "coarse-iou":
-        ious = iou_matrix(np.concatenate([c.coarse for c in collections]), gt.boxes)
+        ious = iou_matrix(col.coarse, gt.boxes)
         best_gt = ious.argmax(axis=1)
         pos = np.nonzero(ious[np.arange(len(best_gt)), best_gt] > IOU_POSITIVE_THRESHOLD)[0]
     else:
@@ -99,9 +98,7 @@ def assign_samples(collections, gt: GroundTruth, rule: str = "coarse-iou") -> As
     gcy = 0.5 * (gt.boxes[:, 1] + gt.boxes[:, 3])
     d = (cx[:, None] - gcx[None, :]) ** 2 + (cy[:, None] - gcy[None, :]) ** 2
     # argmin keeps the first minimum, so list the levels coarsest first
-    bounds = np.cumsum([0] + [len(c.grid_cx) for c in collections])
-    levels = list(zip(bounds[:-1], bounds[1:]))[::-1]
-    coarse_first = np.concatenate([np.arange(a, b) for a, b in levels])
+    coarse_first = np.concatenate([np.arange(sl.start, sl.stop) for sl in col.cuts[::-1]])
     center = coarse_first[d[coarse_first].argmin(axis=0)]
     return Assignment(pos, best_gt[pos], center)
 
@@ -143,7 +140,7 @@ def total_loss(l_cls: float, l_reg: float, l_reg2: float,
 
 def compute_losses(state: ModelState, gt: GroundTruth, lambda1=2.0, lambda2=0.5,
                    assignment=None, assignment_rule: str = "coarse-iou"):
-    """Losses plus their gradients with respect to the collections.
+    """Losses plus their gradients with respect to the collection.
 
     Returns ``(total, components, (gz, gboxes, gcoarse), assignment)``. The
     gradients are dense over the grid index: ``gz`` [C,G] with respect to
@@ -151,30 +148,28 @@ def compute_losses(state: ModelState, gt: GroundTruth, lambda1=2.0, lambda2=0.5,
     ``gcoarse`` [G,4] to the coarse boxes, zero where a grid takes no part.
     They are the arguments of :meth:`DetectionModel.backward`.
     """
-    cols = state.collections
+    col = state.collection
     if assignment is None:
-        assignment = assign_samples(cols, gt, rule=assignment_rule)
+        assignment = assign_samples(col, gt, rule=assignment_rule)
     m = len(gt)
     p = assignment.n_positives
 
-    z = np.concatenate([c.z for c in cols], axis=1)
-    targets = np.full(z.shape[1], -1, dtype=np.int64)
+    targets = np.full(col.z.shape[1], -1, dtype=np.int64)
     targets[assignment.pos_grid] = gt.labels[assignment.pos_gt]
-    l_cls, gz = focal_loss_from_logits(z, targets, n_positives=p)
+    l_cls, gz = focal_loss_from_logits(col.z, targets, n_positives=p)
 
-    gboxes = np.zeros((z.shape[1], 4))
+    gboxes = np.zeros_like(col.boxes)
     l_reg = 0.0
     if p > 0:
-        pred = np.concatenate([c.boxes for c in cols])[assignment.pos_grid]
-        losses, gpred = giou_loss_grad_array(pred, gt.boxes[assignment.pos_gt])
+        losses, gpred = giou_loss_grad_array(col.boxes[assignment.pos_grid],
+                                             gt.boxes[assignment.pos_gt])
         l_reg = float(losses.mean())
         np.add.at(gboxes, assignment.pos_grid, lambda1 / p * gpred)
 
-    gcoarse = np.zeros((z.shape[1], 4))
+    gcoarse = np.zeros_like(col.coarse)
     l_reg2 = 0.0
     if m > 0:
-        coarse = np.concatenate([c.coarse for c in cols])[assignment.center_grid]
-        losses2, gcenter = giou_loss_grad_array(coarse, gt.boxes)
+        losses2, gcenter = giou_loss_grad_array(col.coarse[assignment.center_grid], gt.boxes)
         l_reg2 = float(losses2.mean())
         np.add.at(gcoarse, assignment.center_grid, lambda2 / m * gcenter)
 

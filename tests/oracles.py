@@ -8,6 +8,7 @@ are only indexed, so numpy arrays and nested lists both work.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 # raw coarse values are clamped to +/- this before exponentiation
 COARSE_RAW_LIMIT = 6.0
@@ -34,6 +35,15 @@ def giou_scalar(a, b) -> float:
         return 0.0
     enclose = (max(a[2], b[2]) - min(a[0], b[0])) * (max(a[3], b[3]) - min(a[1], b[1]))
     return inter / union - (enclose - union) / enclose
+
+
+def level_views(col):
+    """Per-level views of a collection over the grid index (its ``cuts``
+    mark each level's slice), in the per-level form the collection oracles
+    below take. The views share memory with ``col``."""
+    return [SimpleNamespace(level=i, grid_cx=col.grid_cx[sl], grid_cy=col.grid_cy[sl],
+                            coarse=col.coarse[sl], boxes=col.boxes[sl], scores=col.scores[:, sl])
+            for i, sl in enumerate(col.cuts)]
 
 
 def assign_reference(collections, gt_boxes, rule="coarse-iou", iou_thresh=0.6):

@@ -18,7 +18,7 @@ from pointdet.analysis import (
 from pointdet.config import TrainConfig
 from pointdet.geometry import Box
 from pointdet.gradcheck import run_checks
-from pointdet.head import LevelMaps, collect_level
+from pointdet.head import LevelMaps, available_levels, collect_level
 from pointdet.inference import AP_IOU_THRESHOLDS, Detection, average_precision, detect, nms
 from pointdet.model import DetectionModel, ModelConfig
 from pointdet.scenes import generate_scene, scene_seed
@@ -361,23 +361,27 @@ def test_criterion_8_structural_invariants(tmp_path):
                 sshift=rng.normal(scale=2.0, size=(2 * cfg.n_points, h, w)),
                 lvlw=rng.normal(scale=3.0, size=(4 * len(cfg.offsets), h, w)),
             ))
-        for col in collect_level(maps, cfg):
-            grids += col.n_grids
-            l, t, r, b = col.coarse.T
-            on_edge &= bool(np.all(col.bx[0] == l) and np.all(col.bx[2] == r))
-            on_edge &= bool(np.all(col.by[1] == t) and np.all(col.by[3] == b))
-            on_edge &= bool(
-                np.all((t <= col.by[0]) & (col.by[0] <= b) & (t <= col.by[2]) & (col.by[2] <= b))
-                and np.all((l <= col.bx[1]) & (col.bx[1] <= r)
-                           & (l <= col.bx[3]) & (col.bx[3] <= r))
-            )
-            simplex &= bool(np.all(col.weights > 0))
-            simplex &= bool(np.all(np.abs(col.weights.sum(axis=1) - 1.0) <= 1e-12))
-            bw, bh = r - l, b - t
-            dilated &= bool(
-                np.all((col.sx >= l - 0.5 * bw) & (col.sx <= r + 0.5 * bw))
-                and np.all((col.sy >= t - 0.5 * bh) & (col.sy <= b + 0.5 * bh))
-            )
+        col = collect_level(maps, cfg)
+        grids += len(col.level)
+        l, t, r, b = col.coarse.T
+        on_edge &= bool(np.all(col.bx[0] == l) and np.all(col.bx[2] == r))
+        on_edge &= bool(np.all(col.by[1] == t) and np.all(col.by[3] == b))
+        on_edge &= bool(
+            np.all((t <= col.by[0]) & (col.by[0] <= b) & (t <= col.by[2]) & (col.by[2] <= b))
+            and np.all((l <= col.bx[1]) & (col.bx[1] <= r)
+                       & (l <= col.bx[3]) & (col.bx[3] <= r))
+        )
+        for li, sl in enumerate(col.cuts):
+            # the weights of each grid's available neighbor slots
+            slots = [q or 0 for q, _ in available_levels(li, len(maps), cfg.offsets)]
+            weights = col.weights[:, slots, sl]
+            simplex &= bool(np.all(weights > 0))
+            simplex &= bool(np.all(np.abs(weights.sum(axis=1) - 1.0) <= 1e-12))
+        bw, bh = r - l, b - t
+        dilated &= bool(
+            np.all((col.sx >= l - 0.5 * bw) & (col.sx <= r + 0.5 * bw))
+            and np.all((col.sy >= t - 0.5 * bh) & (col.sy <= b + 0.5 * bh))
+        )
 
     # checkpoint round trip is bit exact
     model = DetectionModel(ModelConfig(channels=8, classes=2, n_semantic=4), seed=9)

@@ -42,7 +42,7 @@ def test_accuracy_maps_perfect_predictor_zero_error():
     """If collected boxes equal the gt exactly, inverse errors are 0."""
     model, img, gt = _model_and_scene()
     state = model.forward(img)
-    state.collections[0].boxes[:, :] = gt.boxes[0]
+    state.collection.boxes[state.collection.cuts[0]] = gt.boxes[0]
     maps = compute_accuracy_maps(model, img, gt, level=0, state=state)
     assert np.all(maps[0].inv_err == 0.0)
 
@@ -50,9 +50,17 @@ def test_accuracy_maps_perfect_predictor_zero_error():
 def test_accuracy_maps_constant_bias_everywhere():
     model, img, gt = _model_and_scene()
     state = model.forward(img)
-    state.collections[0].boxes[:, :] = gt.boxes[0] + np.array([2.0, 2.0, 2.0, 2.0])
+    level0 = state.collection.cuts[0]
+    state.collection.boxes[level0] = gt.boxes[0] + np.array([2.0, 2.0, 2.0, 2.0])
     maps = compute_accuracy_maps(model, img, gt, level=0, state=state)
     assert np.all(maps[0].inv_err == -2.0)
+
+
+@pytest.mark.parametrize("level", [-1, 3])
+def test_accuracy_maps_reject_a_level_outside_the_pyramid(level):
+    model, img, gt = _model_and_scene()
+    with pytest.raises(ValueError, match=rf"level {level} is outside the pyramid's \[0, 3\)"):
+        compute_accuracy_maps(model, img, gt, level=level)
 
 
 def test_accuracy_maps_skips_tiny_object_with_warning():
@@ -252,6 +260,14 @@ def test_render_scene_writes_expected_size(tmp_path):
     render_scene(img, path, scale=2)
     out = read_ppm(path)
     assert out.shape == (128, 128, 3)
+
+
+def test_render_scene_rejects_a_non_positive_scale(tmp_path):
+    img, _ = generate_scene(2)
+    path = tmp_path / "scene.ppm"
+    with pytest.raises(ValueError, match="render scale must be a positive integer, got 0"):
+        render_scene(img, path, scale=0)
+    assert not path.exists()
 
 
 def test_render_scene_deterministic_bytes(tmp_path):

@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from pointdet.cli import main
 from pointdet.config import TrainConfig, format_config
@@ -90,6 +91,28 @@ def test_cli_unknown_config_key_fails(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["ablate", "--config", "c.txt", "--mode", "coupled", "--eval-count", "-3"],
+     "--eval-count: must be an integer >= 1, got -3"),
+    (["analyze", "--ckpt", "m.pdn", "--data", "d", "--out", "o", "--max-heatmaps", "-1"],
+     "--max-heatmaps: must be an integer >= 0, got -1"),
+], ids=["ablate-eval-count", "analyze-max-heatmaps"])
+def test_cli_rejects_negative_counts(argv, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+
+
+def test_gen_data_rejects_a_negative_count(tmp_path, capsys):
+    out = tmp_path / "data"
+    rc = main(["gen-data", "--seed", "1", "--count", "-2", "--out", str(out)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == "ValueError: scene count must be a non-negative integer, got -2"
+    assert not out.exists()
+
+
 def test_gradcheck_cli_single_op(capsys):
     rc = main(["gradcheck", "--op", "softmax"])
     assert rc == 0
@@ -153,15 +176,13 @@ def test_render_cli_draws_points_of_source_grids(tmp_path, capsys):
     assert dets
     state = model.forward(img)
     markers = []
-    for det in dets:
-        col = state.collections[det.source_level]
-        g = det.source_grid
+    col = state.collection
+    grids = [col.cuts[det.source_level].start + det.source_grid for det in dets]
+    for g in grids:
         markers += [(4 * x, 4 * y, BOUNDARY_COLOR, 1) for x, y in zip(col.bx[:, g], col.by[:, g])]
         markers += [(4 * x, 4 * y, SEMANTIC_COLOR, 1) for x, y in zip(col.sx[:, g], col.sy[:, g])]
-    for det in dets:
-        col = state.collections[det.source_level]
-        markers.append((4 * col.grid_cx[det.source_grid], 4 * col.grid_cy[det.source_grid],
-                        GRID_COLOR, 0))
+    for g in grids:
+        markers.append((4 * col.grid_cx[g], 4 * col.grid_cy[g], GRID_COLOR, 0))
     checked = {BOUNDARY_COLOR.tobytes(): 0, SEMANTIC_COLOR.tobytes(): 0}
     for k, (x, y, color, _) in enumerate(markers[:-len(dets)]):
         center = (int(round(y)), int(round(x)))

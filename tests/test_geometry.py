@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,3 +159,18 @@ def test_giou_gradient_finite_when_union_square_underflows():
     # GIoU is scale-free, so the gradient scales as 1 / scale
     _, unit = giou_loss_grad_array(pred * 1e160, gt * 1e160)
     np.testing.assert_allclose(gpred * 1e-160, unit, rtol=1e-4)
+
+
+def test_giou_gradient_beyond_float_range_saturates_without_warning():
+    # a gt box 2.2e-311 high: the loss is fine, but the gradient of the top
+    # edge of a point box inside it is about -1 / 2.2e-311, beyond float64
+    pred = np.array([[0.0, 0.0, 0.0, 0.0]])
+    gt = np.array([[0.0, 0.0, 1.0, 2.225073858507e-311]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        loss, gpred = giou_loss_grad_array(pred, gt)
+        same, gsame = giou_loss_grad_array(gt, gt)
+    assert loss[0] == 1.0 and same[0] == 0.0
+    assert gpred[0, 1] == -np.inf and np.all(np.isfinite(gpred[0, [0, 2, 3]]))
+    # identical boxes: the top edge's two saturated terms cancel to nan
+    assert np.isnan(gsame[0, 1])

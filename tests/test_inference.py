@@ -24,7 +24,7 @@ from pointdet.inference import (
 from pointdet.model import DetectionModel, ModelConfig
 from pointdet.scenes import GroundTruth
 
-from oracles import average_precision_reference, decode_reference, nms_reference
+from oracles import average_precision_reference, decode_reference, level_views, nms_reference
 
 
 def _det(l, t, r, b, cls=0, score=0.5, img=0):
@@ -49,10 +49,11 @@ def test_decode_all_below_threshold_empty():
 
 def test_decode_single_survivor():
     state = _tiny_state()
-    col = state.collections[0]
+    levels = level_views(state.collection)
+    col = levels[0]
     thresh = float(np.sort(col.scores.ravel())[-1]) - 1e-9
     # make all other levels quiet
-    for other in state.collections[1:]:
+    for other in levels[1:]:
         other.scores[...] = 0.0
     cand = decode_detections(state, 32, 32, score_thresh=thresh)
     assert len(cand) == 1
@@ -64,7 +65,7 @@ def test_decode_single_survivor():
 def test_decode_respects_topk_cap():
     state = _tiny_state()
     cand = decode_detections(state, 32, 32, score_thresh=0.0, topk_per_level=3)
-    assert len(cand) <= 3 * len(state.collections)
+    assert len(cand) <= 3 * len(state.collection.cuts)
     per_level = {}
     for level in cand.levels.tolist():
         per_level[level] = per_level.get(level, 0) + 1
@@ -81,15 +82,14 @@ def test_decode_validates_arguments():
 
 def test_decode_folds_and_clamps_boxes_to_the_image():
     state = _tiny_state()
-    for col in state.collections:
-        col.scores[...] = 0.0
-    col = state.collections[0]
+    state.collection.scores[...] = 0.0
+    col = level_views(state.collection)[0]
     col.scores[0, :4] = 0.9
     col.boxes[:4] = [[-5, -5, 40, 10], [12, 9, 3, 4], [33, 33, 36, 40], [-0.0, 0.0, 0.0, -0.0]]
     cand = decode_detections(state, 32, 32, score_thresh=0.5)
     assert cand.boxes[:3].tolist() == [[0, 0, 32, 10], [3, 4, 12, 9], [32, 32, 32, 32]]
     # down to the sign of zero, as Python's min/max fold and clamp it
-    want = decode_reference(state.collections, 32, 32, 0.5, 1000)
+    want = decode_reference(level_views(state.collection), 32, 32, 0.5, 1000)
     assert [tuple(v.hex() for v in row) for row in cand.boxes.tolist()] == [
         tuple(v.hex() for v in box) for box, *_ in want]
     with pytest.raises(ValueError, match="positive"):
@@ -98,7 +98,7 @@ def test_decode_folds_and_clamps_boxes_to_the_image():
 
 def test_decode_rejects_non_finite_surviving_box():
     state = _tiny_state()
-    state.collections[0].boxes[0, 0] = np.nan
+    state.collection.boxes[0, 0] = np.nan  # level 0, grid 0
     with pytest.raises(ValueError, match="finite"):
         decode_detections(state, 32, 32, score_thresh=0.0)
 
@@ -109,8 +109,9 @@ def test_postprocess_equals_scalar_reference_pipeline():
     model = DetectionModel(ModelConfig(), seed=0)
     state = model.forward(np.random.default_rng(0).uniform(size=(3, 64, 64)))
     topk = 150
-    ref = decode_reference(state.collections, 64, 64, 0.0, topk)
-    assert len(ref) == 2 * topk + state.collections[2].scores.size
+    levels = level_views(state.collection)
+    ref = decode_reference(levels, 64, 64, 0.0, topk)
+    assert len(ref) == 2 * topk + levels[2].scores.size
     kept = nms_reference([r[0] for r in ref], [r[1] for r in ref], [r[2] for r in ref],
                          DEFAULT_NMS_IOU)[:DEFAULT_MAX_DETECTIONS]
     want = [tuple(v.hex() for v in ref[i][0]) + (ref[i][1].hex(),) + ref[i][2:] for i in kept]

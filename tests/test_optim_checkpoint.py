@@ -184,9 +184,9 @@ def test_model_save_load_roundtrip(tmp_path):
     img = np.random.default_rng(0).uniform(size=(3, 32, 32))
     a = model.forward(img)
     b = back.forward(img)
-    for ca, cb in zip(a.collections, b.collections):
-        assert np.array_equal(ca.boxes, cb.boxes)
-        assert np.array_equal(ca.scores, cb.scores)
+    ca, cb = a.collection, b.collection
+    assert np.array_equal(ca.boxes, cb.boxes)
+    assert np.array_equal(ca.scores, cb.scores)
 
 
 def test_model_load_mode_roundtrip(tmp_path):

@@ -22,7 +22,7 @@ from pointdet.training import (
     train_from_config,
 )
 
-from oracles import assign_reference, focal_loss_reference, iou_scalar
+from oracles import assign_reference, focal_loss_reference, iou_scalar, level_views
 
 
 def _forward_state(seed=0, image_seed=0, size=32, **cfg_kw):
@@ -37,12 +37,13 @@ def _forward_state(seed=0, image_seed=0, size=32, **cfg_kw):
 
 
 class _FakeCollection:
-    """Minimal stand-in with hand-placed coarse boxes and grid centers."""
+    """Minimal one-level stand-in with hand-placed coarse boxes and grid centers."""
 
     def __init__(self, coarse, cx, cy):
         self.coarse = np.asarray(coarse, dtype=np.float64)
         self.grid_cx = np.asarray(cx, dtype=np.float64)
         self.grid_cy = np.asarray(cy, dtype=np.float64)
+        self.cuts = [slice(0, len(self.grid_cx))]
 
 
 def test_assignment_threshold_strictness():
@@ -54,7 +55,7 @@ def test_assignment_threshold_strictness():
         np.stack([gt.boxes[0], box_exact_06]), np.array([2.0, 2.0]), np.array([2.0, 2.0])
     )
     assert iou_scalar(box_exact_06, gt.boxes[0]) == 0.6
-    asn = assign_samples([fake], gt)
+    asn = assign_samples(fake, gt)
     assert 0 in asn.pos_grid
     assert 1 not in asn.pos_grid
 
@@ -62,14 +63,14 @@ def test_assignment_threshold_strictness():
     box = np.array([0.0, 0.0, 4.0, 4.0])
     gt_above = GroundTruth(np.array([[0.75, 0.0, 4.75, 4.0]]), np.array([0]))
     assert iou_scalar(box, gt_above.boxes[0]) == pytest.approx(13.0 / 19.0)
-    asn2 = assign_samples([_FakeCollection(box[None], [2.0], [2.0])], gt_above)
+    asn2 = assign_samples(_FakeCollection(box[None], [2.0], [2.0]), gt_above)
     assert asn2.n_positives == 1
 
 
 def test_assignment_empty_scene():
     model, state = _forward_state()
     gt = GroundTruth(np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
-    asn = assign_samples(state.collections, gt)
+    asn = assign_samples(state.collection, gt)
     assert asn.n_positives == 0
     assert len(asn.center_grid) == 0
     total, comps, grads, _ = compute_losses(state, gt)
@@ -80,11 +81,11 @@ def test_assignment_empty_scene():
 def test_assignment_center_match_is_closest_grid():
     model, state = _forward_state()
     gt = GroundTruth(np.array([[10.0, 10.0, 26.0, 24.0]]), np.array([1]))
-    asn = assign_samples(state.collections, gt)
+    asn = assign_samples(state.collection, gt)
     # gt center (18, 17): nearest stride-4 grid center is (18, 18) = grid (4, 4)
-    col = state.collections[0]
+    col = level_views(state.collection)[0]
     flat = asn.center_grid[0]
-    assert flat < col.n_grids  # level 0 comes first in the grid index
+    assert flat < len(col.grid_cx)  # level 0 comes first in the grid index
     cx, cy = col.grid_cx[flat], col.grid_cy[flat]
     d_star = (cx - 18.0) ** 2 + (cy - 17.0) ** 2
     dall = (col.grid_cx - 18.0) ** 2 + (col.grid_cy - 17.0) ** 2
@@ -95,8 +96,8 @@ def test_assignment_positive_soundness_recheck():
     model, state = _forward_state(image_seed=5)
     img, gt = generate_scene(17)
     state = model.forward(img)
-    asn = assign_samples(state.collections, gt)
-    coarse = np.concatenate([c.coarse for c in state.collections])
+    asn = assign_samples(state.collection, gt)
+    coarse = state.collection.coarse
     for grid, gi in zip(asn.pos_grid, asn.pos_gt):
         ious = [iou_scalar(coarse[grid], g) for g in gt.boxes]
         assert max(ious) > 0.6
@@ -110,10 +111,10 @@ def test_assignment_matches_reference(rule):
         model = DetectionModel(ModelConfig(channels=8), seed=seed)
         for index in range(4):
             img, gt = generate_scene(scene_seed(seed, 0, index))
-            cols = model.forward(img).collections
-            asn = assign_samples(cols, gt, rule=rule)
+            col = model.forward(img).collection
+            asn = assign_samples(col, gt, rule=rule)
             got = (asn.pos_grid.tolist(), asn.pos_gt.tolist(), asn.center_grid.tolist())
-            assert got == assign_reference(cols, gt.boxes, rule)
+            assert got == assign_reference(level_views(col), gt.boxes, rule)
             positives += asn.n_positives
     assert positives > 0
 
@@ -123,9 +124,9 @@ def test_assignment_center_tie_goes_to_the_coarser_level():
     # level 1 grid 0 at (4, 4); on a 64x64 image level 0 has 256 grids
     _, state = _forward_state(size=64)
     gt = GroundTruth([[1.0, 1.0, 5.0, 5.0]], [0])
-    asn = assign_samples(state.collections, gt)
+    asn = assign_samples(state.collection, gt)
     assert asn.center_grid.tolist() == [256]
-    assert assign_reference(state.collections, gt.boxes)[2] == [256]
+    assert assign_reference(level_views(state.collection), gt.boxes)[2] == [256]
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +201,7 @@ def test_reg2_averages_over_gt_count():
     _, comps, _, asn = compute_losses(state, gt)
     from pointdet.geometry import giou_loss_grad_array
 
-    sel = np.concatenate([c.coarse for c in state.collections])[asn.center_grid]
+    sel = state.collection.coarse[asn.center_grid]
     losses, _ = giou_loss_grad_array(sel, boxes)
     assert comps["l_reg2"] == pytest.approx(float(losses.mean()), rel=1e-12)
 
