@@ -44,9 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--image-size", type=int, default=64)
-    p.add_argument("--max-objects", type=int, default=3)
-    p.add_argument("--classes", type=int, default=3)
+    p.add_argument("--image-size", type=_count(1), default=64)
+    p.add_argument("--max-objects", type=_count(1), default=3)
+    p.add_argument("--classes", type=_count(1), default=3)
     p.add_argument("--render", action="store_true", help="also write PPM previews")
 
     p = sub.add_parser("train", help="train from a config file")

@@ -364,12 +364,15 @@ class Head:
         maps = []
         caches = []
         for feat, stride in zip(feats, strides):
+            # all head convs are 3x3, stride 1, padding 1: readers share patches
+            feat_cols = ops.im2col(feat, 3, 1, 1)
             ends, trunk_caches = {}, {}
             for name, trunk in self.trunks.items():
-                ends[name], trunk_caches[name] = relu_chain(trunk, feat)
+                ends[name], trunk_caches[name] = relu_chain(trunk, feat, feat_cols)
+            end_cols = {name: ops.im2col(end, 3, 1, 1) for name, end in ends.items()}
             raw, out_caches = {}, {}
             for name, (trunk, layer) in self.outputs.items():
-                raw[name], out_caches[name] = layer.forward(ends[trunk])
+                raw[name], out_caches[name] = layer.forward(ends[trunk], end_cols[trunk])
             maps.append(LevelMaps(stride=stride, **raw))
             caches.append((trunk_caches, out_caches))
         return maps, caches

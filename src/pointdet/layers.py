@@ -16,7 +16,8 @@ class ConvLayer:
     ``forward`` returns ``(y, cache)``; ``backward`` accumulates weight/bias
     gradients into the layer's parameters and returns the input gradient.
     A layer may be applied several times per forward pass (shared across
-    pyramid levels), so caches live with the caller.
+    pyramid levels), so caches live with the caller. ``cols`` may pass in
+    the input's patches from :func:`ops.im2col`, built once for several layers.
     """
 
     def __init__(self, name, cin, cout, rng, k=3, stride=1, padding=1,
@@ -30,8 +31,8 @@ class ConvLayer:
         self.stride = stride
         self.padding = padding
 
-    def forward(self, x):
-        return ops.conv2d(x, self.w.value, self.b.value, self.stride, self.padding)
+    def forward(self, x, cols=None):
+        return ops.conv2d(x, self.w.value, self.b.value, self.stride, self.padding, cols=cols)
 
     def backward(self, cache, gy):
         gx, gw, gb = ops.conv2d_backward(cache, gy)
@@ -43,11 +44,13 @@ class ConvLayer:
         return [self.w, self.b]
 
 
-def relu_chain(layers, x):
-    """Apply each layer then a ReLU, in order. Returns ``(out, caches)``."""
+def relu_chain(layers, x, cols=None):
+    """Apply each layer then a ReLU, in order; ``cols`` are the first layer's
+    patches of ``x``, if built already. Returns ``(out, caches)``."""
     caches = []
     for layer in layers:
-        y, conv_cache = layer.forward(x)
+        y, conv_cache = layer.forward(x, cols)
+        cols = None
         x, mask = ops.relu(y)
         caches.append((conv_cache, mask))
     return x, caches

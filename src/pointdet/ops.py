@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "im2col",
     "conv2d",
     "conv2d_backward",
     "relu",
@@ -34,15 +35,30 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # convolution
 
-# col2im scatter indices, keyed by (input shape, kernel, stride, padding)
+# patch indices into the flat zero-padded input, keyed by (input shape, kernel,
+# stride, padding): one index serves the im2col gather and the col2im bincount
 _COL2IM_CACHE: dict[tuple, np.ndarray] = {}
 
 
-def conv2d(x, w, b=None, stride=1, padding=0):
+def im2col(x, k, stride, padding):
+    """Read-only patches of ``x`` [Cin,H,W]: rows are output positions
+    (row-major), columns (cin, ky, kx). This layout is fixed: training is
+    bit-identical only for ``cols @ w.T``; ``w @ cols.T`` rounds differently."""
+    cin, h, wd = x.shape
+    ho, wo = (h + 2 * padding - k) // stride + 1, (wd + 2 * padding - k) // stride + 1
+    xp = np.zeros((cin, h + 2 * padding, wd + 2 * padding))
+    xp[:, padding : padding + h, padding : padding + wd] = x
+    cols = xp.take(_col2im_indices(x.shape, k, stride, padding, ho, wo))
+    cols.flags.writeable = False
+    return cols.reshape(ho * wo, cin * k * k)
+
+
+def conv2d(x, w, b=None, stride=1, padding=0, cols=None):
     """Cross-correlate ``x`` [Cin,H,W] with ``w`` [Cout,Cin,k,k] plus bias.
 
     Returns ``(y, cache)`` with ``y`` of shape [Cout,H',W'],
-    H' = (H + 2*padding - k)//stride + 1.
+    H' = (H + 2*padding - k)//stride + 1. ``cols`` may pass in
+    ``im2col(x, k, stride, padding)`` built once for several convs of x.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
@@ -73,17 +89,10 @@ def conv2d(x, w, b=None, stride=1, padding=0):
         if b.shape != (cout,):
             raise ValueError(f"bias shape {b.shape} does not match {cout} output channels")
 
-    # im2col rows are output positions (row-major), columns (cin, ky, kx). This
-    # layout is fixed: training is bit-identical only for this GEMM, cols @ w.T;
-    # w @ cols.T rounds differently at some shapes. Built from one zero-framed
-    # channels-last copy of x and k*k strided slices of it.
-    xp = np.zeros((h + 2 * padding, wd + 2 * padding, cin))
-    xp[padding : padding + h, padding : padding + wd] = x.transpose(1, 2, 0)
-    cols = np.empty((ho, wo, cin, kh, kw))
-    for u in range(kh):
-        for v in range(kw):
-            cols[..., u, v] = xp[u : u + stride * ho : stride, v : v + stride * wo : stride]
-    cols = cols.reshape(ho * wo, cin * kh * kw)
+    if cols is None:
+        cols = im2col(x, kh, stride, padding)
+    elif cols.shape != (ho * wo, cin * kh * kw):
+        raise ValueError(f"cols shape {cols.shape} does not fit; want {(ho * wo, cin * kh * kw)}")
     y = cols @ w.reshape(cout, -1).T
     if b is not None:
         y += b

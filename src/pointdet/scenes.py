@@ -7,13 +7,14 @@ mutual overlap so every object stays visible.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import iou_array
 
-__all__ = ["GroundTruth", "generate_scene", "class_color", "scene_seed"]
+__all__ = ["GroundTruth", "generate_scene", "check_scene_args", "class_color", "scene_seed"]
 
 _BASE_PALETTE = np.array(
     [
@@ -69,17 +70,32 @@ def scene_seed(base_seed: int, stream: int, index: int) -> np.random.SeedSequenc
     return np.random.SeedSequence([base_seed, stream, index])
 
 
+def check_scene_args(width, height, max_objects, classes, size_range=(_MIN_SIDE, _MAX_SIDE)):
+    """Raise one ValueError naming the first argument :func:`generate_scene`
+    cannot draw a scene with, else return the smallest object side,
+    ``max(8, size_range[0])`` px; width and height must hold it plus a 1 px
+    margin on both ends."""
+    lo_side = max(8, int(size_range[0]))
+    if int(size_range[1]) < lo_side:
+        raise ValueError(f"size_range {tuple(size_range)} allows no side of at least {lo_side} px")
+    fits = f" px to hold a {lo_side} px object with a 1 px margin"
+    for name, value, least, why in (("max_objects", max_objects, 1, ""), ("classes", classes, 1, ""),
+                                    ("width", width, lo_side + 2, fits),
+                                    ("height", height, lo_side + 2, fits)):
+        if not isinstance(value, numbers.Integral) or value < least:
+            raise ValueError(f"{name} must be an integer of at least {least}{why}, got {value!r}")
+    return lo_side
+
+
 def generate_scene(seed, width: int = 64, height: int = 64, max_objects: int = 3,
                    classes: int = 3, size_range=(_MIN_SIDE, _MAX_SIDE)):
     """Render one scene. ``seed`` is an int or a numpy SeedSequence.
 
     Returns ``(image [3,H,W] float64 in [0,1], GroundTruth)``; the rendered
     pixel extent of each rectangle matches its box coordinates. ``size_range``
-    bounds the drawn side lengths (min 8 px).
+    bounds the drawn side lengths (min 8 px); see :func:`check_scene_args`.
     """
-    if max_objects < 1:
-        raise ValueError("max_objects must be at least 1")
-    lo_side = max(8, int(size_range[0]))
+    lo_side = check_scene_args(width, height, max_objects, classes, size_range)
     rng = np.random.default_rng(seed)
     image = _BG_LEVEL + rng.normal(0.0, _BG_NOISE, size=(3, height, width))
 

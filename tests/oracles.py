@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from types import SimpleNamespace
 
+import numpy as np
+
 # raw coarse values are clamped to +/- this before exponentiation
 COARSE_RAW_LIMIT = 6.0
 
@@ -390,6 +392,22 @@ def _conv_taps(h, w, k, stride, padding, i, j):
             y, x = i * stride + u - padding, j * stride + v - padding
             if 0 <= y < h and 0 <= x < w:
                 yield u, v, y, x
+
+
+def im2col_reference(x, k, stride, padding):
+    """The k*k strided-slice im2col build of an earlier ``ops.conv2d``, kept
+    as written there: the patch matrix of numpy array ``x`` [Cin,H,W], rows
+    the output positions (row-major), columns (cin, ky, kx)."""
+    cin, h, wd = x.shape
+    ho = (h + 2 * padding - k) // stride + 1
+    wo = (wd + 2 * padding - k) // stride + 1
+    xp = np.zeros((h + 2 * padding, wd + 2 * padding, cin))
+    xp[padding : padding + h, padding : padding + wd] = x.transpose(1, 2, 0)
+    cols = np.empty((ho, wo, cin, k, k))
+    for u in range(k):
+        for v in range(k):
+            cols[..., u, v] = xp[u : u + stride * ho : stride, v : v + stride * wo : stride]
+    return cols.reshape(ho * wo, cin * k * k)
 
 
 def conv2d_reference(x, w, b, stride, padding):

@@ -94,6 +94,29 @@ def test_scene_rasterization_matches_gt_box():
         assert abs(ys.max() + 1 - b) <= 0.5
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(classes=0), "classes must be an integer of at least 1, got 0"),
+    (dict(max_objects=0), "max_objects must be an integer of at least 1, got 0"),
+    (dict(classes=2.5), "classes must be an integer"),
+    (dict(width=-4), "width must be an integer of at least 12 px"),
+    (dict(width=11), "width must be an integer of at least 12 px to hold a 10 px object"),
+    (dict(width=16.5), "width must be an integer"),
+    (dict(height=8), "height must be an integer of at least 12 px"),
+    (dict(width=9, size_range=(8, 56)), "width must be an integer of at least 10 px"),
+    (dict(size_range=(20, 12)), "size_range"),
+])
+def test_scene_rejects_arguments_it_cannot_draw_with(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        generate_scene(0, **kwargs)
+
+
+@pytest.mark.parametrize("size_range, side", [((10, 36), 12), ((8, 56), 10), ((4, 9), 10)])
+def test_scene_draws_at_its_smallest_size(size_range, side):
+    # the smallest object fills the scene but for a 1 px margin on each side
+    _, gt = generate_scene(3, width=side, height=side, max_objects=1, size_range=size_range)
+    assert gt.boxes.tolist() == [[1.0, 1.0, side - 1.0, side - 1.0]]
+
+
 def test_scene_stream_namespacing():
     img_train, _ = generate_scene(scene_seed(0, 0, 5))
     img_hold, _ = generate_scene(scene_seed(0, 1, 5))

@@ -113,6 +113,27 @@ def test_gen_data_rejects_a_negative_count(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--image-size", "-4"), ("--image-size", "0"), ("--max-objects", "0"), ("--classes", "0"),
+])
+def test_gen_data_rejects_counts_below_one(tmp_path, capsys, option, value):
+    out = tmp_path / "data"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-data", "--seed", "1", "--count", "2", "--out", str(out), option, value])
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_data_rejects_a_scene_too_small_before_writing(tmp_path, capsys):
+    out = tmp_path / "data"
+    rc = main(["gen-data", "--seed", "1", "--count", "2", "--out", str(out), "--image-size", "8"])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err.startswith("ValueError: width must be an integer of at least 12 px")
+    assert not out.exists()
+
+
 def test_gradcheck_cli_single_op(capsys):
     rc = main(["gradcheck", "--op", "softmax"])
     assert rc == 0

@@ -10,6 +10,7 @@ from pointdet.head import (
     collect_level,
     semantic_prior_fractions,
 )
+from pointdet.layers import ConvLayer
 from pointdet.model import MODES, DetectionModel, ModelConfig
 
 from oracles import (
@@ -448,3 +449,48 @@ def test_gradient_locality_follows_sampling_points():
     state3_col = collect_level(state.maps, cfg)
     m.reg[0, far[0], far[1]] -= 1.0
     assert state3_col.boxes[grid, 0] == pytest.approx(base, abs=1e-9)
+
+
+def _assert_same_tree(a, b):
+    """``a`` and ``b`` hold equal arrays (bit for bit) in the same nesting."""
+    assert type(a) is type(b)
+    if isinstance(a, np.ndarray):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_same_tree(x, y)
+    elif isinstance(a, dict):
+        assert list(a) == list(b)
+        for key in a:
+            _assert_same_tree(a[key], b[key])
+    else:
+        assert a == b
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_head_forward_shares_patches_bit_for_bit(mode, monkeypatch):
+    """Convs that read one tensor share its im2col patches, and the maps and
+    caches equal a forward in which every conv builds its own."""
+    model = DetectionModel(ModelConfig(mode=mode), seed=3)
+    feats, _ = model.backbone.forward(np.random.default_rng(12).uniform(size=(3, 64, 64)))
+    maps, caches = model.head.forward(feats, model.backbone.strides)
+
+    own_patches = ConvLayer.forward
+    monkeypatch.setattr(ConvLayer, "forward", lambda self, x, cols=None: own_patches(self, x))
+    ref_maps, ref_caches = model.head.forward(feats, model.backbone.strides)
+    monkeypatch.undo()
+    for m, r in zip(maps, ref_maps):
+        _assert_same_tree(vars(m), vars(r))
+    _assert_same_tree(caches, ref_caches)
+
+    for trunk_caches, out_caches in caches:
+        first = [trunk_caches[name][0][0][0] for name in ("reg", "cls", "gen")]
+        assert first[0] is first[1] is first[2]
+        assert trunk_caches["reg"][1][0][0] is not first[0]
+        gen_cols = [out_caches[name][0] for name in out_caches
+                    if model.head.outputs[name][0] == "gen"]
+        assert all(c is gen_cols[0] for c in gen_cols)
+        assert not gen_cols[0].flags.writeable
+        if mode in ("decoupled", "loc-only"):
+            assert out_caches["coarse"][0] is out_caches["bshift"][0]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import conv2d_backward_reference, conv2d_reference
+from oracles import conv2d_backward_reference, conv2d_reference, im2col_reference
 from pointdet import ops
 
 
@@ -67,6 +67,30 @@ def test_conv_shape_errors_name_dimension():
         ops.conv2d(np.zeros((3, 4, 4)), np.zeros((2, 3, 3, 3)), np.zeros(2), stride=3)
     with pytest.raises(ValueError, match="bias"):
         ops.conv2d(np.zeros((3, 4, 4)), np.zeros((2, 3, 3, 3)), np.zeros(5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cin=st.integers(1, 4), h=st.integers(1, 9), w=st.integers(1, 9),
+       k=st.sampled_from([1, 3, 5]), stride=st.sampled_from([1, 2]),
+       padding=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_im2col_equals_slice_build(cin, h, w, k, stride, padding, seed):
+    assume(h + 2 * padding >= k and w + 2 * padding >= k)
+    x = np.random.default_rng(seed).normal(size=(cin, h, w))
+    cols = ops.im2col(x, k, stride, padding)
+    ref = im2col_reference(x, k, stride, padding)
+    assert cols.shape == ref.shape and np.array_equal(cols, ref)
+    assert not cols.flags.writeable
+
+
+def test_conv_rejects_cols_of_another_shape():
+    rng = np.random.default_rng(2)
+    x, w = rng.normal(size=(3, 6, 6)), rng.normal(size=(4, 3, 3, 3))
+    y, (cols, *_) = ops.conv2d(x, w, None, 1, 1, cols=ops.im2col(x, 3, 1, 1))
+    assert np.array_equal(y, ops.conv2d(x, w, None, 1, 1)[0])
+    for wrong in (ops.im2col(x, 3, 2, 1), ops.im2col(x, 3, 1, 0), ops.im2col(x[:2], 3, 1, 1),
+                  ops.im2col(x, 1, 1, 1), cols.T, cols.ravel()):
+        with pytest.raises(ValueError, match="cols shape"):
+            ops.conv2d(x, w, None, 1, 1, cols=wrong)
 
 
 def test_conv_deterministic():

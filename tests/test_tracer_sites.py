@@ -48,3 +48,23 @@ def test_tracer_sees_the_collection_in_training_and_detect(spans):
     assert calls["head.collect_level"]["calls"] == 1
     assert "head.collect_level_backward" not in calls
     assert tracer.counters["ops.bilinear_gather.samples"] > 0
+
+
+def test_every_conv_runs_through_ops_conv2d_under_its_layer(spans):
+    """The benchmark times convs through ``ops.conv2d`` spans, each inside
+    its layer's ``layers.<name>.fwd`` span, and their backward through
+    ``ops.conv2d_backward``: 4 backbone convs and 12 head convs on each of
+    3 levels of the default model."""
+    image, _ = holdout_scenes(TrainConfig(), 1)[0]
+    model = DetectionModel(ModelConfig(), seed=0)
+    with spans.Tracer() as tracer:
+        detect(model, np.asarray(image))
+    parents = [parent for name, _, _, parent, _ in tracer.spans if name == "ops.conv2d"]
+    assert len(parents) == 40
+    for parent in parents:
+        layer = tracer.spans[parent][0]
+        assert layer.startswith("layers.") and layer.endswith(".fwd"), layer
+
+    with spans.Tracer() as tracer:
+        train_from_config(TrainConfig(iters=1))
+    assert spans.aggregate(tracer.spans)["ops.conv2d_backward"]["calls"] == 40
