@@ -42,6 +42,8 @@ class Backbone:
         image = np.asarray(image, dtype=np.float64)
         if image.ndim != 3 or image.shape[0] != 3:
             raise ValueError(f"expected a [3,H,W] image, got shape {image.shape}")
+        if not np.isfinite(image).all():
+            raise ValueError("image contains non-finite values")
         top = self.strides[-1]
         h, w = image.shape[1:]
         if h % top or w % top:
@@ -58,11 +60,9 @@ class Backbone:
             cache.append(chain_cache)
         return feats, cache
 
-    def backward(self, cache, gfeats):
-        """Accumulate parameter gradients given per-level feature gradients.
-        Returns the image gradient."""
+    def backward(self, cache, gfeats) -> None:
+        """Accumulate parameter gradients given per-level feature gradients."""
         g = None
         for chain, chain_cache, gf in zip(self.chains[::-1], cache[::-1], gfeats[::-1]):
             g = gf if g is None else g + gf
             g = relu_chain_backward(chain, chain_cache, g)
-        return g

@@ -48,28 +48,43 @@ def check_annotations(y, n_images: int, classes: int) -> list[GroundTruth]:
     """Validate per-image annotations.
 
     Accepts GroundTruth instances, ``(boxes, labels)`` pairs, or dicts with
-    ``boxes``/``labels`` keys; labels must lie in [0, classes).
+    ``boxes``/``labels`` keys; boxes are [M,4], labels M integers in
+    [0, classes). A malformed annotation raises one ValueError naming its index.
     """
     if y is None:
         raise ValueError("annotations are required for fitting")
     items = list(y)
     if len(items) != n_images:
         raise ValueError(f"{n_images} images but {len(items)} annotation entries")
-    out = []
-    for i, item in enumerate(items):
-        if isinstance(item, GroundTruth):
-            gt = item
-        elif isinstance(item, dict):
-            gt = GroundTruth(np.asarray(item["boxes"]), np.asarray(item["labels"]))
-        else:
-            boxes, labels = item
-            gt = GroundTruth(np.asarray(boxes), np.asarray(labels))
-        if len(gt) and (gt.labels.min() < 0 or gt.labels.max() >= classes):
-            raise ValueError(
-                f"annotation {i} has labels outside [0, {classes}): {gt.labels}"
-            )
-        out.append(gt)
-    return out
+    return [_annotation(item, classes, f"annotation {i}") for i, item in enumerate(items)]
+
+
+def _annotation(item, classes: int, where: str) -> GroundTruth:
+    if isinstance(item, GroundTruth):
+        boxes, labels = item.boxes, item.labels
+    elif isinstance(item, dict) and "boxes" in item and "labels" in item:
+        boxes, labels = item["boxes"], item["labels"]
+    elif isinstance(item, (tuple, list)) and len(item) == 2:
+        boxes, labels = item
+    else:
+        raise ValueError(f"{where} must be a GroundTruth, a (boxes, labels) pair or a dict "
+                         f"with 'boxes' and 'labels', got {type(item).__name__}")
+    try:
+        boxes = np.asarray(boxes, dtype=np.float64)
+        labels = np.asarray(labels)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{where} is not numeric: {e}") from None
+    if not (boxes.ndim == 2 and boxes.shape[1] == 4 or boxes.size == 0):
+        raise ValueError(f"{where} needs boxes shaped [M,4], got shape {boxes.shape}")
+    if labels.size and (labels.dtype.kind not in "iuf" or not np.all(np.isfinite(labels))
+                        or np.any(labels != np.round(labels))):
+        raise ValueError(f"{where} needs integer labels, got {labels.tolist()}")
+    if labels.size and (labels.min() < 0 or labels.max() >= classes):
+        raise ValueError(f"{where} has labels outside [0, {classes}): {labels}")
+    try:
+        return GroundTruth(boxes, labels)
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
 
 
 class PointDetector:

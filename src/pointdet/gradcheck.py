@@ -183,31 +183,26 @@ def _param_fd_check(model, loss_and_grads, rng) -> float:
     """Sampled per-parameter FD plus a directional derivative over all.
 
     ``loss_and_grads(backward=False)`` returns the loss as a float and, with
-    ``backward=True``, also accumulates the parameter gradients.
+    ``backward=True``, also accumulates the parameter gradients. The finite
+    differences run only the forward, so the gradients stay in place.
     """
-    model.zero_grad()
+    params = model.parameters()
+    params.grads[:] = 0.0
     loss_and_grads(backward=True)
-    grads = {p.name: p.grad.copy() for p in model.parameters()}
-    model.zero_grad()
 
     worst = 0.0
-    for p in model.parameters():
+    for p in params:
         for idx in _sampled_indices(rng, p.value):
-            worst = max(worst, rel_err(grads[p.name][idx], _fd(loss_and_grads, p.value, idx)))
+            worst = max(worst, rel_err(p.grad[idx], _fd(loss_and_grads, p.value, idx)))
 
-    direction = {p.name: rng.normal(size=p.value.shape) for p in model.parameters()}
-    norm = np.sqrt(sum((d**2).sum() for d in direction.values()))
-    for d in direction.values():
-        d /= norm
-    analytic_dir = sum((grads[p.name] * direction[p.name]).sum() for p in model.parameters())
-    for p in model.parameters():
-        p.value += EPS * direction[p.name]
+    direction = rng.normal(size=params.values.size)
+    direction /= np.sqrt((direction**2).sum())
+    analytic_dir = float(params.grads @ direction)
+    params.values += EPS * direction
     hi = loss_and_grads()
-    for p in model.parameters():
-        p.value -= 2 * EPS * direction[p.name]
+    params.values -= 2 * EPS * direction
     lo = loss_and_grads()
-    for p in model.parameters():
-        p.value += EPS * direction[p.name]
+    params.values += EPS * direction
     worst = max(worst, rel_err(analytic_dir, (hi - lo) / (2 * EPS)))
     return worst
 

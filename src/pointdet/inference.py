@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,7 +188,11 @@ def postprocess(state: ModelState, image_width: float, image_height: float,
                 image_id: int = 0) -> list[Detection]:
     """Detections of one forward pass, score-sorted: decode, NMS, cap at
     ``max_detections``. Only the survivors become :class:`Detection` objects,
-    carrying their ``source_level`` and ``source_grid``."""
+    carrying their ``source_level`` and ``source_grid``. A ``max_detections``
+    that is not a positive integer raises ValueError."""
+    if (isinstance(max_detections, bool) or not isinstance(max_detections, numbers.Integral)
+            or max_detections < 1):
+        raise ValueError(f"max_detections must be a positive integer, got {max_detections!r}")
     cand = decode_detections(state, image_width, image_height, score_thresh, topk_per_level)
     kept = nms(cand.boxes, cand.scores, cand.class_ids, nms_iou)[:max_detections]
     return [

@@ -14,6 +14,7 @@ collected:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,7 @@ import numpy as np
 from .backbone import BASE_STRIDE, Backbone
 from .checkpoint import load_checkpoint, save_checkpoint
 from .head import Collection, Head, LevelMaps, collect_level, collect_level_backward
+from .optim import ParamSet
 
 MODES = ("decoupled", "coupled", "loc-only", "cls-only")
 
@@ -39,8 +41,11 @@ class ModelConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; choose from {MODES}")
-        if self.classes < 1:
-            raise ValueError("need at least one class")
+        for name in ("classes", "n_semantic", "channels", "levels"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"model config {name!r} must be a positive integer, "
+                                 f"got {value!r}")
         root = math.isqrt(self.n_semantic)
         if root * root != self.n_semantic:
             raise ValueError(
@@ -127,9 +132,10 @@ class DetectionModel:
         rng = np.random.default_rng(np.random.SeedSequence([17, seed]))
         self.backbone = Backbone(rng, channels=config.channels, levels=config.levels)
         self.head = Head(config, rng)
+        self._params = ParamSet(self.backbone.parameters() + self.head.parameters())
 
-    def parameters(self):
-        return self.backbone.parameters() + self.head.parameters()
+    def parameters(self) -> ParamSet:
+        return self._params
 
     # ------------------------------------------------------------------
     def forward(self, image) -> ModelState:
@@ -153,10 +159,6 @@ class DetectionModel:
         self.backbone.backward(state._bcache, gfeats)
 
     # ------------------------------------------------------------------
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
     def save(self, path) -> None:
         cfg = self.config
         values = dict(vars(cfg), format_version=1, mode=_MODE_IDS[cfg.mode],
@@ -188,10 +190,3 @@ class DetectionModel:
                 )
             p.value[...] = stored
         return model
-
-    def clone_params(self) -> dict[str, np.ndarray]:
-        return {p.name: p.value.copy() for p in self.parameters()}
-
-    def restore_params(self, snapshot: dict[str, np.ndarray]) -> None:
-        for p in self.parameters():
-            p.value[...] = snapshot[p.name]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "NonFiniteError",
     "im2col",
     "conv2d",
     "conv2d_backward",
@@ -30,6 +31,10 @@ __all__ = [
     "bilinear_gather",
     "bilinear_gather_backward",
 ]
+
+
+class NonFiniteError(ValueError):
+    """A kernel's guard met NaN or infinity; training counts it as divergence."""
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +185,7 @@ def softmax(v, axis=-1, where=True):
     if v.size == 0:
         raise ValueError("softmax of an empty vector")
     if not np.all(np.isfinite(v)):
-        raise ValueError("softmax input contains non-finite values")
+        raise NonFiniteError("softmax input contains non-finite values")
     shifted = v - v.max(axis=axis, keepdims=True, where=where, initial=-np.inf)
     e = np.exp(np.where(where, shifted, -np.inf))
     return e / e.sum(axis=axis, keepdims=True)
@@ -221,7 +226,7 @@ def bilinear_gather(maps, channels, xs, ys, segments=None):
     maps = [np.asarray(m, dtype=np.float64) for m in maps]
     pts = np.stack([np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)])
     if not np.all(np.isfinite(pts)):
-        raise ValueError("non-finite sample coordinates")
+        raise NonFiniteError("non-finite sample coordinates")
     ch = np.asarray(channels, dtype=np.intp)
     # [C,S] in memory too, so elementwise loops run along the points
     chc = np.ascontiguousarray((ch[:, None] if ch.ndim == 1 else ch).T)

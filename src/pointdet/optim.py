@@ -1,10 +1,10 @@
-"""Trainable parameters and the SGD optimizer."""
+"""Trainable parameters, the flat parameter set, and the SGD optimizer."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Parameter", "SGD", "NonFiniteGradientError"]
+__all__ = ["Parameter", "ParamSet", "SGD", "NonFiniteGradientError"]
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -26,15 +26,31 @@ class Parameter:
         self.value = np.ascontiguousarray(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
 
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
-
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.value.shape})"
 
 
+class ParamSet(tuple):
+    """A tuple of parameters whose ``value`` and ``grad`` are re-seated, with
+    their current contents, as views of two flat vectors ``values`` and
+    ``grads``, so an operation on every parameter is one array operation.
+    A ``Parameter`` belongs to one set: a second set takes its views over."""
+
+    def __new__(cls, params):
+        self = super().__new__(cls, params)
+        self.values = np.concatenate([p.value.ravel() for p in self])
+        self.grads = np.concatenate([p.grad.ravel() for p in self])
+        start = 0
+        for p in self:
+            end = start + p.value.size
+            p.value = self.values[start:end].reshape(p.value.shape)
+            p.grad = self.grads[start:end].reshape(p.grad.shape)
+            start = end
+        return self
+
+
 class SGD:
-    """SGD with momentum and L2 weight decay.
+    """SGD with momentum and L2 weight decay over a :class:`ParamSet`.
 
     Per step: ``v = momentum*v + grad + weight_decay*param`` then
     ``param -= lr*v``; gradients are zeroed afterwards. A non-finite gradient
@@ -44,25 +60,20 @@ class SGD:
     def __init__(self, params, lr: float, momentum: float = 0.9, weight_decay: float = 0.0):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
-        self.params = list(params)
+        self.params = params
         self.lr = float(lr)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
-        self._velocity = [np.zeros_like(p.value) for p in self.params]
+        self._velocity = np.zeros_like(params.values)
 
     def step(self, lr: float | None = None) -> None:
         lr = self.lr if lr is None else lr
-        for p in self.params:
-            if not np.all(np.isfinite(p.grad)):
-                raise NonFiniteGradientError(p.name)
-        for p, v in zip(self.params, self._velocity):
-            v *= self.momentum
-            v += p.grad
-            if self.weight_decay:
-                v += self.weight_decay * p.value
-            p.value -= lr * v
-            p.grad[...] = 0.0
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+        ps, v = self.params, self._velocity
+        if not np.isfinite(ps.grads).all():
+            raise NonFiniteGradientError(next(p.name for p in ps if not np.isfinite(p.grad).all()))
+        v *= self.momentum
+        v += ps.grads
+        if self.weight_decay:
+            v += self.weight_decay * ps.values
+        ps.values -= lr * v
+        ps.grads[:] = 0.0

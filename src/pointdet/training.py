@@ -25,7 +25,7 @@ import numpy as np
 from .config import TrainConfig
 from .geometry import giou_loss_grad_array, iou_matrix
 from .model import DetectionModel, ModelConfig, ModelState
-from .ops import sigmoid, softplus
+from .ops import NonFiniteError, sigmoid, softplus
 from .optim import SGD, NonFiniteGradientError
 from .scenes import GroundTruth, generate_scene, scene_seed
 
@@ -225,9 +225,10 @@ def run_training(model: DetectionModel, provider, iters: int, lr: float,
         if not finite or (name == "lr" and value <= 0):
             raise ValueError(f"training argument {name!r} must be finite (lr also positive), "
                              f"got {value!r}")
-    opt = SGD(model.parameters(), lr, momentum=momentum, weight_decay=weight_decay)
+    params = model.parameters()
+    opt = SGD(params, lr, momentum=momentum, weight_decay=weight_decay)
     history = []
-    last_good = model.clone_params()
+    last_good = params.values.copy()
     for it in range(iters):
         image, gt = provider(it)
         try:
@@ -236,28 +237,26 @@ def run_training(model: DetectionModel, provider, iters: int, lr: float,
                 state, gt, lambda1=lambda1, lambda2=lambda2,
                 assignment_rule=assignment_rule,
             )
-        except ValueError as e:
+        except NonFiniteError as e:
             # non-finite parameters trip a kernel guard mid-forward
-            model.restore_params(last_good)
+            params.values[:] = last_good
             raise TrainingDiverged(it, f"forward failed: {e}", model) from e
         if not np.isfinite(total):
-            model.restore_params(last_good)
+            params.values[:] = last_good
             raise TrainingDiverged(it, f"loss became {total}", model)
-        last_good = model.clone_params()
+        last_good[:] = params.values
         model.backward(state, *grads)
+        # per-parameter sums: a flat sum rounds differently, and gnorm decides clipping
         with np.errstate(over="ignore"):
-            gnorm = np.sqrt(sum(float((p.grad**2).sum()) for p in model.parameters()))
+            gnorm = np.sqrt(sum(float((p.grad**2).sum()) for p in params))
+        # nothing changes the values from the snapshot to the step: no restore below
         if not np.isfinite(gnorm):
-            model.restore_params(last_good)
             raise TrainingDiverged(it, f"gradient norm became {gnorm}", model)
         if gnorm > MAX_GRAD_NORM:
-            scale = MAX_GRAD_NORM / gnorm
-            for p in model.parameters():
-                p.grad *= scale
+            params.grads *= MAX_GRAD_NORM / gnorm
         try:
             opt.step(lr=lr_at(lr, it, iters))
         except NonFiniteGradientError as e:
-            model.restore_params(last_good)
             raise TrainingDiverged(it, str(e), model) from e
         entry = {"iter": it, **{k: float(v) for k, v in comps.items()}, "total": float(total)}
         history.append(entry)

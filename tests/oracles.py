@@ -447,3 +447,21 @@ def conv2d_backward_reference(x, w, gy, stride, padding, has_bias=True):
                         gx[c][y][xx] += w[o][c][u][v] * g
                         gw[o][c][u][v] += x[c][y][xx] * g
     return gx, gw, (gb if has_bias else None)
+
+
+# ---------------------------------------------------------------------------
+# optimizer
+
+
+def sgd_step_reference(params, velocity, lr, momentum, weight_decay):
+    """One SGD step over objects with ``value`` and ``grad`` arrays, one
+    parameter at a time: ``v = momentum*v + grad + weight_decay*value``,
+    ``value -= lr*v``, then the gradient is zeroed. ``velocity`` holds one
+    array per parameter and is updated in place."""
+    for p, v in zip(params, velocity):
+        v *= momentum
+        v += p.grad
+        if weight_decay:
+            v += weight_decay * p.value
+        p.value -= lr * v
+        p.grad[...] = 0.0

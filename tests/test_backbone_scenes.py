@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pointdet.backbone import Backbone
+from pointdet.ops import NonFiniteError
 from pointdet.scenes import GroundTruth, generate_scene, scene_seed
 
 
@@ -25,6 +26,16 @@ def test_backbone_rejects_indivisible_size_with_diagnostic():
     bb = Backbone(np.random.default_rng(2))
     with pytest.raises(ValueError, match="pad to 64x64"):
         bb.forward(np.zeros((3, 62, 64)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_backbone_rejects_a_non_finite_image(bad):
+    img = np.zeros((3, 32, 32))
+    img[1, 5, 7] = bad
+    with pytest.raises(ValueError, match="image contains non-finite values") as exc:
+        Backbone(np.random.default_rng(0), channels=8).forward(img)
+    # bad input, not a kernel meeting non-finite parameters
+    assert not isinstance(exc.value, NonFiniteError)
 
 
 def test_backbone_no_dead_parameters_over_seeds():

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from pointdet.estimator import PointDetector, check_annotations, check_images
 from pointdet.scenes import GroundTruth, generate_scene
 
@@ -60,6 +63,46 @@ def test_check_annotations_rejects_non_finite_box():
 def test_check_annotations_length_mismatch():
     with pytest.raises(ValueError, match="annotation entries"):
         check_annotations([], 2, classes=2)
+
+
+# Each corruption turns one well-formed (boxes, labels) pair into a malformed
+# annotation of another form.
+_ANNOTATION_CORRUPTIONS = {
+    "fractional label": lambda boxes, labels: (boxes, labels[:-1] + [1.5]),
+    "non-finite label": lambda boxes, labels: (boxes, labels[:-1] + [float("nan")]),
+    "string label": lambda boxes, labels: (boxes, labels[:-1] + ["1"]),
+    "bool labels": lambda boxes, labels: (boxes, [True] * len(labels)),
+    "label out of range": lambda boxes, labels: (boxes, labels[:-1] + [2]),
+    "dict without boxes": lambda boxes, labels: {"labels": labels},
+    "dict without labels": lambda boxes, labels: {"boxes": boxes},
+    "scalar": lambda boxes, labels: 3,
+    "None": lambda boxes, labels: None,
+    "triple": lambda boxes, labels: (boxes, labels, labels),
+    "3-column box": lambda boxes, labels: ([b[:3] for b in boxes], labels),
+    "flat boxes": lambda boxes, labels: ([c for b in boxes for c in b], labels),
+    "string in box": lambda boxes, labels: ([b[:3] + ["x"] for b in boxes], labels),
+    "non-finite box": lambda boxes, labels: ([b[:3] + [float("inf")] for b in boxes], labels),
+    "r < l": lambda boxes, labels: ([[b[2] + 1.0, b[1], b[0], b[3]] for b in boxes], labels),
+    "one label short": lambda boxes, labels: (boxes, labels[:-1]),
+}
+
+_ann_coord = st.floats(0.0, 100.0)
+_ann_box = st.tuples(_ann_coord, _ann_coord, st.floats(0.0, 50.0), st.floats(0.0, 50.0)).map(
+    lambda b: [b[0], b[1], b[0] + b[2], b[1] + b[3]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(items=st.lists(st.lists(st.tuples(_ann_box, st.integers(0, 1)), min_size=1, max_size=3),
+                      min_size=1, max_size=4),
+       data=st.data())
+def test_check_annotations_names_the_corrupt_annotation_property(items, data):
+    pairs = [([box for box, _ in objs], [label for _, label in objs]) for objs in items]
+    assert len(check_annotations(pairs, len(pairs), classes=2)) == len(pairs)
+    bad = data.draw(st.integers(0, len(pairs) - 1))
+    corrupt = _ANNOTATION_CORRUPTIONS[data.draw(st.sampled_from(sorted(_ANNOTATION_CORRUPTIONS)))]
+    pairs[bad] = corrupt(*pairs[bad])
+    with pytest.raises(ValueError, match=f"^annotation {bad}[ :]"):
+        check_annotations(pairs, len(pairs), classes=2)
 
 
 # ---------------------------------------------------------------------------
@@ -122,3 +165,11 @@ def test_fit_rejects_invalid_training_values():
         PointDetector(classes=3, iters=-5, lr=float("nan")).fit(images, gts)
     with pytest.raises(ValueError, match="'lr'"):
         PointDetector(classes=3, iters=1, lr=float("nan")).fit(images, gts)
+
+
+def test_fit_reports_an_indivisible_image_size_as_an_input_error():
+    images = np.full((1, 3, 63, 63), 0.5)
+    gts = [GroundTruth(np.array([[10.0, 10.0, 30.0, 30.0]]), np.array([0]))]
+    # TrainingDiverged is a RuntimeError, so this ValueError is not one
+    with pytest.raises(ValueError, match="image size 63x63 not divisible"):
+        PointDetector(classes=2, n_semantic=4, channels=8, iters=2).fit(images, gts)

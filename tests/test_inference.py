@@ -280,6 +280,21 @@ def test_detect_pipeline_deterministic():
         assert da.box == db.box and da.score == db.score and da.class_id == db.class_id
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"max_detections": -1}, "max_detections"),
+    ({"max_detections": 0}, "max_detections"),
+    ({"max_detections": 1.5}, "max_detections"),
+    ({"max_detections": True}, "max_detections"),
+    ({"max_detections": "10"}, "max_detections"),
+    ({"image": np.full((3, 32, 32), np.nan)}, "image contains non-finite"),
+], ids=["negative", "zero", "fractional", "bool", "string", "nan-image"])
+def test_detect_rejects_bad_arguments(kwargs, match):
+    model = DetectionModel(ModelConfig(channels=8, classes=2, n_semantic=4), seed=0)
+    kwargs = {"image": np.zeros((3, 32, 32)), **kwargs}
+    with pytest.raises(ValueError, match=match):
+        detect(model, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # wire formats
 

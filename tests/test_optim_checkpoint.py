@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from hypothesis import strategies as st
 
 from pointdet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from pointdet.model import DetectionModel, ModelConfig
-from pointdet.optim import SGD, NonFiniteGradientError, Parameter
+from pointdet.optim import SGD, NonFiniteGradientError, Parameter, ParamSet
+
+from oracles import sgd_step_reference
 
 
 def test_sgd_zero_grad_leaves_param():
     p = Parameter("w", np.array([1.0]))
-    opt = SGD([p], lr=0.1, momentum=0.0)
+    opt = SGD(ParamSet([p]), lr=0.1, momentum=0.0)
     opt.step()
     assert p.value[0] == 1.0
 
@@ -22,7 +25,7 @@ def test_sgd_zero_grad_leaves_param():
 def test_sgd_single_step_arithmetic():
     p = Parameter("w", np.array([1.0]))
     p.grad[:] = 2.0
-    opt = SGD([p], lr=0.1, momentum=0.0, weight_decay=0.0)
+    opt = SGD(ParamSet([p]), lr=0.1, momentum=0.0, weight_decay=0.0)
     opt.step()
     assert p.value[0] == pytest.approx(0.8)
     assert p.grad[0] == 0.0  # gradients zeroed after the step
@@ -30,7 +33,7 @@ def test_sgd_single_step_arithmetic():
 
 def test_sgd_momentum_and_decay_form():
     p = Parameter("w", np.array([2.0]))
-    opt = SGD([p], lr=0.5, momentum=0.5, weight_decay=0.1)
+    opt = SGD(ParamSet([p]), lr=0.5, momentum=0.5, weight_decay=0.1)
     p.grad[:] = 1.0
     opt.step()
     # v = 0.5*0 + 1 + 0.1*2 = 1.2 ; param = 2 - 0.5*1.2 = 1.4
@@ -46,7 +49,7 @@ def test_sgd_nonfinite_gradient_aborts_naming_param():
     p2 = Parameter("model.bad_layer.w", np.array([1.0]))
     p1.grad[:] = 1.0
     p2.grad[:] = np.nan
-    opt = SGD([p1, p2], lr=0.1)
+    opt = SGD(ParamSet([p1, p2]), lr=0.1)
     with pytest.raises(NonFiniteGradientError, match="model.bad_layer.w"):
         opt.step()
     # aborted before touching any parameter
@@ -57,7 +60,7 @@ def test_sgd_deterministic_trajectories():
     def run():
         rng = np.random.default_rng(0)
         p = Parameter("w", rng.normal(size=16))
-        opt = SGD([p], lr=0.05, momentum=0.9, weight_decay=1e-4)
+        opt = SGD(ParamSet([p]), lr=0.05, momentum=0.9, weight_decay=1e-4)
         for i in range(10):
             p.grad[:] = np.sin(p.value * (i + 1))
             opt.step()
@@ -69,7 +72,52 @@ def test_sgd_deterministic_trajectories():
 
 def test_sgd_rejects_bad_lr():
     with pytest.raises(ValueError, match="positive"):
-        SGD([Parameter("w", np.zeros(1))], lr=0.0)
+        SGD(ParamSet([Parameter("w", np.zeros(1))]), lr=0.0)
+
+
+_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shapes=st.lists(_shapes, min_size=1, max_size=4), lr=st.floats(1e-6, 10.0),
+       momentum=st.just(0.0) | st.floats(0.0, 0.99),
+       weight_decay=st.just(0.0) | st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_sgd_matches_the_per_parameter_step_property(shapes, lr, momentum, weight_decay, seed):
+    rng = np.random.default_rng(seed)
+    init = [rng.normal(size=shape) for shape in shapes]
+    params = ParamSet([Parameter(f"p{i}", v) for i, v in enumerate(init)])
+    ref = [SimpleNamespace(value=v.copy(), grad=np.zeros_like(v)) for v in init]
+    velocity = [np.zeros_like(v) for v in init]
+    opt = SGD(params, lr, momentum=momentum, weight_decay=weight_decay)
+    for _ in range(4):
+        for p, q in zip(params, ref):
+            q.grad[...] = p.grad[...] = rng.normal(size=p.value.shape)
+        opt.step()
+        sgd_step_reference(ref, velocity, lr, momentum, weight_decay)
+        for p, q in zip(params, ref):
+            assert np.array_equal(p.value, q.value) and np.array_equal(p.grad, q.grad)
+
+
+@pytest.mark.parametrize("reload", [False, True])
+def test_model_parameters_are_views_of_the_flat_vectors(tmp_path, reload):
+    model = DetectionModel(ModelConfig(channels=8, classes=2, n_semantic=4), seed=3)
+    if reload:
+        model.save(tmp_path / "model.pdn")
+        model = DetectionModel.load(tmp_path / "model.pdn")
+    params = model.parameters()
+    assert params.values.shape == params.grads.shape == (sum(p.value.size for p in params),)
+    start = 0
+    for p in params:
+        for view, flat in ((p.value, params.values), (p.grad, params.grads)):
+            assert view.flags.c_contiguous
+            # the view starts where the previous parameter's ended
+            assert (view.__array_interface__["data"][0]
+                    == flat.__array_interface__["data"][0] + start * flat.itemsize)
+        start += p.value.size
+    assert start == params.values.size
+    params.values[-1] = 42.0
+    params.grads[0] = 7.0
+    assert params[-1].value.flat[-1] == 42.0 and params[0].grad.flat[0] == 7.0
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +218,13 @@ def test_checkpoint_truncation(tmp_path):
     path.write_bytes(raw[:-5])
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name", ["classes", "n_semantic", "channels", "levels"])
+@pytest.mark.parametrize("value", [0, -1, 2.5, True, "4", None])
+def test_model_config_rejects_a_size_that_is_not_a_positive_integer(name, value):
+    with pytest.raises(ValueError, match=f"'{name}' must be a positive integer"):
+        ModelConfig(**{name: value})
 
 
 def test_model_save_load_roundtrip(tmp_path):

@@ -301,6 +301,31 @@ def test_divergence_restores_last_good_params():
         assert np.all(np.isfinite(p.value)), f"non-finite restored param {p.name}"
 
 
+def _small_model():
+    return DetectionModel(ModelConfig(channels=8, classes=2, n_semantic=4), seed=0)
+
+
+def test_a_non_finite_image_is_an_input_error_not_divergence():
+    _, gt = generate_scene(0, width=32, height=32, max_objects=2, classes=2)
+    image = np.full((3, 32, 32), 0.5)
+    image[0, 3, 4] = np.nan
+    # TrainingDiverged is a RuntimeError, so this ValueError is not one
+    with pytest.raises(ValueError, match="non-finite"):
+        run_training(_small_model(), lambda it: (image, gt), iters=2, lr=0.01)
+
+
+def test_non_finite_parameters_in_the_forward_are_divergence():
+    from pointdet.training import TrainingDiverged
+
+    model = _small_model()
+    model.head.outputs["lvlw"][1].b.value[0] = np.inf
+    provider = lambda it: generate_scene(it, width=32, height=32, max_objects=2, classes=2)
+    with pytest.raises(TrainingDiverged, match="forward failed: softmax input") as exc:
+        with np.errstate(all="ignore"):
+            run_training(model, provider, iters=2, lr=0.01)
+    assert exc.value.iteration == 0 and exc.value.model is model
+
+
 def test_holdout_scene_stream_disjoint_from_training():
     cfg = TrainConfig()
     train_img, _ = generate_scene(
