@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import ops
 from .layers import ConvLayer, relu_chain, relu_chain_backward
 
 __all__ = ["Backbone", "BASE_STRIDE"]
@@ -61,8 +62,10 @@ class Backbone:
         return feats, cache
 
     def backward(self, cache, gfeats) -> None:
-        """Accumulate parameter gradients given per-level feature gradients."""
-        g = None
-        for chain, chain_cache, gf in zip(self.chains[::-1], cache[::-1], gfeats[::-1]):
-            g = gf if g is None else g + gf
-            g = relu_chain_backward(chain, chain_cache, g)
+        """Accumulate parameter gradients given per-level feature gradients.
+        The image gradient, the input of chain 0, is never computed."""
+        g = gfeats[-1]
+        for level in range(self.levels - 1, -1, -1):
+            conv_cache, gy = relu_chain_backward(self.chains[level], cache[level], g)
+            if level:
+                g = gfeats[level - 1] + ops.conv2d_input_grad([conv_cache], [gy])

@@ -51,22 +51,28 @@ def _max_err_over(f, arr, grad, indices=None, eps=EPS) -> float:
 def check_conv(seed: int = 3) -> float:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    # 5x8 at stride 2 leaves the last input column unread: (8 + 2 - 3) % 2 != 0
-    for (h, wd), stride in (((4, 4), 1), ((4, 4), 2), ((5, 8), 2)):
+    # 5x8 at stride 2 leaves the last input column unread: (8 + 2 - 3) % 2 != 0;
+    # the last case is three convs of one input, two of them stacked at stride 2
+    for (h, wd), strides, couts in (((4, 4), (1,), (3,)), ((4, 4), (2,), (3,)),
+                                    ((5, 8), (2,), (3,)), ((5, 6), (2, 1, 2), (3, 1, 2))):
         x = rng.normal(size=(2, h, wd))
-        w = rng.normal(size=(3, 2, 3, 3))
-        b = rng.normal(size=3)
-        y0, cache = ops.conv2d(x, w, b, stride=stride, padding=1)
-        r = rng.normal(size=y0.shape)
-        gx, gw, gb = ops.conv2d_backward(cache, r)
+        ws = [rng.normal(size=(cout, 2, 3, 3)) for cout in couts]
+        bs = [rng.normal(size=cout) for cout in couts]
+        caches, rs = [], []
+        for w, b, stride in zip(ws, bs, strides):
+            y0, cache = ops.conv2d(x, w, b, stride=stride, padding=1)
+            caches.append(cache)
+            rs.append(rng.normal(size=y0.shape))
 
         def f():
-            y, _ = ops.conv2d(x, w, b, stride=stride, padding=1)
-            return float((y * r).sum())
+            return float(sum((ops.conv2d(x, w, b, stride=stride, padding=1)[0] * r).sum()
+                             for w, b, stride, r in zip(ws, bs, strides, rs)))
 
-        worst = max(worst, _max_err_over(f, x, gx))
-        worst = max(worst, _max_err_over(f, w, gw))
-        worst = max(worst, _max_err_over(f, b, gb))
+        worst = max(worst, _max_err_over(f, x, ops.conv2d_input_grad(caches, rs)))
+        for w, b, cache, r in zip(ws, bs, caches, rs):
+            gw, gb = ops.conv2d_backward(cache, r)
+            worst = max(worst, _max_err_over(f, w, gw))
+            worst = max(worst, _max_err_over(f, b, gb))
     return worst
 
 

@@ -378,15 +378,17 @@ class Head:
         return maps, caches
 
     def backward(self, caches, gmaps):
+        """Per-level feature gradients. Every tensor's readers share one
+        :func:`ops.conv2d_input_grad` call, stacked in table order: the trunk
+        ends' output convs, then the trunks' first convs on the feature."""
         gfeats = []
         for (trunk_caches, out_caches), gm in zip(caches, gmaps):
-            gends = {}
+            readers = {name: [] for name in self.trunks}
             for name, (trunk, layer) in self.outputs.items():
-                g = layer.backward(out_caches[name], gm[name])
-                gends[trunk] = gends[trunk] + g if trunk in gends else g
-            gfeat = None
-            for name, trunk in self.trunks.items():
-                g = relu_chain_backward(trunk, trunk_caches[name], gends[name])
-                gfeat = g if gfeat is None else gfeat + g
-            gfeats.append(gfeat)
+                layer.backward(out_caches[name], gm[name])
+                readers[trunk].append((out_caches[name], gm[name]))
+            firsts = [relu_chain_backward(trunk, trunk_caches[name],
+                                          ops.conv2d_input_grad(*zip(*readers[name])))
+                      for name, trunk in self.trunks.items()]
+            gfeats.append(ops.conv2d_input_grad(*zip(*firsts)))
         return gfeats

@@ -14,7 +14,9 @@ class ConvLayer:
     """3x3 (or kxk) convolution with bias.
 
     ``forward`` returns ``(y, cache)``; ``backward`` accumulates weight/bias
-    gradients into the layer's parameters and returns the input gradient.
+    gradients into the layer's parameters. The input gradient is left to the
+    caller, which passes the caches of every conv that read one tensor to
+    :func:`ops.conv2d_input_grad` together.
     A layer may be applied several times per forward pass (shared across
     pyramid levels), so caches live with the caller. ``cols`` may pass in
     the input's patches from :func:`ops.im2col`, built once for several layers.
@@ -34,11 +36,10 @@ class ConvLayer:
     def forward(self, x, cols=None):
         return ops.conv2d(x, self.w.value, self.b.value, self.stride, self.padding, cols=cols)
 
-    def backward(self, cache, gy):
-        gx, gw, gb = ops.conv2d_backward(cache, gy)
+    def backward(self, cache, gy) -> None:
+        gw, gb = ops.conv2d_backward(cache, gy)
         self.w.grad += gw
         self.b.grad += gb
-        return gx
 
     def parameters(self):
         return [self.w, self.b]
@@ -57,7 +58,13 @@ def relu_chain(layers, x, cols=None):
 
 
 def relu_chain_backward(layers, caches, g):
-    """Reverse :func:`relu_chain`; returns the gradient of its input."""
-    for layer, (conv_cache, mask) in zip(reversed(layers), reversed(caches)):
-        g = layer.backward(conv_cache, ops.relu_backward(mask, g))
-    return g
+    """Reverse :func:`relu_chain` up to its first conv, whose ``(cache, gy)``
+    it returns: the caller merges that conv with the other readers of the
+    chain's input, or skips the input gradient."""
+    for i in range(len(layers) - 1, -1, -1):
+        conv_cache, mask = caches[i]
+        gy = ops.relu_backward(mask, g)
+        layers[i].backward(conv_cache, gy)
+        if i == 0:
+            return conv_cache, gy
+        g = ops.conv2d_input_grad([conv_cache], [gy])

@@ -51,7 +51,13 @@ class ModelConfig:
             raise ValueError(
                 f"semantic point count must be a perfect square, got {self.n_semantic}"
             )
-        offs = tuple(sorted(set(int(o) for o in self.neighbor_offsets)))
+        offs = self.neighbor_offsets
+        if not isinstance(offs, (tuple, list)) or not all(
+            isinstance(o, numbers.Integral) and not isinstance(o, bool) for o in offs
+        ):
+            raise ValueError(f"model config 'neighbor_offsets' must be a sequence of integers, "
+                             f"got {offs!r}")
+        offs = tuple(sorted(set(int(o) for o in offs)))
         if not offs:
             raise ValueError("neighbor offset set must not be empty")
         object.__setattr__(self, "neighbor_offsets", offs)

@@ -3,7 +3,11 @@
 All tensors are plain numpy float64 arrays. Every differentiable operation
 comes as a forward function returning ``(output, cache)`` and a matching
 ``*_backward`` that converts output gradients into input gradients. There is
-no expression graph: callers chain backwards by hand in reverse order.
+no expression graph: callers chain backwards by hand in reverse order. The
+conv backward is split by what it produces: :func:`conv2d_backward` gives
+one conv's parameter gradients, and :func:`conv2d_input_grad` gives the
+gradient of an input from every conv that read it, so the caller hands it
+the convs of one tensor together and skips it where nothing consumes it.
 
 Conventions:
   * bilinear sampling clamps coordinates to the map border; the coordinate
@@ -21,6 +25,7 @@ __all__ = [
     "im2col",
     "conv2d",
     "conv2d_backward",
+    "conv2d_input_grad",
     "relu",
     "relu_backward",
     "sigmoid",
@@ -125,22 +130,46 @@ def _col2im_indices(xshape, k, stride, padding, ho, wo):
 
 
 def conv2d_backward(cache, gy):
-    """Gradients of conv2d. Returns ``(gx, gw, gb)``; ``gb`` is None if no bias."""
-    cols, xshape, w, stride, padding, ho, wo, has_bias = cache
-    cout = w.shape[0]
-    k = w.shape[2]
+    """Parameter gradients of conv2d: ``(gw, gb)``; ``gb`` is None if no bias."""
+    cols, _, w, _, _, ho, wo, has_bias = cache
     gy = np.asarray(gy, dtype=np.float64)
-    gyf = gy.reshape(cout, ho * wo).T
-    gw = (gyf.T @ cols).reshape(w.shape)
+    gw = (gy.reshape(w.shape[0], ho * wo) @ cols).reshape(w.shape)
     gb = gy.sum(axis=(1, 2)) if has_bias else None
-    gcols = gyf @ w.reshape(cout, -1)
+    return gw, gb
+
+
+def conv2d_input_grad(caches, gys):
+    """Gradient of the one input ``x`` that every conv of ``caches`` read,
+    given their output gradients ``gys``: the sum of each conv's ``gx``.
+
+    The convs of one geometry (kernel, stride, padding) stack their output
+    gradients as [sum Cout, H'*W'] rows and their weights as
+    [sum Cout, Cin*k*k] rows, make one patch gradient and scatter it with one
+    ``bincount`` through the patch index :func:`im2col` gathers with. A conv
+    that reads its input alone gets the bits of its own backward.
+    """
+    xshape = caches[0][1]
+    groups = {}
+    for cache, gy in zip(caches, gys, strict=True):
+        _, cache_xshape, w, stride, padding, ho, wo, _ = cache
+        if cache_xshape != xshape:
+            raise ValueError(f"convs read inputs of shapes {xshape} and {cache_xshape}")
+        gyfs, ws = groups.setdefault((w.shape[2], stride, padding, ho, wo), ([], []))
+        cout = w.shape[0]
+        gyfs.append(np.asarray(gy, dtype=np.float64).reshape(cout, ho * wo))
+        ws.append(w.reshape(cout, -1))
     cin, h, wd = xshape
-    hp, wp = h + 2 * padding, wd + 2 * padding
-    idx = _col2im_indices(xshape, k, stride, padding, ho, wo)
-    gxp = np.bincount(idx, weights=gcols.ravel(), minlength=cin * hp * wp)
-    gxp = gxp.reshape(cin, hp, wp)
-    gx = gxp[:, padding : padding + h, padding : padding + wd]
-    return np.ascontiguousarray(gx), gw, gb
+    gx = None
+    for (k, stride, padding, ho, wo), rows in groups.items():
+        # a lone conv's rows are used in place, without a copy
+        gyf, wf = (r[0] if len(r) == 1 else np.concatenate(r) for r in rows)
+        gcols = gyf.T @ wf
+        hp, wp = h + 2 * padding, wd + 2 * padding
+        idx = _col2im_indices(xshape, k, stride, padding, ho, wo)
+        gxp = np.bincount(idx, weights=gcols.ravel(), minlength=cin * hp * wp)
+        part = gxp.reshape(cin, hp, wp)[:, padding : padding + h, padding : padding + wd]
+        gx = part if gx is None else gx + part
+    return np.ascontiguousarray(gx)
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,8 @@ def compute_losses(state: ModelState, gt: GroundTruth, lambda1=2.0, lambda2=0.5,
 
 class TrainingDiverged(RuntimeError):
     """Raised when the loss or a gradient goes non-finite. The model has
-    been restored to the last parameters that produced a finite loss and is
+    been restored to the last parameters that produced a finite loss (its
+    starting parameters if the first forward already failed) and is
     attached as ``model`` so callers can checkpoint it."""
 
     def __init__(self, iteration: int, detail: str, model=None):
@@ -212,7 +213,8 @@ def run_training(model: DetectionModel, provider, iters: int, lr: float,
     to a global norm of ``MAX_GRAD_NORM`` before each step; single-scene
     batches occasionally spike otherwise and momentum then overshoots the
     coarse boxes into GIoU saturation. On divergence the model is restored
-    to the last parameters that produced a finite loss and
+    to the last parameters that produced a finite loss, or keeps its
+    starting parameters if the first forward already failed, and
     :class:`TrainingDiverged` is raised. Returns the loss history. A
     negative or non-integer ``iters``, a non-positive ``lr`` or a non-finite
     value raises ValueError.

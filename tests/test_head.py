@@ -494,3 +494,23 @@ def test_head_forward_shares_patches_bit_for_bit(mode, monkeypatch):
         assert not gen_cols[0].flags.writeable
         if mode in ("decoupled", "loc-only"):
             assert out_caches["coarse"][0] is out_caches["bshift"][0]
+
+
+def test_one_training_step_makes_one_input_gradient_per_conv_input(monkeypatch):
+    """A default training step runs all 40 conv backwards but makes one input
+    gradient per tensor the convs read: per head level the gen trunk end, the
+    four other trunk convs' inputs and the level feature (7), plus stem1,
+    down0 and down1. The image, stem0's input, gets none."""
+    from pointdet.config import TrainConfig
+    from pointdet.training import train_from_config
+
+    calls = {"conv2d_backward": [], "conv2d_input_grad": []}
+    for name, log in calls.items():
+        fn = getattr(ops, name)
+        monkeypatch.setattr(ops, name, lambda *a, fn=fn, log=log: log.append(a) or fn(*a))
+    train_from_config(TrainConfig(iters=1))
+    assert len(calls["conv2d_backward"]) == 40
+    assert len(calls["conv2d_input_grad"]) == 24
+    readers = sorted(len(caches) for caches, _ in calls["conv2d_input_grad"])
+    assert readers == [1] * 18 + [3] * 3 + [4] * 3
+    assert all(c[1][0] != 3 for caches, _ in calls["conv2d_input_grad"] for c in caches)

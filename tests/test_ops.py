@@ -43,7 +43,7 @@ def test_conv_weight_gradient_matches_fd():
         return float((y * r).sum())
 
     _, cache = ops.conv2d(x, w, b, stride=1, padding=1)
-    _, gw, _ = ops.conv2d_backward(cache, r)
+    gw, _ = ops.conv2d_backward(cache, r)
     eps = 1e-6
     worst = 0.0
     for idx in np.ndindex(w.shape):
@@ -122,13 +122,46 @@ def test_conv_matches_direct_loop_oracle(cin, cout, h, w, k, stride, padding, bi
     y, cache = ops.conv2d(x, wt, b, stride=stride, padding=padding)
     assert _max_rel_err(y, conv2d_reference(x, wt, b, stride, padding)) < 1e-12
     gy = rng.normal(size=y.shape)
-    gx, gw, gb = ops.conv2d_backward(cache, gy)
+    gw, gb = ops.conv2d_backward(cache, gy)
+    gx = ops.conv2d_input_grad([cache], [gy])
     rgx, rgw, rgb = conv2d_backward_reference(x, wt, gy, stride, padding, has_bias=bias)
     assert _max_rel_err(gx, rgx) < 1e-12
     assert _max_rel_err(gw, rgw) < 1e-12
     assert (gb is None) == (rgb is None)
     if bias:
         assert _max_rel_err(gb, rgb) < 1e-12
+
+
+_conv_geometry = st.tuples(st.integers(1, 4), st.sampled_from([1, 3, 5]),
+                           st.sampled_from([1, 2]), st.integers(0, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cin=st.integers(1, 3), h=st.integers(1, 8), w=st.integers(1, 8),
+       convs=st.lists(_conv_geometry, min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1))
+def test_conv_input_grad_matches_the_summed_oracle_gradients(cin, h, w, convs, seed):
+    """Convs of any geometry on one input, stacked or not: one input gradient
+    equals the sum of every conv's own input gradient."""
+    assume(all(h + 2 * p >= k and w + 2 * p >= k for _, k, _, p in convs))
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(cin, h, w))
+    caches, gys, ref = [], [], np.zeros_like(x)
+    for cout, k, stride, padding in convs:
+        wt = rng.normal(size=(cout, cin, k, k))
+        y, cache = ops.conv2d(x, wt, None, stride=stride, padding=padding)
+        gy = rng.normal(size=y.shape)
+        caches.append(cache)
+        gys.append(gy)
+        ref += np.asarray(conv2d_backward_reference(x, wt, gy, stride, padding)[0])
+    assert _max_rel_err(ops.conv2d_input_grad(caches, gys), ref) < 1e-12
+
+
+def test_conv_input_grad_rejects_convs_of_different_inputs():
+    rng = np.random.default_rng(4)
+    w = rng.normal(size=(2, 3, 3, 3))
+    (y1, c1), (y2, c2) = (ops.conv2d(rng.normal(size=(3, n, n)), w, None, 1, 1) for n in (4, 5))
+    with pytest.raises(ValueError, match="inputs of shapes"):
+        ops.conv2d_input_grad([c1, c2], [y1, y2])
 
 
 # ---------------------------------------------------------------------------

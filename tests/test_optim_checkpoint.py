@@ -227,6 +227,17 @@ def test_model_config_rejects_a_size_that_is_not_a_positive_integer(name, value)
         ModelConfig(**{name: value})
 
 
+@pytest.mark.parametrize("offsets", [(0.5, -1.7), (True,), (-1, False), (-1, "0"), (0, None),
+                                     (-1.0, 0), 0, "-1,0", None])
+def test_model_config_rejects_neighbor_offsets_that_are_not_integers(offsets):
+    with pytest.raises(ValueError, match="'neighbor_offsets' must be a sequence of integers"):
+        ModelConfig(neighbor_offsets=offsets)
+
+
+def test_model_config_sorts_and_dedups_integer_neighbor_offsets():
+    assert ModelConfig(neighbor_offsets=[0, np.int64(-1), 0]).neighbor_offsets == (-1, 0)
+
+
 def test_model_save_load_roundtrip(tmp_path):
     model = DetectionModel(ModelConfig(channels=8, classes=2, n_semantic=4), seed=3)
     path = tmp_path / "model.pdn"
