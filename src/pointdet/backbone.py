@@ -24,7 +24,6 @@ class Backbone:
     def __init__(self, rng, channels=32, levels=3):
         if levels < 1:
             raise ValueError(f"need at least one pyramid level, got {levels}")
-        self.channels = channels
         self.levels = levels
         self.strides = tuple(BASE_STRIDE << i for i in range(levels))
         self.chains = [[

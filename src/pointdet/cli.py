@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic scene dataset")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_count(0), required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--image-size", type=_count(1), default=64)

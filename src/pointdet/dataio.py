@@ -12,7 +12,7 @@ import zipfile
 import numpy as np
 
 from .inference import read_ground_truths, write_ground_truths
-from .scenes import check_scene_args, generate_scene
+from .scenes import check_scene_args, check_seed, generate_scene
 
 __all__ = ["write_dataset", "load_dataset"]
 
@@ -26,6 +26,7 @@ def write_dataset(out_dir, seed: int, count: int, width: int = 64, height: int =
     """Generate ``count`` >= 0 scenes (seed stream [seed, i]) into ``out_dir``."""
     if not (isinstance(count, numbers.Integral) and count >= 0):
         raise ValueError(f"scene count must be a non-negative integer, got {count!r}")
+    check_seed(seed)
     check_scene_args(width, height, max_objects, classes)
     os.makedirs(out_dir, exist_ok=True)
     images = np.empty((count, 3, height, width))

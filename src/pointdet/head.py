@@ -19,9 +19,8 @@ over the same index. Neighbor slot q of a level reads the level of
 offset q, and a level without that neighbor has a padding slot of weight 0
 and value 0, so every blended sum keeps the bits of a per-level pass. The
 two bilinear gathers (regression, classification) run once each; the
-regression gather's backward adds map gradients in (collection level,
-slot, corner, side, grid) order, which keeps the bits where a level's
-regression map is read by its own collection and the level above.
+regression gather samples the present slots in (slot, side, grid) order,
+and the backward reads and writes through the same mask.
 
 Coordinate conventions: grid (i, j) at stride s sits at image point
 ((j+0.5)s, (i+0.5)s); image point x maps to level grid coordinate
@@ -168,20 +167,16 @@ def collect_level(maps, cfg) -> Collection:
 
     # slot q of level i reads level src[q, i], the level of offset q; the
     # (None, i) fallback reads level i in slot 0; slots without a level are
-    # padding with weight 0 and value 0. Regression samples go in
-    # (collection level, slot, side, grid) order, one backward segment each.
+    # padding with weight 0 and value 0, and the mask ``on`` [K,4,G] picks
+    # the present ones for the regression gather in (slot, side, grid) order
     k = len(cfg.offsets)
     src = np.tile(np.arange(len(maps)), (k, 1))
     present = np.zeros((k, len(maps)), dtype=bool)
-    slots = np.arange(k * 4 * g).reshape(k, 4, g)
-    order, segments = [], []
     for i in range(len(maps)):
         for q, li in available_levels(i, len(maps), cfg.offsets):
             src[q or 0, i], present[q or 0, i] = li, True
-            order.append(slots[q or 0, :, cuts[i]])
-            segments.append(4 * sizes[i])
-    order = np.concatenate(order, axis=None)
     src_stride = strides[src][:, level]  # [K,G]
+    on = np.broadcast_to(present[:, None, level], (k, 4, g))
     # a fallback or lvlw-less level gets softmax(0) = uniform weights
     use_softmax = cfg.loc_decoupled and maps[0].lvlw is not None
     raws = _grid_rows(maps, "lvlw", 4 * k).reshape(4, k, g) if use_softmax else np.zeros((4, k, g))
@@ -189,10 +184,9 @@ def collect_level(maps, cfg) -> Collection:
     reg_ch = 4 * src[:, level][:, None] + np.arange(4)[:, None]  # [K,4,G]
     gx = bx / src_stride[:, None] - 0.5
     gy = by / src_stride[:, None] - 0.5
-    vals, reg_cache = ops.bilinear_gather([m.reg for m in maps], reg_ch.ravel()[order],
-                                          gx.ravel()[order], gy.ravel()[order], segments)
+    vals, reg_cache = ops.bilinear_gather([m.reg for m in maps], reg_ch[on], gx[on], gy[on])
     v_img = np.zeros((k, 4, g))
-    v_img.reshape(-1)[order] = vals
+    v_img[on] = vals
     v_img *= src_stride[:, None]
     offset = np.einsum("akg,akg->kg", weights.transpose(1, 0, 2), v_img)
     boxes = np.stack(
@@ -218,7 +212,7 @@ def collect_level(maps, cfg) -> Collection:
     scores = ops.sigmoid(z)
 
     cache = dict(s=s, d=d, cr_inside=np.abs(cr) < COARSE_RAW_LIMIT, wbox=wbox, hbox=hbox, tb=tb,
-                 ts=ts, weights=weights, v_img=v_img, src_stride=src_stride, order=order,
+                 ts=ts, weights=weights, v_img=v_img, src_stride=src_stride, on=on,
                  reg_cache=reg_cache, cls_cache=cls_cache, use_softmax=use_softmax)
     return Collection(level=level, grid_cx=cx, grid_cy=cy,
                       coarse=np.stack([box_l, box_t, box_r, box_b], axis=1), bx=bx, by=by,
@@ -233,8 +227,7 @@ def collect_level_backward(maps, col, cfg, gz, gboxes, gcoarse) -> list[dict]:
     respect to the summed logits, ``gboxes`` [G,4] to the final boxes and
     ``gcoarse`` [G,4] to the coarse L,T,R,B; ``maps`` and ``col`` are the
     forward's input and output. Returns per level a dict of map gradients
-    keyed like the LevelMaps fields the mode reads, with the bits of
-    per-level accumulation into zero buffers.
+    keyed like the LevelMaps fields the mode reads.
     """
     cache = col._cache
     n_pts = cfg.n_points
@@ -243,8 +236,7 @@ def collect_level_backward(maps, col, cfg, gz, gboxes, gcoarse) -> list[dict]:
     g = len(s)
     wbox, hbox, tb, ts = cache["wbox"], cache["hbox"], cache["tb"], cache["ts"]
 
-    # fresh accumulators that start from +0, like every other sum here
-    box_grad_l, box_grad_t, box_grad_r, box_grad_b = 0.0 + gcoarse.T
+    box_grad_l, box_grad_t, box_grad_r, box_grad_b = gcoarse.T.copy()
     per_grid = {}
 
     # classification path
@@ -273,14 +265,12 @@ def collect_level_backward(maps, col, cfg, gz, gboxes, gcoarse) -> list[dict]:
     gby[1::2] += goffset[1::2]
     weights, v_img, src_stride = cache["weights"], cache["v_img"], cache["src_stride"]
     gv_raw = goffset * weights.transpose(1, 0, 2) * src_stride[:, None]
-    greg, gxs, gys = ops.bilinear_gather_backward(cache["reg_cache"],
-                                                  gv_raw.ravel()[cache["order"]])
+    on = cache["on"]
+    greg, gxs, gys = ops.bilinear_gather_backward(cache["reg_cache"], gv_raw[on])
     for gpts, acc in ((gxs, gbx), (gys, gby)):
         slots = np.zeros_like(v_img)
-        slots.reshape(-1)[cache["order"]] = gpts
-        slots /= src_stride[:, None]
-        for slot in slots:  # slot by slot, as the neighbor levels came
-            acc += slot
+        slots[on] = gpts
+        acc += (slots / src_stride[:, None]).sum(axis=0)
     if cache["use_softmax"]:
         gweights = goffset[None] * v_img
         graws = ops.softmax_backward(weights, gweights.transpose(1, 0, 2).copy(), axis=1)
@@ -309,8 +299,7 @@ def collect_level_backward(maps, col, cfg, gz, gboxes, gcoarse) -> list[dict]:
     # coarse box L,T,R,B -> coarse raw via d = exp(clamped raw)*stride
     gd = np.stack([-box_grad_l, -box_grad_t, box_grad_r, box_grad_b])
     per_grid["coarse"] = gd * cache["d"] * cache["cr_inside"]
-    # each level's slice, added to +0 like a fresh zero buffer
-    return [dict(reg=gr, cls=gc, **{name: (0.0 + a[:, sl]).reshape(-1, m.h, m.w)
+    return [dict(reg=gr, cls=gc, **{name: a[:, sl].reshape(-1, m.h, m.w)
                                     for name, a in per_grid.items()})
             for m, sl, gr, gc in zip(maps, col.cuts, greg, gcls)]
 

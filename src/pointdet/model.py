@@ -23,6 +23,7 @@ from .backbone import BASE_STRIDE, Backbone
 from .checkpoint import load_checkpoint, save_checkpoint
 from .head import Collection, Head, LevelMaps, collect_level, collect_level_backward
 from .optim import ParamSet
+from .scenes import check_seed
 
 MODES = ("decoupled", "coupled", "loc-only", "cls-only")
 
@@ -134,6 +135,7 @@ def _read_meta(arrays, path) -> dict:
 
 class DetectionModel:
     def __init__(self, config: ModelConfig, seed: int = 0):
+        check_seed(seed)
         self.config = config
         rng = np.random.default_rng(np.random.SeedSequence([17, seed]))
         self.backbone = Backbone(rng, channels=config.channels, levels=config.levels)

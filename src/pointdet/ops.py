@@ -241,16 +241,14 @@ def _axis_cells(coords, extent):
     return i0, frac, interior
 
 
-def bilinear_gather(maps, channels, xs, ys, segments=None):
+def bilinear_gather(maps, channels, xs, ys):
     """Sample channels of several maps bilinearly at grid coords ``(xs, ys)``.
 
     ``maps`` is a list of [M_i,H_i,W_i] arrays whose channels are numbered
     in list order. ``xs`` and ``ys`` hold S points; ``channels`` is [S], or
     [S,C] for C channels of one map shape that share each point's cells.
-    Coordinates outside [0,W-1]x[0,H-1] are clamped to the border.
-    ``segments`` are the lengths of consecutive point runs (default one) and
-    fix the order of the backward's map-gradient sums. Returns ``(values
-    shaped like channels, cache)``.
+    Coordinates outside [0,W-1]x[0,H-1] are clamped to the border. Returns
+    ``(values shaped like channels, cache)``.
     """
     maps = [np.asarray(m, dtype=np.float64) for m in maps]
     pts = np.stack([np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)])
@@ -274,7 +272,7 @@ def bilinear_gather(maps, channels, xs, ys, segments=None):
     bot = (1.0 - fx) * v10 + fx * v11
     vals = (1.0 - fy) * top + fy * bot
     ends = np.cumsum([m.size for m in maps])
-    cache = ([m.shape for m in maps], ends, idx, frac, inside, corners, segments)
+    cache = ([m.shape for m in maps], ends, idx, frac, inside, corners)
     return vals.T.reshape(ch.shape), cache
 
 
@@ -282,20 +280,13 @@ def bilinear_gather_backward(cache, gvals):
     """Backward of :func:`bilinear_gather`: ``(gmaps, gxs, gys)`` with
     ``gmaps`` a list of arrays shaped like the maps.
 
-    The map gradient is one ``np.bincount``, which adds its weights to their
-    bins in input order from 0. Fed in (segment, corner, channel, point)
-    order, every bin sums like one unbuffered scatter-add per corner into
-    zeros, segment after segment.
+    The map gradient is one ``np.bincount`` over the corner-major index, so
+    every cell adds its contributions in (corner, channel, point) order.
     """
-    shapes, ends, idx, (fx, fy), (inx, iny), (v00, v01, v10, v11), segments = cache
+    shapes, ends, idx, (fx, fy), (inx, iny), (v00, v01, v10, v11) = cache
     gv = np.ascontiguousarray(np.asarray(gvals, dtype=np.float64).reshape(idx.shape[:0:-1]).T)
     corner = np.stack([(1.0 - fx) * (1.0 - fy), fx * (1.0 - fy), (1.0 - fx) * fy, fx * fy])
-    bins, wts = idx, corner[:, None] * gv  # [4,C,S]
-    if segments is not None:
-        bins, wts = (np.concatenate([a[..., end - n:end].ravel()
-                                     for n, end in zip(segments, np.cumsum(segments))])
-                     for a in (bins, wts))
-    flat = np.bincount(bins.ravel(), weights=wts.ravel(), minlength=ends[-1])
+    flat = np.bincount(idx.ravel(), weights=(corner[:, None] * gv).ravel(), minlength=ends[-1])
     gmaps = [part.reshape(s) for part, s in zip(np.split(flat, ends[:-1]), shapes)]
     dfx = (1.0 - fy) * (v01 - v00) + fy * (v11 - v10)
     dfy = (1.0 - fx) * (v10 - v00) + fx * (v11 - v01)

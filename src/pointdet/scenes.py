@@ -14,7 +14,9 @@ import numpy as np
 
 from .geometry import iou_array
 
-__all__ = ["GroundTruth", "generate_scene", "check_scene_args", "class_color", "scene_seed"]
+__all__ = [
+    "GroundTruth", "generate_scene", "check_scene_args", "check_seed", "class_color", "scene_seed",
+]
 
 _BASE_PALETTE = np.array(
     [
@@ -68,6 +70,13 @@ def class_color(label: int, classes: int) -> np.ndarray:
 def scene_seed(base_seed: int, stream: int, index: int) -> np.random.SeedSequence:
     """Namespaced seed for scene ``index`` of a stream (0=train, 1=holdout)."""
     return np.random.SeedSequence([base_seed, stream, index])
+
+
+def check_seed(seed):
+    """Raise one ValueError naming ``seed`` unless it is a non-negative
+    integer and not a bool: numpy seed sequences take no other base."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def check_scene_args(width, height, max_objects, classes, size_range=(_MIN_SIDE, _MAX_SIDE)):

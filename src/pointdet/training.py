@@ -248,7 +248,8 @@ def run_training(model: DetectionModel, provider, iters: int, lr: float,
             raise TrainingDiverged(it, f"loss became {total}", model)
         last_good[:] = params.values
         model.backward(state, *grads)
-        # per-parameter sums: a flat sum rounds differently, and gnorm decides clipping
+        # per-parameter sums, the pinned float order: gnorm decides clipping, and
+        # np.dot over the flat grads would round by BLAS thread count
         with np.errstate(over="ignore"):
             gnorm = np.sqrt(sum(float((p.grad**2).sum()) for p in params))
         # nothing changes the values from the snapshot to the step: no restore below

@@ -299,6 +299,46 @@ def bilinear_reference(map2d, x, y) -> float:
     return float((1.0 - fy) * top + fy * bot)
 
 
+def _cell_reference(coord, extent):
+    """Clamped cell start, fraction and interior flag of one coordinate:
+    an exact integer starts the cell to its right, and an extent of 1 gives
+    cell 0 with fraction 0."""
+    c = min(max(coord, 0.0), extent - 1.0)
+    i0 = max(min(int(math.floor(c)), extent - 2), 0)
+    frac = c - i0 if extent > 1 else 0.0
+    return i0, min(i0 + 1, extent - 1), frac, 0.0 <= coord < extent - 1.0
+
+
+def bilinear_backward_reference(maps, channels, xs, ys, gvals):
+    """Gradients of ``sum(gvals * samples)`` for bilinear samples of the
+    channels of several maps, one scalar scatter-add per sample.
+
+    Channel numbers run over the maps' channels in list order; row s of
+    ``channels`` [S] or [S,C] samples point ``(xs[s], ys[s])``. Returns
+    ``(gmaps, gxs, gys)``; a coordinate clamped to the border, or on the
+    last cell line, gets gradient 0.
+    """
+    owner = [(i, k) for i, m in enumerate(maps) for k in range(len(m))]
+    gmaps = [np.zeros(np.shape(m)) for m in maps]
+    ch = np.asarray(channels).reshape(len(xs), -1)
+    gv = np.asarray(gvals, dtype=np.float64).reshape(ch.shape)
+    gxs, gys = [0.0] * len(xs), [0.0] * len(xs)
+    for s, (x, y) in enumerate(zip(xs, ys)):
+        for c, g in zip(ch[s], gv[s]):
+            i, k = owner[c]
+            m = maps[i][k]
+            x0, x1, fx, inx = _cell_reference(float(x), len(m[0]))
+            y0, y1, fy, iny = _cell_reference(float(y), len(m))
+            for yy, xx, wt in ((y0, x0, (1.0 - fx) * (1.0 - fy)), (y0, x1, fx * (1.0 - fy)),
+                               (y1, x0, (1.0 - fx) * fy), (y1, x1, fx * fy)):
+                gmaps[i][k, yy, xx] += wt * g
+            if inx:
+                gxs[s] += g * ((1.0 - fy) * (m[y0][x1] - m[y0][x0]) + fy * (m[y1][x1] - m[y1][x0]))
+            if iny:
+                gys[s] += g * ((1.0 - fx) * (m[y1][x0] - m[y0][x0]) + fx * (m[y1][x1] - m[y0][x1]))
+    return gmaps, np.array(gxs), np.array(gys)
+
+
 def neighbor_levels_reference(level, n_levels, offsets):
     """``(q, level + offsets[q])`` for every neighbor level that exists, or
     ``[(None, level)]`` when none does."""

@@ -115,6 +115,7 @@ def test_gen_data_rejects_a_negative_count(tmp_path, capsys):
 
 @pytest.mark.parametrize("option, value", [
     ("--image-size", "-4"), ("--image-size", "0"), ("--max-objects", "0"), ("--classes", "0"),
+    ("--seed", "-1"), ("--seed", "1.5"),
 ])
 def test_gen_data_rejects_counts_below_one(tmp_path, capsys, option, value):
     out = tmp_path / "data"

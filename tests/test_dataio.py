@@ -22,12 +22,13 @@ def test_load_dataset_roundtrip(data_dir):
 
 
 @pytest.mark.parametrize("kwargs", [dict(width=8), dict(width=16.5), dict(classes=0),
-                                    dict(max_objects=0)])
+                                    dict(max_objects=0), dict(seed=-1), dict(seed=1.5),
+                                    dict(seed=True), dict(seed="3"), dict(seed=None)])
 def test_write_dataset_checks_scene_arguments_before_creating_the_directory(tmp_path, kwargs):
     out = tmp_path / "data"
     for count in (0, 2):
         with pytest.raises(ValueError):
-            write_dataset(out, seed=1, count=count, **kwargs)
+            write_dataset(out, **{"seed": 1, "count": count, **kwargs})
         assert not out.exists()
 
 

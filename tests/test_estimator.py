@@ -167,6 +167,13 @@ def test_fit_rejects_invalid_training_values():
         PointDetector(classes=3, iters=1, lr=float("nan")).fit(images, gts)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+def test_fit_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    images, gts = _dataset(n=1, size=32)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        PointDetector(classes=2, n_semantic=4, channels=8, iters=1, seed=seed).fit(images, gts)
+
+
 def test_fit_reports_an_indivisible_image_size_as_an_input_error():
     images = np.full((1, 3, 63, 63), 0.5)
     gts = [GroundTruth(np.array([[10.0, 10.0, 30.0, 30.0]]), np.array([0]))]

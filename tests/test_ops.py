@@ -3,7 +3,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import conv2d_backward_reference, conv2d_reference, im2col_reference
+from oracles import (
+    bilinear_backward_reference,
+    conv2d_backward_reference,
+    conv2d_reference,
+    im2col_reference,
+)
 from pointdet import ops
 
 
@@ -252,6 +257,47 @@ def test_bilinear_gradient_wrt_map_and_coords():
         lo = _sample(m, x, y)
         m[idx] = old
         assert gmap[idx] == pytest.approx((hi - lo) / (2 * eps), abs=1e-9)
+
+
+# a few exact integers and cell midpoints make samples share cells and edges
+_COORDS = st.one_of(st.floats(-2.0, 7.0, allow_nan=False),
+                    st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 4.0, 6.5]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), shared=st.booleans(), seed=st.integers(0, 2**16))
+def test_bilinear_backward_over_several_maps_matches_the_scatter_oracle(data, shared, seed):
+    """Map and coordinate gradients of a gather over 1-4 maps (1x1 and 1xW
+    ones included) against one scalar scatter-add per sample. ``shared``
+    rows read C channels of one map at each point; otherwise each point
+    reads one channel of any map."""
+    rng = np.random.default_rng(seed)
+    shapes = data.draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 5),
+                                          st.integers(1, 5)), min_size=1, max_size=4))
+    maps = [rng.normal(size=shape) for shape in shapes]
+    starts = np.cumsum([0] + [m.shape[0] for m in maps])
+    n = data.draw(st.integers(1, 12))
+    if shared:
+        c = data.draw(st.integers(1, 3))
+        rows = []
+        for _ in range(n):
+            i = data.draw(st.integers(0, len(maps) - 1))
+            rows.append([starts[i] + data.draw(st.integers(0, len(maps[i]) - 1))
+                         for _ in range(c)])
+        channels = np.array(rows, dtype=np.intp)
+    else:
+        channels = np.array(data.draw(st.lists(st.integers(0, starts[-1] - 1),
+                                               min_size=n, max_size=n)), dtype=np.intp)
+    xs = data.draw(st.lists(_COORDS, min_size=n, max_size=n))
+    ys = data.draw(st.lists(_COORDS, min_size=n, max_size=n))
+    gvals = rng.normal(size=channels.shape)
+    _, cache = ops.bilinear_gather(maps, channels, xs, ys)
+    gmaps, gxs, gys = ops.bilinear_gather_backward(cache, gvals)
+    ref_maps, ref_xs, ref_ys = bilinear_backward_reference(maps, channels, xs, ys, gvals)
+    for got, want in zip(gmaps, ref_maps, strict=True):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gxs, ref_xs, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gys, ref_ys, rtol=0, atol=1e-12)
 
 
 def test_bilinear_integer_coordinate_uses_right_cell():

@@ -234,6 +234,18 @@ def test_model_config_rejects_neighbor_offsets_that_are_not_integers(offsets):
         ModelConfig(neighbor_offsets=offsets)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None, np.int64(-2)])
+def test_model_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        DetectionModel(ModelConfig(channels=8), seed=seed)
+
+
+def test_model_takes_a_numpy_integer_seed_as_its_value():
+    a = DetectionModel(ModelConfig(channels=8), seed=np.int64(3)).parameters().values
+    b = DetectionModel(ModelConfig(channels=8), seed=3).parameters().values
+    assert a.tobytes() == b.tobytes()
+
+
 def test_model_config_sorts_and_dedups_integer_neighbor_offsets():
     assert ModelConfig(neighbor_offsets=[0, np.int64(-1), 0]).neighbor_offsets == (-1, 0)
 

@@ -256,7 +256,7 @@ def test_short_training_is_bit_reproducible():
 
 # SHA-256 of the default-config 200-iteration run: the JSON loss history, then
 # each parameter's name and value bytes in ``parameters()`` order.
-TRAINING_SHA256 = "648b6c36f200d96882e4fb29a13b20ccc0e811873004c08d69ca9e35a5d9229a"
+TRAINING_SHA256 = "fbee1d95fd5265b1546f3ac7fbd5388bfcb6dfec6db16add41d4c3388a794357"
 
 
 def test_default_training_numerics_fingerprint_is_pinned():
@@ -273,6 +273,13 @@ def test_default_training_numerics_fingerprint_is_pinned():
     stacked in ``Head.outputs`` and ``Head.trunks`` order): the gradients of
     the gen trunk end and of each level feature are no longer sums of
     per-conv scatters, so they round differently. The forward is unchanged.
+
+    Re-pinned from ``648b6c36…`` when the collection backward dropped its
+    ordering shims: the regression gather's map gradient is one
+    ``bincount`` in (corner, slot, side, grid) order over the present
+    slots, the neighbor slots' point gradients add with one
+    ``sum(axis=0)``, and the level slices of the generation-map gradients
+    are no longer added to +0. The forward is unchanged.
     """
     model, history = train_from_config(TrainConfig(iters=200))
     h = hashlib.sha256(json.dumps(history).encode())
