@@ -7,6 +7,7 @@ same coordinate order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ class Box:
     def __post_init__(self):
         for field in ("l", "t", "r", "b"):
             object.__setattr__(self, field, float(getattr(self, field)))
-        if not all(np.isfinite([self.l, self.t, self.r, self.b])):
+        if not all(map(math.isfinite, (self.l, self.t, self.r, self.b))):
             raise ValueError(f"box coordinates must be finite, got {self}")
         if self.r < self.l or self.b < self.t:
             raise ValueError(f"invalid box (needs r >= l and b >= t): {self}")

@@ -46,9 +46,10 @@ DEFAULT_MAX_DETECTIONS = 100
 DEFAULT_NMS_IOU = 0.6
 AP_IOU_THRESHOLDS = tuple(np.round(np.arange(0.50, 0.96, 0.05), 2))
 _RECALL_POINTS = np.linspace(0.0, 1.0, 101)
-# NMS computes IoU > threshold in blocks of rows of at most this many pairs:
-# the float temporaries of a block stay in cache (a whole 336 x 336 class
-# matrix at once ran 3x slower) and memory stays bounded for any input size.
+# NMS fills its table of IoU > threshold over the distinct boxes in blocks of
+# rows of at most this many pairs, each against the columns from the block on:
+# the float temporaries of a block stay in cache (a whole 336 x 336 float
+# matrix at once ran 3x slower) and only the boolean table stays alive.
 _IOU_BLOCK_PAIRS = 1 << 14
 
 
@@ -79,6 +80,11 @@ class Candidates:
         return len(self.scores)
 
 
+def _check_positive_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def decode_detections(state: ModelState, image_width: float, image_height: float,
                       score_thresh: float = DEFAULT_SCORE_THRESH,
                       topk_per_level: int = DEFAULT_TOPK_PER_LEVEL) -> Candidates:
@@ -89,12 +95,12 @@ def decode_detections(state: ModelState, image_width: float, image_height: float
     grids + grid``; below the cap, flat index order), then concatenate the
     levels, fold each box so r >= l and b >= t, and clamp it to
     [0, width] x [0, height]. A surviving box with a non-finite coordinate
-    raises ValueError.
+    raises ValueError, as does a ``topk_per_level`` that is not a positive
+    integer.
     """
     if not (0.0 <= score_thresh < 1.0):
         raise ValueError(f"score threshold must be in [0,1), got {score_thresh}")
-    if topk_per_level < 1:
-        raise ValueError(f"topk_per_level must be >= 1, got {topk_per_level}")
+    _check_positive_int("topk_per_level", topk_per_level)
     if image_width <= 0 or image_height <= 0:
         raise ValueError(f"image extents must be positive, got {image_width}x{image_height}")
     col = state.collection
@@ -135,38 +141,38 @@ def nms(boxes, scores, class_ids, iou_thresh: float = DEFAULT_NMS_IOU) -> list[i
     Returns the kept indices in selection order, score descending, then
     index ascending: the contract of ``tests/oracles.py::nms_reference``.
 
-    Classes never suppress each other, so each class makes its own greedy
-    pass in that order. It computes ``IoU > iou_thresh`` a block of rows at
-    a time, against the entries from the block on, for the rows not yet
-    suppressed when the block starts; the loop then only reads those rows.
+    Classes of one grid share its box, so ``IoU > iou_thresh`` is built once
+    as a table over the distinct boxes (by their bytes), each row packed into
+    an int bitset. One scan in score order keeps an entry unless its box's
+    bit is set in its class's suppression bitset, then ORs in the box's row.
     """
     if not (0.0 < iou_thresh <= 1.0):
         raise ValueError(f"NMS IoU threshold must be in (0,1], got {iou_thresh}")
-    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    boxes = np.ascontiguousarray(boxes, dtype=np.float64).reshape(-1, 4)
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     class_ids = np.asarray(class_ids).reshape(-1)
     if not len(boxes) == len(scores) == len(class_ids):
         raise ValueError(f"nms needs one score and class per box, got {len(boxes)} boxes, "
                          f"{len(scores)} scores and {len(class_ids)} class ids")
+    _, first, box_of = np.unique(boxes.view(np.dtype((np.void, 32))).ravel(),
+                                 return_index=True, return_inverse=True)
+    distinct, u, lo = boxes[first], len(first), 0
+    over = np.empty((u, u), dtype=bool)
+    while lo < u:  # IoU is exactly symmetric: fill the upper triangle and mirror it
+        hi = lo + max(1, _IOU_BLOCK_PAIRS // (u - lo))
+        over[lo:hi, lo:] = iou_matrix(distinct[lo:hi], distinct[lo:]) > iou_thresh
+        over[hi:, lo:hi] = over[lo:hi, hi:].T
+        lo = hi
+    rows = [int.from_bytes(r.tobytes(), "little")
+            for r in np.packbits(over, axis=1, bitorder="little")]
     order = np.lexsort((np.arange(len(scores)), -scores))
-    kept = np.zeros(len(scores), dtype=bool)
-    for cls in set(class_ids.tolist()):  # any order: classes are independent
-        members = order[class_ids[order] == cls]
-        class_boxes = boxes[members]
-        k = len(members)
-        suppressed = np.zeros(k, dtype=bool)
-        step = max(1, _IOU_BLOCK_PAIRS // k)
-        for lo in range(0, k, step):
-            rows = lo + np.flatnonzero(~suppressed[lo:lo + step])
-            if len(rows) == 0:
-                continue
-            # entries before lo are decided, so a block needs columns lo: only
-            over = iou_matrix(class_boxes[rows], class_boxes[lo:]) > iou_thresh
-            for i, row in zip(rows.tolist(), over):
-                if not suppressed[i]:
-                    kept[members[i]] = True
-                    suppressed[lo:] |= row
-    return order[kept[order]].tolist()
+    suppressed, kept = {}, []
+    for i, b, cls in zip(order.tolist(), box_of[order].tolist(), class_ids[order].tolist()):
+        bits = suppressed.get(cls, 0)
+        if not bits >> b & 1:
+            kept.append(i)
+            suppressed[cls] = bits | rows[b]
+    return kept
 
 
 def detect(model: DetectionModel, image, score_thresh: float = DEFAULT_SCORE_THRESH,
@@ -189,10 +195,12 @@ def postprocess(state: ModelState, image_width: float, image_height: float,
     """Detections of one forward pass, score-sorted: decode, NMS, cap at
     ``max_detections``. Only the survivors become :class:`Detection` objects,
     carrying their ``source_level`` and ``source_grid``. A ``max_detections``
-    that is not a positive integer raises ValueError."""
-    if (isinstance(max_detections, bool) or not isinstance(max_detections, numbers.Integral)
-            or max_detections < 1):
-        raise ValueError(f"max_detections must be a positive integer, got {max_detections!r}")
+    or ``topk_per_level`` that is not a positive integer, or an ``nms_iou``
+    that is not a number in (0,1], raises ValueError naming it."""
+    _check_positive_int("max_detections", max_detections)
+    if (isinstance(nms_iou, bool) or not isinstance(nms_iou, numbers.Real)
+            or not 0.0 < nms_iou <= 1.0):
+        raise ValueError(f"nms_iou must be a number in (0,1], got {nms_iou!r}")
     cand = decode_detections(state, image_width, image_height, score_thresh, topk_per_level)
     kept = nms(cand.boxes, cand.scores, cand.class_ids, nms_iou)[:max_detections]
     return [

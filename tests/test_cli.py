@@ -6,6 +6,7 @@ import pytest
 
 from pointdet.cli import main
 from pointdet.config import TrainConfig, format_config
+from pointdet.model import DetectionModel, ModelConfig
 
 
 def _write_config(tmp_path, **overrides):
@@ -72,6 +73,24 @@ def test_train_eval_cycle(tmp_path, capsys):
     main(["eval", "--ckpt", ckpt, "--data", str(data_dir), "--report", str(report_path)])
     assert report_path.read_bytes() == first
     assert (tmp_path / "report_detections.jsonl").read_bytes() == first_dets
+
+
+def test_eval_prints_detect_latency(tmp_path, capsys):
+    ckpt = tmp_path / "model.pdn"
+    DetectionModel(ModelConfig(channels=8, n_semantic=4), seed=0).save(ckpt)
+    data_dir = tmp_path / "data"
+    main(["gen-data", "--seed", "4", "--count", "3", "--out", str(data_dir),
+          "--image-size", "32"])
+    capsys.readouterr()
+    report_path = tmp_path / "report.json"
+    rc = main(["eval", "--ckpt", str(ckpt), "--data", str(data_dir),
+               "--report", str(report_path)])
+    assert rc == 0
+    printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert printed["detect_ms_p90"] >= printed["detect_ms_p50"] > 0
+    # the report file holds only the deterministic AP figures
+    report = json.loads(report_path.read_text())
+    assert report == {k: v for k, v in printed.items() if not k.startswith("detect_ms")}
 
 
 def test_cli_error_is_machine_readable(tmp_path, capsys):

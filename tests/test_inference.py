@@ -1,11 +1,14 @@
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointdet.geometry import Box
+from pointdet import inference
+from pointdet.geometry import Box, iou_matrix
 from pointdet.inference import (
     AP_IOU_THRESHOLDS,
     DEFAULT_MAX_DETECTIONS,
@@ -183,6 +186,55 @@ def test_nms_matches_bruteforce_reference_small():
         assert kept_idx == ref
 
 
+# corners close together and extents of 3-5 or 0, so pool boxes overlap at
+# every threshold and some have zero area
+_pool_boxes = st.lists(
+    st.tuples(*[st.integers(0, 6)] * 2, *[st.sampled_from([8, 6, 10, 0])] * 2).map(
+        lambda v: [v[0] / 2, v[1] / 2, (v[0] + v[2]) / 2, (v[1] + v[3]) / 2]),
+    min_size=2, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=_pool_boxes, thresh=st.sampled_from([0.3, 0.6, 1.0]),
+       block_pairs=st.sampled_from([1, 5, inference._IOU_BLOCK_PAIRS]), data=st.data())
+def test_nms_with_shared_boxes_matches_reference_property(pool, thresh, block_pairs, data):
+    # boxes drawn from a small pool repeat across classes and within one,
+    # as a grid's box does for every class that passes the score threshold;
+    # small blocks split the IoU table into several blocks and mirror them
+    entries = data.draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
+                                           st.sampled_from([0.2, 0.5, 0.7, 0.9]),
+                                           st.integers(0, 2)), min_size=4, max_size=40))
+    boxes = np.array([pool[k] for k, _, _ in entries]).reshape(-1, 4)
+    scores = [score for _, score, _ in entries]
+    classes = [cls for _, _, cls in entries]
+    with mock.patch.object(inference, "_IOU_BLOCK_PAIRS", block_pairs):
+        kept = nms(boxes, scores, classes, thresh)
+    assert kept == nms_reference(boxes, scores, classes, thresh)
+
+
+def test_nms_builds_one_iou_table_over_shared_boxes(monkeypatch):
+    # every grid of a 64x64 image passes for all 3 classes: 1,008 candidates
+    # that hold 336 distinct boxes, the shape of a low-threshold eval image
+    model = DetectionModel(ModelConfig(channels=8, classes=3, n_semantic=4), seed=0)
+    state = model.forward(np.random.default_rng(0).uniform(size=(3, 64, 64)))
+    cand = decode_detections(state, 64, 64, score_thresh=0.0)
+    u = len(np.unique(cand.boxes, axis=0))
+    assert len(cand) == 3 * len(state.collection.level) and u > 300
+    pairs = []
+
+    def counting_iou_matrix(a, b):
+        pairs.append(len(a) * len(b))
+        return iou_matrix(a, b)
+
+    monkeypatch.setattr(inference, "iou_matrix", counting_iou_matrix)
+    nms(cand.boxes, cand.scores, cand.class_ids, DEFAULT_NMS_IOU)
+    # one upper triangle of the distinct boxes; each row block also fills the
+    # lower half of its diagonal square, which has at most sqrt(pairs) rows.
+    # One table per class sends 110,352 pairs here, over the bound of 77,952.
+    block_rows = math.isqrt(inference._IOU_BLOCK_PAIRS)
+    assert sum(pairs) <= u * (u + 1) // 2 + u * (block_rows - 1) // 2
+
+
 # ---------------------------------------------------------------------------
 # average precision
 
@@ -286,8 +338,14 @@ def test_detect_pipeline_deterministic():
     ({"max_detections": 1.5}, "max_detections"),
     ({"max_detections": True}, "max_detections"),
     ({"max_detections": "10"}, "max_detections"),
+    ({"topk_per_level": 1.5}, "topk_per_level"),
+    ({"topk_per_level": "3"}, "topk_per_level"),
+    ({"topk_per_level": True}, "topk_per_level"),
+    ({"nms_iou": True}, "nms_iou"),
+    ({"nms_iou": "0.6"}, "nms_iou"),
     ({"image": np.full((3, 32, 32), np.nan)}, "image contains non-finite"),
-], ids=["negative", "zero", "fractional", "bool", "string", "nan-image"])
+], ids=["negative", "zero", "fractional", "bool", "string", "topk-fractional", "topk-string",
+        "topk-bool", "nms-iou-bool", "nms-iou-string", "nan-image"])
 def test_detect_rejects_bad_arguments(kwargs, match):
     model = DetectionModel(ModelConfig(channels=8, classes=2, n_semantic=4), seed=0)
     kwargs = {"image": np.zeros((3, 32, 32)), **kwargs}
