@@ -85,6 +85,12 @@ def _check_positive_int(name: str, value) -> None:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
+def _check_iou_thresh(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value <= 1.0:
+        raise ValueError(f"{name} must be an NMS IoU threshold, a number in (0,1], "
+                         f"got {value!r}")
+
+
 def decode_detections(state: ModelState, image_width: float, image_height: float,
                       score_thresh: float = DEFAULT_SCORE_THRESH,
                       topk_per_level: int = DEFAULT_TOPK_PER_LEVEL) -> Candidates:
@@ -132,7 +138,8 @@ def decode_detections(state: ModelState, image_width: float, image_height: float
     return Candidates(boxes, scores, class_ids, levels, grids)
 
 
-def nms(boxes, scores, class_ids, iou_thresh: float = DEFAULT_NMS_IOU) -> list[int]:
+def nms(boxes, scores, class_ids, iou_thresh: float = DEFAULT_NMS_IOU,
+        max_kept: int | None = None) -> list[int]:
     """Greedy class-wise non-maximum suppression on arrays.
 
     ``boxes`` [n,4], ``scores`` [n], ``class_ids`` [n]. Repeatedly keeps the
@@ -140,39 +147,51 @@ def nms(boxes, scores, class_ids, iou_thresh: float = DEFAULT_NMS_IOU) -> list[i
     same-class entries whose IoU with it is strictly above the threshold.
     Returns the kept indices in selection order, score descending, then
     index ascending: the contract of ``tests/oracles.py::nms_reference``.
+    With ``max_kept``, returns the first ``max_kept`` of them.
 
     Classes of one grid share its box, so ``IoU > iou_thresh`` is built once
     as a table over the distinct boxes (by their bytes), each row packed into
     an int bitset. One scan in score order keeps an entry unless its box's
     bit is set in its class's suppression bitset, then ORs in the box's row.
+    An entry is decided by the entries kept before it alone, so with a cap
+    the table and scan cover the first ``2 * max_kept`` entries in score
+    order, and the prefix doubles until the cap is met or it holds them all.
     """
-    if not (0.0 < iou_thresh <= 1.0):
-        raise ValueError(f"NMS IoU threshold must be in (0,1], got {iou_thresh}")
+    _check_iou_thresh("iou_thresh", iou_thresh)
+    if max_kept is not None:
+        _check_positive_int("max_kept", max_kept)
     boxes = np.ascontiguousarray(boxes, dtype=np.float64).reshape(-1, 4)
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     class_ids = np.asarray(class_ids).reshape(-1)
     if not len(boxes) == len(scores) == len(class_ids):
         raise ValueError(f"nms needs one score and class per box, got {len(boxes)} boxes, "
                          f"{len(scores)} scores and {len(class_ids)} class ids")
-    _, first, box_of = np.unique(boxes.view(np.dtype((np.void, 32))).ravel(),
-                                 return_index=True, return_inverse=True)
-    distinct, u, lo = boxes[first], len(first), 0
-    over = np.empty((u, u), dtype=bool)
-    while lo < u:  # IoU is exactly symmetric: fill the upper triangle and mirror it
-        hi = lo + max(1, _IOU_BLOCK_PAIRS // (u - lo))
-        over[lo:hi, lo:] = iou_matrix(distinct[lo:hi], distinct[lo:]) > iou_thresh
-        over[hi:, lo:hi] = over[lo:hi, hi:].T
-        lo = hi
-    rows = [int.from_bytes(r.tobytes(), "little")
-            for r in np.packbits(over, axis=1, bitorder="little")]
     order = np.lexsort((np.arange(len(scores)), -scores))
-    suppressed, kept = {}, []
-    for i, b, cls in zip(order.tolist(), box_of[order].tolist(), class_ids[order].tolist()):
-        bits = suppressed.get(cls, 0)
-        if not bits >> b & 1:
-            kept.append(i)
-            suppressed[cls] = bits | rows[b]
-    return kept
+    size = len(order) if max_kept is None else 2 * max_kept
+    while True:
+        prefix = order[:size]
+        _, first, box_of = np.unique(boxes[prefix].view(np.dtype((np.void, 32))).ravel(),
+                                     return_index=True, return_inverse=True)
+        distinct, u, lo = boxes[prefix[first]], len(first), 0
+        over = np.empty((u, u), dtype=bool)
+        while lo < u:  # IoU is exactly symmetric: fill the upper triangle and mirror it
+            hi = lo + max(1, _IOU_BLOCK_PAIRS // (u - lo))
+            over[lo:hi, lo:] = iou_matrix(distinct[lo:hi], distinct[lo:]) > iou_thresh
+            over[hi:, lo:hi] = over[lo:hi, hi:].T
+            lo = hi
+        rows = [int.from_bytes(r.tobytes(), "little")
+                for r in np.packbits(over, axis=1, bitorder="little")]
+        suppressed, kept = {}, []
+        for i, b, cls in zip(prefix.tolist(), box_of.tolist(), class_ids[prefix].tolist()):
+            bits = suppressed.get(cls, 0)
+            if not bits >> b & 1:
+                kept.append(i)
+                if len(kept) == max_kept:
+                    return kept
+                suppressed[cls] = bits | rows[b]
+        if size >= len(order):
+            return kept
+        size *= 2
 
 
 def detect(model: DetectionModel, image, score_thresh: float = DEFAULT_SCORE_THRESH,
@@ -198,11 +217,9 @@ def postprocess(state: ModelState, image_width: float, image_height: float,
     or ``topk_per_level`` that is not a positive integer, or an ``nms_iou``
     that is not a number in (0,1], raises ValueError naming it."""
     _check_positive_int("max_detections", max_detections)
-    if (isinstance(nms_iou, bool) or not isinstance(nms_iou, numbers.Real)
-            or not 0.0 < nms_iou <= 1.0):
-        raise ValueError(f"nms_iou must be a number in (0,1], got {nms_iou!r}")
+    _check_iou_thresh("nms_iou", nms_iou)
     cand = decode_detections(state, image_width, image_height, score_thresh, topk_per_level)
-    kept = nms(cand.boxes, cand.scores, cand.class_ids, nms_iou)[:max_detections]
+    kept = nms(cand.boxes, cand.scores, cand.class_ids, nms_iou, max_detections)
     return [
         Detection(Box(*box), class_id, score, image_id, level, grid)
         for box, class_id, score, level, grid in zip(

@@ -160,6 +160,12 @@ def test_nms_validates_arguments():
     with pytest.raises(ValueError, match="one score and class per box"):
         nms([[0, 0, 1, 1], [0, 0, 2, 2]], [0.5], [0, 0])
     assert nms(np.zeros((0, 4)), [], []) == []
+    assert nms(np.zeros((0, 4)), [], [], max_kept=3) == []
+    for name, bad in [("iou_thresh", 1.5), ("iou_thresh", float("nan")), ("iou_thresh", True),
+                      ("iou_thresh", "0.6"), ("max_kept", 0), ("max_kept", -1),
+                      ("max_kept", 1.5), ("max_kept", True), ("max_kept", "3")]:
+        with pytest.raises(ValueError, match=name):
+            nms([[0, 0, 1, 1]] * 2, [0.5, 0.4], [0, 0], **{name: bad})
 
 
 def _random_instance(rng, n_max=200):
@@ -194,22 +200,62 @@ _pool_boxes = st.lists(
     min_size=2, max_size=8)
 
 
-@settings(max_examples=200, deadline=None)
-@given(pool=_pool_boxes, thresh=st.sampled_from([0.3, 0.6, 1.0]),
-       block_pairs=st.sampled_from([1, 5, inference._IOU_BLOCK_PAIRS]), data=st.data())
-def test_nms_with_shared_boxes_matches_reference_property(pool, thresh, block_pairs, data):
+def _draw_from_pool(pool, data):
     # boxes drawn from a small pool repeat across classes and within one,
-    # as a grid's box does for every class that passes the score threshold;
-    # small blocks split the IoU table into several blocks and mirror them
+    # as a grid's box does for every class that passes the score threshold
     entries = data.draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
                                            st.sampled_from([0.2, 0.5, 0.7, 0.9]),
                                            st.integers(0, 2)), min_size=4, max_size=40))
     boxes = np.array([pool[k] for k, _, _ in entries]).reshape(-1, 4)
-    scores = [score for _, score, _ in entries]
-    classes = [cls for _, _, cls in entries]
+    return boxes, [score for _, score, _ in entries], [cls for _, _, cls in entries]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=_pool_boxes, thresh=st.sampled_from([0.3, 0.6, 1.0]),
+       block_pairs=st.sampled_from([1, 5, inference._IOU_BLOCK_PAIRS]), data=st.data())
+def test_nms_with_shared_boxes_matches_reference_property(pool, thresh, block_pairs, data):
+    # small blocks split the IoU table into several blocks and mirror them
+    boxes, scores, classes = _draw_from_pool(pool, data)
     with mock.patch.object(inference, "_IOU_BLOCK_PAIRS", block_pairs):
         kept = nms(boxes, scores, classes, thresh)
     assert kept == nms_reference(boxes, scores, classes, thresh)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pool=_pool_boxes, thresh=st.sampled_from([0.3, 0.6, 1.0]),
+       block_pairs=st.sampled_from([1, 5, inference._IOU_BLOCK_PAIRS]), data=st.data())
+def test_nms_cap_keeps_reference_prefix_property(pool, thresh, block_pairs, data):
+    # every cap from 1 to past the kept count, so some prefixes reach the
+    # cap at once, some widen and some run out of candidates
+    boxes, scores, classes = _draw_from_pool(pool, data)
+    ref = nms_reference(boxes, scores, classes, thresh)
+    with mock.patch.object(inference, "_IOU_BLOCK_PAIRS", block_pairs):
+        for k in range(1, len(ref) + 3):
+            assert nms(boxes, scores, classes, thresh, max_kept=k) == ref[:k]
+
+
+def test_nms_cap_widens_prefix_until_reached(monkeypatch):
+    # one box five times in one class, then two distinct boxes: the first
+    # 2 * 2 entries keep one, so the prefix doubles to cover all seven
+    boxes = [[0, 0, 10, 10]] * 5 + [[20, 0, 30, 10], [40, 0, 50, 10]]
+    scores = [0.9, 0.85, 0.8, 0.75, 0.7, 0.6, 0.5]
+    rows = []
+
+    def counting_iou_matrix(a, b):
+        rows.append(len(a))
+        return iou_matrix(a, b)
+
+    monkeypatch.setattr(inference, "iou_matrix", counting_iou_matrix)
+    kept = nms(boxes, scores, [0] * 7, 0.6, max_kept=2)
+    assert kept == [0, 5] == nms_reference(boxes, scores, [0] * 7, 0.6)[:2]
+    assert rows == [1, 3]  # one distinct box in the first prefix, three in the second
+
+
+def _table_pairs_bound(u):
+    # one upper triangle of u distinct boxes; each row block also fills the
+    # lower half of its diagonal square, which has at most sqrt(pairs) rows
+    block_rows = math.isqrt(inference._IOU_BLOCK_PAIRS)
+    return u * (u + 1) // 2 + u * (block_rows - 1) // 2
 
 
 def test_nms_builds_one_iou_table_over_shared_boxes(monkeypatch):
@@ -228,11 +274,31 @@ def test_nms_builds_one_iou_table_over_shared_boxes(monkeypatch):
 
     monkeypatch.setattr(inference, "iou_matrix", counting_iou_matrix)
     nms(cand.boxes, cand.scores, cand.class_ids, DEFAULT_NMS_IOU)
-    # one upper triangle of the distinct boxes; each row block also fills the
-    # lower half of its diagonal square, which has at most sqrt(pairs) rows.
-    # One table per class sends 110,352 pairs here, over the bound of 77,952.
-    block_rows = math.isqrt(inference._IOU_BLOCK_PAIRS)
-    assert sum(pairs) <= u * (u + 1) // 2 + u * (block_rows - 1) // 2
+    # one table over the distinct boxes: one table per class sends 110,352
+    # pairs here, over the bound of 77,952
+    assert sum(pairs) <= _table_pairs_bound(u)
+
+
+def test_postprocess_iou_table_covers_only_the_cap_prefix(monkeypatch):
+    # one class on a 128x128 image at threshold 0: 1,320 candidates, every
+    # box distinct. The whole table is 894,305 pairs; the cap of 100 is met
+    # within the first 200 candidates in score order.
+    model = DetectionModel(ModelConfig(channels=8, classes=1, n_semantic=4), seed=0)
+    state = model.forward(np.random.default_rng(0).uniform(size=(3, 128, 128)))
+    cand = decode_detections(state, 128, 128, score_thresh=0.0)
+    assert len(cand) == len(np.unique(cand.boxes, axis=0)) == 1320
+    uncapped = nms(cand.boxes, cand.scores, cand.class_ids, DEFAULT_NMS_IOU)
+    pairs = []
+
+    def counting_iou_matrix(a, b):
+        pairs.append(len(a) * len(b))
+        return iou_matrix(a, b)
+
+    monkeypatch.setattr(inference, "iou_matrix", counting_iou_matrix)
+    dets = postprocess(state, 128, 128, score_thresh=0.0)
+    assert [(d.source_level, d.source_grid) for d in dets] == [
+        (cand.levels[i], cand.grids[i]) for i in uncapped[:DEFAULT_MAX_DETECTIONS]]
+    assert sum(pairs) <= _table_pairs_bound(2 * DEFAULT_MAX_DETECTIONS)
 
 
 # ---------------------------------------------------------------------------
