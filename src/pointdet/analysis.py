@@ -76,7 +76,7 @@ def compute_accuracy_maps(model: DetectionModel, image, gt: GroundTruth,
     if not 0 <= level < model.config.levels:
         raise ValueError(f"level {level} is outside the pyramid's [0, {model.config.levels})")
     if state is None:
-        state = model.forward(np.asarray(image, dtype=np.float64))
+        state = model.forward(np.asarray(image, dtype=np.float64), keep_cache=False)
     col, lmaps = state.collection, state.maps[level]
     sl = col.cuts[level]
     h, w = lmaps.h, lmaps.w
@@ -190,7 +190,7 @@ def point_distance_distribution(model: DetectionModel, scenes, bins: int = 30,
     for image, gt in scenes:
         if len(gt) == 0:
             continue
-        state = model.forward(np.asarray(image, dtype=np.float64))
+        state = model.forward(np.asarray(image, dtype=np.float64), keep_cache=False)
         col = state.collection
         asn = assign_samples(col, gt)
         pos = asn.pos_grid

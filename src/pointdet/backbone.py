@@ -36,9 +36,9 @@ class Backbone:
     def parameters(self):
         return [p for chain in self.chains for layer in chain for p in layer.parameters()]
 
-    def forward(self, image):
+    def forward(self, image, keep_cache=True):
         """Run the pyramid. Returns ``(features, cache)`` with one [C,H/s,W/s]
-        feature per level."""
+        feature per level; the cache is empty without ``keep_cache``."""
         image = np.asarray(image, dtype=np.float64)
         if image.ndim != 3 or image.shape[0] != 3:
             raise ValueError(f"expected a [3,H,W] image, got shape {image.shape}")
@@ -55,9 +55,10 @@ class Backbone:
         feats = []
         cache = []
         for chain in self.chains:
-            x, chain_cache = relu_chain(chain, x)
+            x, chain_cache = relu_chain(chain, x, keep_cache=keep_cache)
             feats.append(x)
-            cache.append(chain_cache)
+            if keep_cache:
+                cache.append(chain_cache)
         return feats, cache
 
     def backward(self, cache, gfeats) -> None:

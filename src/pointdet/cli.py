@@ -234,7 +234,7 @@ def _load_image_file(path) -> np.ndarray:
 def _cmd_render(args) -> int:
     model = DetectionModel.load(args.ckpt)
     image = _load_image_file(args.image)
-    state = model.forward(image)
+    state = model.forward(image, keep_cache=False)
     dets = postprocess(state, image.shape[2], image.shape[1], score_thresh=args.score_thresh)
     col = state.collection
     grids = [col.cuts[det.source_level].start + det.source_grid for det in dets]

@@ -5,14 +5,13 @@ JSONL, and a manifest with the generation settings."""
 from __future__ import annotations
 
 import json
-import numbers
 import os
 import zipfile
 
 import numpy as np
 
 from .inference import read_ground_truths, write_ground_truths
-from .scenes import check_scene_args, check_seed, generate_scene
+from .scenes import check_int, check_scene_args, generate_scene
 
 __all__ = ["write_dataset", "load_dataset"]
 
@@ -24,9 +23,8 @@ GTS_NAME = "gts.jsonl"
 def write_dataset(out_dir, seed: int, count: int, width: int = 64, height: int = 64,
                   max_objects: int = 3, classes: int = 3) -> dict:
     """Generate ``count`` >= 0 scenes (seed stream [seed, i]) into ``out_dir``."""
-    if not (isinstance(count, numbers.Integral) and count >= 0):
-        raise ValueError(f"scene count must be a non-negative integer, got {count!r}")
-    check_seed(seed)
+    check_int("scene count", count, 0)
+    check_int("seed", seed, 0)
     check_scene_args(width, height, max_objects, classes)
     os.makedirs(out_dir, exist_ok=True)
     images = np.empty((count, 3, height, width))

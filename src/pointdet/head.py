@@ -349,21 +349,29 @@ class Head:
         layers += [layer for _, layer in self.outputs.values()]
         return [p for layer in layers for p in layer.parameters()]
 
-    def forward(self, feats, strides):
+    def forward(self, feats, strides, keep_cache=True):
+        """Per-level :class:`LevelMaps` and, with ``keep_cache``, the caches
+        :meth:`backward` reads (else an empty list)."""
         maps = []
         caches = []
         for feat, stride in zip(feats, strides):
             # all head convs are 3x3, stride 1, padding 1: readers share patches
-            feat_cols = ops.im2col(feat, 3, 1, 1)
+            cols = ops.im2col(feat, 3, 1, 1)
             ends, trunk_caches = {}, {}
             for name, trunk in self.trunks.items():
-                ends[name], trunk_caches[name] = relu_chain(trunk, feat, feat_cols)
-            end_cols = {name: ops.im2col(end, 3, 1, 1) for name, end in ends.items()}
-            raw, out_caches = {}, {}
+                ends[name], trunk_caches[name] = relu_chain(trunk, feat, cols, keep_cache)
+            # the table groups outputs by trunk: each end's patches are built
+            # just before its first output and, unless cached, freed after its last
+            raw, out_caches, cols_of = {}, {}, None
             for name, (trunk, layer) in self.outputs.items():
-                raw[name], out_caches[name] = layer.forward(ends[trunk], end_cols[trunk])
+                if trunk != cols_of:
+                    cols, cols_of = ops.im2col(ends[trunk], 3, 1, 1), trunk
+                raw[name], cache = layer.forward(ends[trunk], cols)
+                if keep_cache:
+                    out_caches[name] = cache
             maps.append(LevelMaps(stride=stride, **raw))
-            caches.append((trunk_caches, out_caches))
+            if keep_cache:
+                caches.append((trunk_caches, out_caches))
         return maps, caches
 
     def backward(self, caches, gmaps):

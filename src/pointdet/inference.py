@@ -19,7 +19,7 @@ import numpy as np
 
 from .geometry import Box, iou_matrix
 from .model import DetectionModel, ModelState
-from .scenes import GroundTruth
+from .scenes import GroundTruth, check_int
 
 __all__ = [
     "Detection",
@@ -80,11 +80,6 @@ class Candidates:
         return len(self.scores)
 
 
-def _check_positive_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-
-
 def _check_iou_thresh(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value <= 1.0:
         raise ValueError(f"{name} must be an NMS IoU threshold, a number in (0,1], "
@@ -106,7 +101,7 @@ def decode_detections(state: ModelState, image_width: float, image_height: float
     """
     if not (0.0 <= score_thresh < 1.0):
         raise ValueError(f"score threshold must be in [0,1), got {score_thresh}")
-    _check_positive_int("topk_per_level", topk_per_level)
+    check_int("topk_per_level", topk_per_level, 1)
     if image_width <= 0 or image_height <= 0:
         raise ValueError(f"image extents must be positive, got {image_width}x{image_height}")
     col = state.collection
@@ -156,10 +151,12 @@ def nms(boxes, scores, class_ids, iou_thresh: float = DEFAULT_NMS_IOU,
     An entry is decided by the entries kept before it alone, so with a cap
     the table and scan cover the first ``2 * max_kept`` entries in score
     order, and the prefix doubles until the cap is met or it holds them all.
+    A widening keeps the table and the scan's state: it adds the rows and
+    columns of the boxes new to the prefix and scans on from where it stopped.
     """
     _check_iou_thresh("iou_thresh", iou_thresh)
     if max_kept is not None:
-        _check_positive_int("max_kept", max_kept)
+        check_int("max_kept", max_kept, 1)
     boxes = np.ascontiguousarray(boxes, dtype=np.float64).reshape(-1, 4)
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     class_ids = np.asarray(class_ids).reshape(-1)
@@ -168,30 +165,46 @@ def nms(boxes, scores, class_ids, iou_thresh: float = DEFAULT_NMS_IOU,
                          f"{len(scores)} scores and {len(class_ids)} class ids")
     order = np.lexsort((np.arange(len(scores)), -scores))
     size = len(order) if max_kept is None else 2 * max_kept
+    keys = boxes.view(np.dtype((np.void, 32))).ravel()
+    seen, rows, start = keys[:0], [], 0  # the distinct boxes' keys in table order, their rows
+    suppressed, kept, kept_at = {}, [], []  # kept_at: (box, class) of each kept entry
     while True:
-        prefix = order[:size]
-        _, first, box_of = np.unique(boxes[prefix].view(np.dtype((np.void, 32))).ravel(),
-                                     return_index=True, return_inverse=True)
-        distinct, u, lo = boxes[prefix[first]], len(first), 0
-        over = np.empty((u, u), dtype=bool)
+        chunk, u0 = order[start:size], len(seen)
+        uniq, first, inverse = np.unique(np.concatenate([seen, keys[chunk]]),
+                                         return_index=True, return_inverse=True)
+        fresh = first >= u0  # a box seen before keeps its place in the table
+        box_of = np.where(fresh, u0 + np.cumsum(fresh) - 1, first)[inverse[u0:]]
+        seen = np.concatenate([seen, uniq[fresh]])
+        distinct, u, lo = seen.view(np.float64).reshape(-1, 4), len(seen), u0
+        over = np.empty((u - u0, u), dtype=bool)  # the new boxes' rows
         while lo < u:  # IoU is exactly symmetric: fill the upper triangle and mirror it
             hi = lo + max(1, _IOU_BLOCK_PAIRS // (u - lo))
-            over[lo:hi, lo:] = iou_matrix(distinct[lo:hi], distinct[lo:]) > iou_thresh
-            over[hi:, lo:hi] = over[lo:hi, hi:].T
+            over[lo - u0:hi - u0, lo:] = iou_matrix(distinct[lo:hi], distinct[lo:]) > iou_thresh
+            over[hi - u0:, lo:hi] = over[lo - u0:hi - u0, hi:].T
             lo = hi
-        rows = [int.from_bytes(r.tobytes(), "little")
-                for r in np.packbits(over, axis=1, bitorder="little")]
-        suppressed, kept = {}, []
-        for i, b, cls in zip(prefix.tolist(), box_of.tolist(), class_ids[prefix].tolist()):
+        if 0 < u0 < u:  # a widening: the old boxes against the new ones extend the old rows
+            old, new, cross = distinct[:u0], distinct[u0:], np.empty((u0, u - u0), dtype=bool)
+            step = max(1, _IOU_BLOCK_PAIRS // (u - u0))
+            for lo in range(0, u0, step):
+                cross[lo:lo + step] = iou_matrix(old[lo:lo + step], new) > iou_thresh
+            over[:, :u0] = cross.T
+            for b, r in enumerate(np.packbits(cross, axis=1, bitorder="little")):
+                rows[b] |= int.from_bytes(r.tobytes(), "little") << u0
+            for b, cls in kept_at:
+                suppressed[cls] |= rows[b]
+        rows += [int.from_bytes(r.tobytes(), "little")
+                 for r in np.packbits(over, axis=1, bitorder="little")]
+        for i, b, cls in zip(chunk.tolist(), box_of.tolist(), class_ids[chunk].tolist()):
             bits = suppressed.get(cls, 0)
             if not bits >> b & 1:
                 kept.append(i)
                 if len(kept) == max_kept:
                     return kept
+                kept_at.append((b, cls))
                 suppressed[cls] = bits | rows[b]
         if size >= len(order):
             return kept
-        size *= 2
+        start, size = size, 2 * size
 
 
 def detect(model: DetectionModel, image, score_thresh: float = DEFAULT_SCORE_THRESH,
@@ -201,8 +214,8 @@ def detect(model: DetectionModel, image, score_thresh: float = DEFAULT_SCORE_THR
            image_id: int = 0) -> list[Detection]:
     """Full inference for one image: forward, then :func:`postprocess`."""
     image = np.asarray(image, dtype=np.float64)
-    return postprocess(model.forward(image), image.shape[2], image.shape[1], score_thresh,
-                       topk_per_level, nms_iou, max_detections, image_id)
+    return postprocess(model.forward(image, keep_cache=False), image.shape[2], image.shape[1],
+                       score_thresh, topk_per_level, nms_iou, max_detections, image_id)
 
 
 def postprocess(state: ModelState, image_width: float, image_height: float,
@@ -216,7 +229,7 @@ def postprocess(state: ModelState, image_width: float, image_height: float,
     carrying their ``source_level`` and ``source_grid``. A ``max_detections``
     or ``topk_per_level`` that is not a positive integer, or an ``nms_iou``
     that is not a number in (0,1], raises ValueError naming it."""
-    _check_positive_int("max_detections", max_detections)
+    check_int("max_detections", max_detections, 1)
     _check_iou_thresh("nms_iou", nms_iou)
     cand = decode_detections(state, image_width, image_height, score_thresh, topk_per_level)
     kept = nms(cand.boxes, cand.scores, cand.class_ids, nms_iou, max_detections)

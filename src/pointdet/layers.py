@@ -45,15 +45,17 @@ class ConvLayer:
         return [self.w, self.b]
 
 
-def relu_chain(layers, x, cols=None):
+def relu_chain(layers, x, cols=None, keep_cache=True):
     """Apply each layer then a ReLU, in order; ``cols`` are the first layer's
-    patches of ``x``, if built already. Returns ``(out, caches)``."""
+    patches of ``x``, if built already. Returns ``(out, caches)``, the caches
+    empty without ``keep_cache``."""
     caches = []
     for layer in layers:
         y, conv_cache = layer.forward(x, cols)
         cols = None
         x, mask = ops.relu(y)
-        caches.append((conv_cache, mask))
+        if keep_cache:
+            caches.append((conv_cache, mask))
     return x, caches
 
 

@@ -23,7 +23,7 @@ from .backbone import BASE_STRIDE, Backbone
 from .checkpoint import load_checkpoint, save_checkpoint
 from .head import Collection, Head, LevelMaps, collect_level, collect_level_backward
 from .optim import ParamSet
-from .scenes import check_seed
+from .scenes import check_int
 
 MODES = ("decoupled", "coupled", "loc-only", "cls-only")
 
@@ -43,10 +43,7 @@ class ModelConfig:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; choose from {MODES}")
         for name in ("classes", "n_semantic", "channels", "levels"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"model config {name!r} must be a positive integer, "
-                                 f"got {value!r}")
+            check_int(f"model config {name!r}", getattr(self, name), 1)
         root = math.isqrt(self.n_semantic)
         if root * root != self.n_semantic:
             raise ValueError(
@@ -135,7 +132,7 @@ def _read_meta(arrays, path) -> dict:
 
 class DetectionModel:
     def __init__(self, config: ModelConfig, seed: int = 0):
-        check_seed(seed)
+        check_int("seed", seed, 0)
         self.config = config
         rng = np.random.default_rng(np.random.SeedSequence([17, seed]))
         self.backbone = Backbone(rng, channels=config.channels, levels=config.levels)
@@ -146,9 +143,12 @@ class DetectionModel:
         return self._params
 
     # ------------------------------------------------------------------
-    def forward(self, image) -> ModelState:
-        feats, bcache = self.backbone.forward(image)
-        maps, hcache = self.head.forward(feats, self.backbone.strides)
+    def forward(self, image, keep_cache=True) -> ModelState:
+        """Maps and collection of one [3,H,W] image. Without ``keep_cache`` the
+        conv caches and ReLU masks that only :meth:`backward` reads are freed
+        once the forward is done with them: inference passes it off."""
+        feats, bcache = self.backbone.forward(image, keep_cache)
+        maps, hcache = self.head.forward(feats, self.backbone.strides, keep_cache)
         return ModelState(maps=maps, collection=collect_level(maps, self.config),
                           _bcache=bcache, _hcache=hcache)
 
@@ -159,8 +159,12 @@ class DetectionModel:
         :mod:`pointdet.training` (every level's grids concatenated in
         collection order, each row-major): ``gz`` [C,G] with respect to the
         summed logits, ``gboxes`` [G,4] to the collected boxes and
-        ``gcoarse`` [G,4] to the coarse boxes.
+        ``gcoarse`` [G,4] to the coarse boxes. ``state`` must come from a
+        forward that kept its caches.
         """
+        if not (state._bcache and state._hcache):
+            raise ValueError("backward needs the conv caches, but the forward ran with "
+                             "keep_cache=False and kept no caches")
         gmaps = collect_level_backward(state.maps, state.collection, self.config, gz, gboxes,
                                        gcoarse)
         gfeats = self.head.backward(state._hcache, gmaps)

@@ -8,10 +8,11 @@ source-grid markers over the upscaled image.
 
 from __future__ import annotations
 
-import numbers
 import re
 
 import numpy as np
+
+from .scenes import check_int
 
 __all__ = ["write_ppm", "read_ppm", "render_heatmap", "render_scene", "COLORMAP_ANCHORS"]
 
@@ -143,8 +144,7 @@ def render_scene(image, path, dets=None, points=None, grid_points=None, scale=4)
     ``grid_points`` marks source grid centers in red. All overlay
     coordinates are image-space and get upscaled by the integer ``scale`` >= 1.
     """
-    if not (isinstance(scale, numbers.Integral) and scale >= 1):
-        raise ValueError(f"render scale must be a positive integer, got {scale!r}")
+    check_int("render scale", scale, 1)
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[0] != 3:
         raise ValueError(f"expected a [3,H,W] image, got shape {image.shape}")

@@ -15,7 +15,7 @@ import numpy as np
 from .geometry import iou_array
 
 __all__ = [
-    "GroundTruth", "generate_scene", "check_scene_args", "check_seed", "class_color", "scene_seed",
+    "GroundTruth", "generate_scene", "check_scene_args", "check_int", "class_color", "scene_seed",
 ]
 
 _BASE_PALETTE = np.array(
@@ -72,11 +72,14 @@ def scene_seed(base_seed: int, stream: int, index: int) -> np.random.SeedSequenc
     return np.random.SeedSequence([base_seed, stream, index])
 
 
-def check_seed(seed):
-    """Raise one ValueError naming ``seed`` unless it is a non-negative
-    integer and not a bool: numpy seed sequences take no other base."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+def check_int(what, value, least):
+    """Raise one ValueError naming ``what`` unless ``value`` is an integer,
+    not a bool, of at least ``least`` (0 for a seed: numpy seed sequences
+    take no other base)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        kind = {0: "a non-negative integer", 1: "a positive integer"}.get(
+            least, f"an integer of at least {least}")
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
 
 
 def check_scene_args(width, height, max_objects, classes, size_range=(_MIN_SIDE, _MAX_SIDE)):
@@ -91,7 +94,7 @@ def check_scene_args(width, height, max_objects, classes, size_range=(_MIN_SIDE,
     for name, value, least, why in (("max_objects", max_objects, 1, ""), ("classes", classes, 1, ""),
                                     ("width", width, lo_side + 2, fits),
                                     ("height", height, lo_side + 2, fits)):
-        if not isinstance(value, numbers.Integral) or value < least:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
             raise ValueError(f"{name} must be an integer of at least {least}{why}, got {value!r}")
     return lo_side
 

@@ -27,7 +27,7 @@ from .geometry import giou_loss_grad_array, iou_matrix
 from .model import DetectionModel, ModelConfig, ModelState
 from .ops import NonFiniteError, sigmoid, softplus
 from .optim import SGD, NonFiniteGradientError
-from .scenes import GroundTruth, generate_scene, scene_seed
+from .scenes import GroundTruth, check_int, generate_scene, scene_seed
 
 __all__ = [
     "Assignment",
@@ -219,8 +219,7 @@ def run_training(model: DetectionModel, provider, iters: int, lr: float,
     negative or non-integer ``iters``, a non-positive ``lr`` or a non-finite
     value raises ValueError.
     """
-    if not (isinstance(iters, numbers.Integral) and not isinstance(iters, bool) and iters >= 0):
-        raise ValueError(f"training argument 'iters' must be a non-negative integer, got {iters!r}")
+    check_int("training argument 'iters'", iters, 0)
     for name, value in (("lr", lr), ("momentum", momentum), ("weight_decay", weight_decay),
                         ("lambda1", lambda1), ("lambda2", lambda2)):
         finite = isinstance(value, numbers.Real) and math.isfinite(value)

@@ -3,7 +3,7 @@ import pytest
 
 from pointdet.backbone import Backbone
 from pointdet.ops import NonFiniteError
-from pointdet.scenes import GroundTruth, generate_scene, scene_seed
+from pointdet.scenes import GroundTruth, check_int, generate_scene, scene_seed
 
 
 def test_backbone_level_shapes():
@@ -115,10 +115,25 @@ def test_scene_rasterization_matches_gt_box():
     (dict(height=8), "height must be an integer of at least 12 px"),
     (dict(width=9, size_range=(8, 56)), "width must be an integer of at least 10 px"),
     (dict(size_range=(20, 12)), "size_range"),
+    (dict(classes=True), "classes must be an integer of at least 1, got True"),
 ])
 def test_scene_rejects_arguments_it_cannot_draw_with(kwargs, message):
     with pytest.raises(ValueError, match=message):
         generate_scene(0, **kwargs)
+
+
+@pytest.mark.parametrize("value, least, message", [
+    (True, 1, "n must be a positive integer, got True"),
+    (False, 0, "n must be a non-negative integer, got False"),
+    (-1, 0, "n must be a non-negative integer, got -1"),
+    (2, 3, "n must be an integer of at least 3, got 2"),
+    (3.0, 3, "n must be an integer of at least 3, got 3.0"),
+    ("3", 1, "n must be a positive integer, got '3'"),
+])
+def test_check_int_rejects_bools_non_integers_and_small_values(value, least, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_int("n", value, least)
+    check_int("n", np.int64(least), least)
 
 
 @pytest.mark.parametrize("size_range, side", [((10, 36), 12), ((8, 56), 10), ((4, 9), 10)])

@@ -249,11 +249,11 @@ def test_render_cli_runs_one_forward(tmp_path, capsys, monkeypatch):
     calls = []
     forward = DetectionModel.forward
     monkeypatch.setattr(DetectionModel, "forward",
-                        lambda self, image: calls.append(1) or forward(self, image))
+                        lambda self, image, **kw: calls.append(kw) or forward(self, image, **kw))
     rc = main(["render", "--ckpt", ckpt, "--image", str(tmp_path / "scene.npy"),
                "--out", str(tmp_path / "render.ppm"), "--score-thresh", "0.0"])
     assert rc == 0
-    assert len(calls) == 1
+    assert calls == [{"keep_cache": False}]  # one forward, without backward caches
 
 
 def test_analyze_cli(tmp_path, capsys):

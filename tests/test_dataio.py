@@ -23,7 +23,8 @@ def test_load_dataset_roundtrip(data_dir):
 
 @pytest.mark.parametrize("kwargs", [dict(width=8), dict(width=16.5), dict(classes=0),
                                     dict(max_objects=0), dict(seed=-1), dict(seed=1.5),
-                                    dict(seed=True), dict(seed="3"), dict(seed=None)])
+                                    dict(seed=True), dict(seed="3"), dict(seed=None),
+                                    dict(count=True)])
 def test_write_dataset_checks_scene_arguments_before_creating_the_directory(tmp_path, kwargs):
     out = tmp_path / "data"
     for count in (0, 2):

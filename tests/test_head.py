@@ -496,6 +496,40 @@ def test_head_forward_shares_patches_bit_for_bit(mode, monkeypatch):
             assert out_caches["coarse"][0] is out_caches["bshift"][0]
 
 
+def _assert_same_bytes(a, b):
+    """Equal field names, and every array field equal byte for byte."""
+    assert list(a) == list(b)
+    for key, x in a.items():
+        if isinstance(x, np.ndarray):
+            assert x.dtype == b[key].dtype and x.shape == b[key].shape, key
+            assert x.tobytes() == b[key].tobytes(), key
+        elif key != "_cache":
+            assert x == b[key], key
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_forward_without_cache_gives_the_same_bytes(mode):
+    """Inference's forward keeps no conv caches or ReLU masks, and its maps
+    and collection equal the training forward's byte for byte."""
+    model = DetectionModel(ModelConfig(mode=mode), seed=5)
+    image = np.random.default_rng(8).uniform(size=(3, 64, 64))
+    full = model.forward(image)
+    light = model.forward(image, keep_cache=False)
+    assert light._bcache == [] and light._hcache == []
+    assert len(full._bcache) == 3 and len(full._hcache) == 3
+    for m, r in zip(light.maps, full.maps):
+        _assert_same_bytes(vars(m), vars(r))
+    _assert_same_bytes(vars(light.collection), vars(full.collection))
+
+
+def test_backward_after_a_forward_without_cache_raises():
+    model = DetectionModel(ModelConfig(channels=8), seed=0)
+    state = model.forward(np.random.default_rng(1).uniform(size=(3, 32, 32)), keep_cache=False)
+    g = len(state.collection.level)
+    with pytest.raises(ValueError, match="kept no caches"):
+        model.backward(state, np.zeros((3, g)), np.zeros((g, 4)), np.zeros((g, 4)))
+
+
 def test_one_training_step_makes_one_input_gradient_per_conv_input(monkeypatch):
     """A default training step runs all 40 conv backwards but makes one input
     gradient per tensor the convs read: per head level the gen trunk end, the

@@ -248,7 +248,32 @@ def test_nms_cap_widens_prefix_until_reached(monkeypatch):
     monkeypatch.setattr(inference, "iou_matrix", counting_iou_matrix)
     kept = nms(boxes, scores, [0] * 7, 0.6, max_kept=2)
     assert kept == [0, 5] == nms_reference(boxes, scores, [0] * 7, 0.6)[:2]
-    assert rows == [1, 3]  # one distinct box in the first prefix, three in the second
+    # one distinct box in the first prefix; the widening adds the two new
+    # boxes' rows, then the old box against them
+    assert rows == [1, 2, 1]
+
+
+def test_nms_widening_computes_each_iou_pair_once(monkeypatch):
+    # 8 clusters of 5 nested boxes, scores falling cluster by cluster, then
+    # every box once more in class 1. A cap of 10 keeps one entry per cluster
+    # and two of class 1: prefixes of 20, 40 and 80 entries, and the last
+    # chunk holds only boxes seen before. One-row blocks fill no pair twice
+    # within a block, so any repeat would come from a widening.
+    boxes = [[40 * c, 0, 40 * c + 30 - k, 30 - k] for c in range(8) for k in range(5)] * 2
+    scores = np.linspace(1.0, 0.2, 80)
+    classes = [0] * 40 + [1] * 40
+    pairs = []
+
+    def recording_iou_matrix(a, b):
+        pairs.extend(frozenset((tuple(p), tuple(q))) for p in a.tolist() for q in b.tolist())
+        return iou_matrix(a, b)
+
+    monkeypatch.setattr(inference, "iou_matrix", recording_iou_matrix)
+    monkeypatch.setattr(inference, "_IOU_BLOCK_PAIRS", 1)
+    kept = nms(boxes, scores, classes, 0.6, max_kept=10)
+    assert kept == nms_reference(boxes, scores, classes, 0.6)[:10]
+    assert kept == [0, 5, 10, 15, 20, 25, 30, 35, 40, 45]
+    assert len(pairs) == len(set(pairs)) == 40 * 41 // 2  # each of the 40 boxes' pairs once
 
 
 def _table_pairs_bound(u):
@@ -396,6 +421,28 @@ def test_detect_pipeline_deterministic():
     assert len(a) == len(b)
     for da, db in zip(a, b):
         assert da.box == db.box and da.score == db.score and da.class_id == db.class_id
+
+
+def test_detect_peak_memory_stays_below_the_training_forward():
+    """``detect`` keeps no backward state: one default-model detect on a
+    64x64 scene peaks under 4 MB of new allocations. The training forward's
+    25 patch matrices alone hold 6.3 MB, and with its caches and masks it
+    peaked at 8.7 MB."""
+    import tracemalloc
+
+    from pointdet.config import TrainConfig
+    from pointdet.training import holdout_scenes
+
+    model = DetectionModel(ModelConfig(), seed=0)
+    (warm, _), (image, _) = holdout_scenes(TrainConfig(), 2)
+    detect(model, warm)  # fills the im2col index cache
+    tracemalloc.start()
+    try:
+        detect(model, image)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 @pytest.mark.parametrize("kwargs, match", [
