@@ -90,10 +90,10 @@ def check_bilinear(seed: int = 5) -> float:
     r = rng.normal(size=n)
 
     def f():
-        vals, _ = ops.bilinear_gather([maps], ch, xs, ys)
+        vals, _ = ops.bilinear_gather([maps], ops.gather_layout([maps.shape], ch), xs, ys)
         return float((vals * r).sum())
 
-    _, cache = ops.bilinear_gather([maps], ch, xs, ys)
+    _, cache = ops.bilinear_gather([maps], ops.gather_layout([maps.shape], ch), xs, ys)
     (gmaps,), gxs, gys = ops.bilinear_gather_backward(cache, r)
     worst = _max_err_over(f, maps, gmaps)
     worst = max(worst, _max_err_over(f, xs, gxs, indices=[(i,) for i in range(n)]))

@@ -20,7 +20,12 @@ offset q, and a level without that neighbor has a padding slot of weight 0
 and value 0, so every blended sum keeps the bits of a per-level pass. The
 two bilinear gathers (regression, classification) run once each; the
 regression gather samples the present slots in (slot, side, grid) order,
-and the backward reads and writes through the same mask.
+and the backward reads and writes through the same slots.
+
+Grid centers, strides, cuts, neighbor slots and both gather layouts depend
+only on the pyramid's shape: :func:`_plan` builds them once as read-only
+arrays, cached by each level's (stride, h, w) and the config fields the
+collection reads, so the cache gains one entry per distinct image shape.
 
 Coordinate conventions: grid (i, j) at stride s sits at image point
 ((j+0.5)s, (i+0.5)s); image point x maps to level grid coordinate
@@ -55,6 +60,8 @@ COARSE_BIAS = 0.7
 # exp argument clamp in coarse decoding; keeps runaway raws from producing
 # astronomically large boxes whose GIoU gradients vanish irrecoverably
 COARSE_RAW_LIMIT = 6.0
+# collection plans by pyramid shape and config, see :func:`_plan`
+_PLAN_CACHE: dict[tuple, dict] = {}
 
 
 @dataclass
@@ -131,6 +138,45 @@ def _grid_rows(maps, name, rows):
     return np.concatenate([getattr(m, name).reshape(rows, -1) for m in maps], axis=1)
 
 
+def _plan(maps, cfg) -> dict:
+    """The read-only geometry and gather layouts collection reads, per shape."""
+    key = (tuple((m.stride, m.h, m.w) for m in maps), cfg.loc_decoupled, cfg.cls_decoupled,
+           cfg.offsets, cfg.n_points, cfg.classes, maps[0].lvlw is not None)
+    if key in _PLAN_CACHE:
+        return _PLAN_CACHE[key]
+    sizes = [m.h * m.w for m in maps]
+    ends = np.cumsum(sizes)
+    level = np.repeat(np.arange(len(maps)), sizes)
+    g = len(level)
+    strides = np.array([float(m.stride) for m in maps])
+    s = strides[level]
+    ii, jj = np.divmod(np.arange(g) - (ends - sizes)[level], np.repeat([m.w for m in maps], sizes))
+    # slot q of level i reads level src[q, i], the level of offset q; the
+    # (None, i) fallback reads level i in slot 0; slots without a level are
+    # padding of weight 0, and ``on`` is the present ones' flat [K,4,G] index
+    k = len(cfg.offsets)
+    src = np.tile(np.arange(len(maps)), (k, 1))
+    present = np.zeros((k, len(maps)), dtype=bool)
+    for i in range(len(maps)):
+        for q, li in available_levels(i, len(maps), cfg.offsets):
+            src[q or 0, i], present[q or 0, i] = li, True
+    on = np.flatnonzero(np.broadcast_to(present[:, None, level], (k, 4, g)))
+    reg_ch = 4 * src[:, level][:, None] + np.arange(4)[:, None]  # [K,4,G]
+    # the C classes of semantic point n at grid g share its cells: [N*G,C]
+    n_pts, c = cfg.n_points, cfg.classes
+    cls_ch = (level * (n_pts * c) + np.arange(n_pts)[:, None] * c)[..., None] + np.arange(c)
+    plan = _PLAN_CACHE[key] = dict(
+        cuts=[slice(end - size, end) for size, end in zip(sizes, ends)], level=level, s=s,
+        cx=(jj + 0.5) * s, cy=(ii + 0.5) * s, src_stride=strides[src][:, level], on=on,
+        where=present[:, level], fractions=semantic_prior_fractions(n_pts),
+        reg_layout=ops.gather_layout([m.reg.shape for m in maps], np.take(reg_ch, on)),
+        cls_layout=ops.gather_layout([m.cls.shape for m in maps], cls_ch.reshape(-1, c)))
+    for a in (*plan.values(), *plan["fractions"], *plan["reg_layout"], *plan["cls_layout"]):
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return plan
+
+
 def collect_level(maps, cfg) -> Collection:
     """Vectorized collection of every grid of every level in one pass.
 
@@ -138,16 +184,8 @@ def collect_level(maps, cfg) -> Collection:
     one :class:`Collection` over it. ``cfg`` provides loc_decoupled,
     cls_decoupled, offsets, n_points and classes.
     """
-    sizes = [m.h * m.w for m in maps]
-    ends = np.cumsum(sizes)
-    g = int(ends[-1])
-    cuts = [slice(end - size, end) for size, end in zip(sizes, ends)]
-    level = np.repeat(np.arange(len(maps)), sizes)
-    strides = np.array([float(m.stride) for m in maps])
-    s = strides[level]
-    ii, jj = np.divmod(np.arange(g) - (ends - sizes)[level], np.repeat([m.w for m in maps], sizes))
-    cx = (jj + 0.5) * s
-    cy = (ii + 0.5) * s
+    plan = _plan(maps, cfg)
+    s, cx, cy, g = plan["s"], plan["cx"], plan["cy"], len(plan["s"])
 
     cr = _grid_rows(maps, "coarse", 4)
     d = np.exp(np.clip(cr, -COARSE_RAW_LIMIT, COARSE_RAW_LIMIT)) * s
@@ -165,28 +203,18 @@ def collect_level(maps, cfg) -> Collection:
         bx = np.broadcast_to(cx, (4, g)).copy()
         by = np.broadcast_to(cy, (4, g)).copy()
 
-    # slot q of level i reads level src[q, i], the level of offset q; the
-    # (None, i) fallback reads level i in slot 0; slots without a level are
-    # padding with weight 0 and value 0, and the mask ``on`` [K,4,G] picks
-    # the present ones for the regression gather in (slot, side, grid) order
-    k = len(cfg.offsets)
-    src = np.tile(np.arange(len(maps)), (k, 1))
-    present = np.zeros((k, len(maps)), dtype=bool)
-    for i in range(len(maps)):
-        for q, li in available_levels(i, len(maps), cfg.offsets):
-            src[q or 0, i], present[q or 0, i] = li, True
-    src_stride = strides[src][:, level]  # [K,G]
-    on = np.broadcast_to(present[:, None, level], (k, 4, g))
     # a fallback or lvlw-less level gets softmax(0) = uniform weights
+    k = len(cfg.offsets)
     use_softmax = cfg.loc_decoupled and maps[0].lvlw is not None
     raws = _grid_rows(maps, "lvlw", 4 * k).reshape(4, k, g) if use_softmax else np.zeros((4, k, g))
-    weights = ops.softmax(raws, axis=1, where=present[:, level])
-    reg_ch = 4 * src[:, level][:, None] + np.arange(4)[:, None]  # [K,4,G]
+    weights = ops.softmax(raws, axis=1, where=plan["where"])
+    src_stride, on = plan["src_stride"], plan["on"]
     gx = bx / src_stride[:, None] - 0.5
     gy = by / src_stride[:, None] - 0.5
-    vals, reg_cache = ops.bilinear_gather([m.reg for m in maps], reg_ch[on], gx[on], gy[on])
+    vals, reg_cache = ops.bilinear_gather([m.reg for m in maps], plan["reg_layout"],
+                                          np.take(gx, on), np.take(gy, on))
     v_img = np.zeros((k, 4, g))
-    v_img[on] = vals
+    v_img.reshape(-1)[on] = vals
     v_img *= src_stride[:, None]
     offset = np.einsum("akg,akg->kg", weights.transpose(1, 0, 2), v_img)
     boxes = np.stack(
@@ -197,27 +225,25 @@ def collect_level(maps, cfg) -> Collection:
     c = cfg.classes
     ts = None
     if cfg.cls_decoupled:
-        fx, fy = semantic_prior_fractions(n_pts)
+        fx, fy = plan["fractions"]
         ts = np.tanh(_grid_rows(maps, "sshift", 2 * n_pts).reshape(n_pts, 2, g))
         sx = box_l[None] + (fx[:, None] + 0.5 * ts[:, 0]) * wbox[None]
         sy = box_t[None] + (fy[:, None] + 0.5 * ts[:, 1]) * hbox[None]
     else:
         sx = cx[None].copy()
         sy = cy[None].copy()
-    # the C classes of semantic point n at grid g share its cells: [N*G,C]
-    cls_ch = (level * (n_pts * c) + np.arange(n_pts)[:, None] * c)[..., None] + np.arange(c)
-    logits, cls_cache = ops.bilinear_gather([m.cls for m in maps], cls_ch.reshape(-1, c),
+    logits, cls_cache = ops.bilinear_gather([m.cls for m in maps], plan["cls_layout"],
                                             (sx / s - 0.5).ravel(), (sy / s - 0.5).ravel())
     z = logits.reshape(n_pts, g, c).sum(axis=0).T
     scores = ops.sigmoid(z)
 
-    cache = dict(s=s, d=d, cr_inside=np.abs(cr) < COARSE_RAW_LIMIT, wbox=wbox, hbox=hbox, tb=tb,
-                 ts=ts, weights=weights, v_img=v_img, src_stride=src_stride, on=on,
-                 reg_cache=reg_cache, cls_cache=cls_cache, use_softmax=use_softmax)
-    return Collection(level=level, grid_cx=cx, grid_cy=cy,
+    cache = dict(plan=plan, d=d, cr_inside=np.abs(cr) < COARSE_RAW_LIMIT, wbox=wbox, hbox=hbox,
+                 tb=tb, ts=ts, weights=weights, v_img=v_img, reg_cache=reg_cache,
+                 cls_cache=cls_cache, use_softmax=use_softmax)
+    return Collection(level=plan["level"], grid_cx=cx, grid_cy=cy,
                       coarse=np.stack([box_l, box_t, box_r, box_b], axis=1), bx=bx, by=by,
-                      sx=sx, sy=sy, weights=weights, boxes=boxes, z=z, scores=scores, cuts=cuts,
-                      _cache=cache)
+                      sx=sx, sy=sy, weights=weights, boxes=boxes, z=z, scores=scores,
+                      cuts=list(plan["cuts"]), _cache=cache)
 
 
 def collect_level_backward(maps, col, cfg, gz, gboxes, gcoarse) -> list[dict]:
@@ -229,10 +255,10 @@ def collect_level_backward(maps, col, cfg, gz, gboxes, gcoarse) -> list[dict]:
     forward's input and output. Returns per level a dict of map gradients
     keyed like the LevelMaps fields the mode reads.
     """
-    cache = col._cache
+    cache, plan = col._cache, col._cache["plan"]
     n_pts = cfg.n_points
     c = cfg.classes
-    s = cache["s"]
+    s = plan["s"]
     g = len(s)
     wbox, hbox, tb, ts = cache["wbox"], cache["hbox"], cache["tb"], cache["ts"]
 
@@ -245,7 +271,7 @@ def collect_level_backward(maps, col, cfg, gz, gboxes, gcoarse) -> list[dict]:
     gsx = gsx.reshape(n_pts, g) / s
     gsy = gsy.reshape(n_pts, g) / s
     if cfg.cls_decoupled:
-        fx, fy = semantic_prior_fractions(n_pts)
+        fx, fy = plan["fractions"]
         coef_x = fx[:, None] + 0.5 * ts[:, 0]
         coef_y = fy[:, None] + 0.5 * ts[:, 1]
         box_grad_l += (gsx * (1.0 - coef_x)).sum(axis=0)
@@ -263,13 +289,12 @@ def collect_level_backward(maps, col, cfg, gz, gboxes, gcoarse) -> list[dict]:
     gbx, gby = np.zeros((2, 4, g))
     gbx[0::2] += goffset[0::2]
     gby[1::2] += goffset[1::2]
-    weights, v_img, src_stride = cache["weights"], cache["v_img"], cache["src_stride"]
+    weights, v_img, src_stride = cache["weights"], cache["v_img"], plan["src_stride"]
     gv_raw = goffset * weights.transpose(1, 0, 2) * src_stride[:, None]
-    on = cache["on"]
-    greg, gxs, gys = ops.bilinear_gather_backward(cache["reg_cache"], gv_raw[on])
+    greg, gxs, gys = ops.bilinear_gather_backward(cache["reg_cache"], np.take(gv_raw, plan["on"]))
     for gpts, acc in ((gxs, gbx), (gys, gby)):
         slots = np.zeros_like(v_img)
-        slots[on] = gpts
+        slots.reshape(-1)[plan["on"]] = gpts
         acc += (slots / src_stride[:, None]).sum(axis=0)
     if cache["use_softmax"]:
         gweights = goffset[None] * v_img

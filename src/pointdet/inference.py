@@ -97,13 +97,14 @@ def decode_detections(state: ModelState, image_width: float, image_height: float
     levels, fold each box so r >= l and b >= t, and clamp it to
     [0, width] x [0, height]. A surviving box with a non-finite coordinate
     raises ValueError, as does a ``topk_per_level`` that is not a positive
-    integer.
+    integer or an image extent that is not a positive finite number.
     """
-    if not (0.0 <= score_thresh < 1.0):
+    if isinstance(score_thresh, bool) or not (0.0 <= score_thresh < 1.0):
         raise ValueError(f"score threshold must be in [0,1), got {score_thresh}")
     check_int("topk_per_level", topk_per_level, 1)
-    if image_width <= 0 or image_height <= 0:
-        raise ValueError(f"image extents must be positive, got {image_width}x{image_height}")
+    for name, v in (("image_width", image_width), ("image_height", image_height)):
+        if isinstance(v, bool) or not (isinstance(v, numbers.Real) and 0 < v < math.inf):
+            raise ValueError(f"{name} must be a positive finite number, got {v!r}")
     col = state.collection
     parts = []
     for level, sl in enumerate(col.cuts):

@@ -33,6 +33,7 @@ __all__ = [
     "softplus",
     "softmax",
     "softmax_backward",
+    "gather_layout",
     "bilinear_gather",
     "bilinear_gather_backward",
 ]
@@ -230,50 +231,56 @@ def softmax_backward(s, gs, axis=-1):
 # bilinear sampling
 
 
-def _axis_cells(coords, extent):
-    """Clamped cell index, fraction, and interior mask of coordinates along
-    axes of per-point ``extent``; an extent of 1 gives cell 0, fraction 0
-    and no interior."""
-    c = np.clip(coords, 0.0, extent - 1.0)
-    i0 = np.maximum(np.minimum(np.floor(c), extent - 2), 0).astype(np.intp)
-    frac = np.where(extent > 1, c - i0, 0.0)
-    interior = (coords >= 0.0) & (coords < extent - 1.0)
-    return i0, frac, interior
-
-
-def bilinear_gather(maps, channels, xs, ys):
-    """Sample channels of several maps bilinearly at grid coords ``(xs, ys)``.
-
-    ``maps`` is a list of [M_i,H_i,W_i] arrays whose channels are numbered
-    in list order. ``xs`` and ``ys`` hold S points; ``channels`` is [S], or
-    [S,C] for C channels of one map shape that share each point's cells.
-    Coordinates outside [0,W-1]x[0,H-1] are clamped to the border. Returns
-    ``(values shaped like channels, cache)``.
-    """
-    maps = [np.asarray(m, dtype=np.float64) for m in maps]
-    pts = np.stack([np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)])
-    if not np.all(np.isfinite(pts)):
-        raise NonFiniteError("non-finite sample coordinates")
+def gather_layout(shapes, channels):
+    """Everything :func:`bilinear_gather` needs besides the points, built
+    once for maps of ``shapes`` (a list of [M_i,H_i,W_i] tuples, channels
+    numbered in list order) and ``channels`` ([S], or [S,C] for C channels
+    of one map shape sharing each point's cells): corner offsets, widths,
+    and per axis of extent e the clamp bounds e-1.0, e-2.0 and e>1."""
     ch = np.asarray(channels, dtype=np.intp)
     # [C,S] in memory too, so elementwise loops run along the points
     chc = np.ascontiguousarray((ch[:, None] if ch.ndim == 1 else ch).T)
     # per channel number: width and height [2,M], start in the flat concatenation
-    wh = np.repeat([m.shape[:0:-1] for m in maps], [len(m) for m in maps], axis=0).T
+    wh = np.repeat([s[:0:-1] for s in shapes], [s[0] for s in shapes], axis=0).T
     starts = np.cumsum(wh[0] * wh[1]) - wh[0] * wh[1]
     ext = np.take(wh, chc[0], axis=1)  # [2,S]
-    lo, frac, inside = _axis_cells(pts, ext)
-    x, y = np.stack([lo, np.minimum(lo + 1, ext - 1)], axis=1)  # [x0,x1], [y0,y1]
+    # [4,C,S] flat offsets of corners 00, 01, 10, 11; an extent-1 axis reads one cell twice
+    dx, dy = (ext[0] > 1).astype(np.intp), (ext[1] > 1) * ext[0]
+    base = np.stack([0 * dx, dx, dy, dy + dx])[:, None] + starts[chc]
+    ends = np.cumsum([np.prod(s) for s in shapes])
+    return list(shapes), ends, ch.shape, base, ext[0], ext - 1.0, ext - 2.0, ext > 1
+
+
+def bilinear_gather(maps, layout, xs, ys):
+    """Sample channels of several maps bilinearly at grid coords ``(xs, ys)``.
+
+    ``maps`` is a list of [M_i,H_i,W_i] arrays, and ``layout`` is
+    :func:`gather_layout` of their shapes and the channels to sample; ``xs``
+    and ``ys`` hold its S points. Coordinates outside [0,W-1]x[0,H-1] are
+    clamped to the border. Returns ``(values shaped like channels, cache)``.
+    """
+    shapes, ends, shape, base, width, hi, last, wide = layout
+    maps = [np.asarray(m, dtype=np.float64) for m in maps]
+    pts = np.stack([np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)])
+    if not np.isfinite(pts).all():
+        raise NonFiniteError("non-finite sample coordinates")
+    # clamped cell, fraction and interior mask per axis; an axis of extent 1
+    # gives cell 0, fraction 0 and no interior
+    c = np.clip(pts, 0.0, hi)
+    cell = np.maximum(np.minimum(np.floor(c), last), 0.0)
+    frac = np.where(wide, c - cell, 0.0)
+    inside = (pts >= 0.0) & (pts < hi)
+    x, y = cell.astype(np.intp)
     # flat indices of the corners 00, 01, 10, 11 of every channel: [4,C,S]
-    idx = starts[chc] + (y[:, None] * ext[0] + x).reshape(4, 1, -1)
-    corners = np.concatenate([m.ravel() for m in maps])[idx]
+    idx = base + (y * width + x)
+    corners = np.take(np.concatenate([m.ravel() for m in maps]), idx)
     (fx, fy), (v00, v01, v10, v11) = frac, corners
     # convex form is exact at cell corners (fx, fy in {0, 1})
     top = (1.0 - fx) * v00 + fx * v01
     bot = (1.0 - fx) * v10 + fx * v11
     vals = (1.0 - fy) * top + fy * bot
-    ends = np.cumsum([m.size for m in maps])
-    cache = ([m.shape for m in maps], ends, idx, frac, inside, corners)
-    return vals.T.reshape(ch.shape), cache
+    cache = (shapes, ends, idx, frac, inside, corners)
+    return vals.T.reshape(shape), cache
 
 
 def bilinear_gather_backward(cache, gvals):

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointdet import ops
+from pointdet import head, ops
 from pointdet.head import (
     LevelMaps,
     available_levels,
     collect_level,
+    collect_level_backward,
     semantic_prior_fractions,
 )
 from pointdet.layers import ConvLayer
@@ -398,7 +399,7 @@ def test_eq3_consistency_offset_plus_coordinate():
         for q, lvl in available_levels(li, len(state.maps), model.config.offsets):
             m = state.maps[lvl]
             vals, _ = ops.bilinear_gather(
-                [m.reg], np.zeros(n_grids, dtype=np.intp),
+                [m.reg], ops.gather_layout([m.reg.shape], np.zeros(n_grids, dtype=np.intp)),
                 bx / m.stride - 0.5, by / m.stride - 0.5,
             )
             sampled_l += col.weights[0, q or 0, sl] * vals * m.stride
@@ -449,6 +450,84 @@ def test_gradient_locality_follows_sampling_points():
     state3_col = collect_level(state.maps, cfg)
     m.reg[0, far[0], far[1]] -= 1.0
     assert state3_col.boxes[grid, 0] == pytest.approx(base, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# collection plan
+
+
+def _plan_cases():
+    """``(cfg, maps)`` of every mode and offset set on four ragged pyramids,
+    whose coarse levels reach 1x1 and width-1 shapes. Cases that differ in
+    one key field only, or only in offsets a mode ignores, are all here."""
+    cases = []
+    for (h0, w0), levels in (((1, 1), 1), ((3, 5), 3), ((8, 8), 4), ((7, 2), 2)):
+        for mode in MODES:
+            for offsets in ((-1, 0), (1,), (-1, 0, 1)):
+                cfg = ModelConfig(classes=2, n_semantic=4, levels=levels, mode=mode,
+                                  neighbor_offsets=offsets)
+                cases.append((cfg, _ragged_maps(cfg, h0, w0, np.random.default_rng(len(cases)))))
+    return cases
+
+
+def _collect_both_ways(maps, cfg, seed):
+    """The collection of ``maps`` and the map gradients of random loss
+    gradients through its backward."""
+    col = collect_level(maps, cfg)
+    g = len(col.level)
+    rng = np.random.default_rng(seed)
+    return col, collect_level_backward(maps, col, cfg, rng.normal(size=(cfg.classes, g)),
+                                       rng.normal(size=(g, 4)), rng.normal(size=(g, 4)))
+
+
+def test_a_cached_plan_collects_like_a_fresh_one(monkeypatch):
+    """Forward and backward through a plan fetched from the cache equal,
+    bit for bit, the same collection through a plan built just for it,
+    visiting the cases in an order that alternates modes, offsets and
+    shapes; 1x1 levels give the gathers axes of extent 1."""
+    monkeypatch.setattr(head, "_PLAN_CACHE", {})
+    cases = _plan_cases()
+    cold = []
+    for i, (cfg, maps) in enumerate(cases):
+        head._PLAN_CACHE.clear()
+        cold.append(_collect_both_ways(maps, cfg, i))
+    assert any(m.h == m.w == 1 for _, maps in cases for m in maps)
+    head._PLAN_CACHE.clear()
+    for cfg, maps in cases:
+        collect_level(maps, cfg)
+    n_plans = len(head._PLAN_CACHE)
+    for i in (7 * k % len(cases) for k in range(len(cases))):
+        cfg, maps = cases[i]
+        col, grads = _collect_both_ways(maps, cfg, i)
+        _assert_same_bytes(vars(col), vars(cold[i][0]))
+        _assert_same_tree(grads, cold[i][1])
+    # coupled and cls-only ignore the offsets, so three of each mode's cases share a plan
+    assert len(head._PLAN_CACHE) == n_plans == 4 * (3 + 1 + 3 + 1)
+
+
+def test_same_shape_forwards_share_one_plan(monkeypatch):
+    monkeypatch.setattr(head, "_PLAN_CACHE", {})
+    model = DetectionModel(ModelConfig(channels=8), seed=0)
+    rng = np.random.default_rng(13)
+    cols = [model.forward(rng.uniform(size=(3, 32, 32)), keep_cache=False).collection
+            for _ in range(3)]
+    assert len(head._PLAN_CACHE) == 1
+    assert cols[0].level is cols[2].level and cols[0].grid_cx is cols[1].grid_cx
+    # another image shape or another mode gets an entry of its own
+    model.forward(rng.uniform(size=(3, 32, 48)), keep_cache=False)
+    DetectionModel(ModelConfig(channels=8, mode="coupled"), seed=0).forward(
+        rng.uniform(size=(3, 32, 32)), keep_cache=False)
+    assert len(head._PLAN_CACHE) == 3
+
+
+def test_shared_collection_arrays_are_read_only():
+    col = DetectionModel(ModelConfig(channels=8), seed=0).forward(
+        np.random.default_rng(14).uniform(size=(3, 32, 32))).collection
+    for shared in (col.level, col.grid_cx, col.grid_cy):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0
+    # the per-forward results stay the caller's to edit
+    col.scores[0, 0] = col.boxes[0, 0] = col.bx[0, 0] = col.sx[0, 0] = 0.0
 
 
 def _assert_same_tree(a, b):

@@ -79,6 +79,8 @@ def test_decode_validates_arguments():
     state = _tiny_state()
     with pytest.raises(ValueError, match="threshold"):
         decode_detections(state, 32, 32, score_thresh=1.2)
+    with pytest.raises(ValueError, match="threshold"):
+        decode_detections(state, 32, 32, score_thresh=False)  # it read as 0.0
     with pytest.raises(ValueError, match="topk"):
         decode_detections(state, 32, 32, topk_per_level=0)
 
@@ -97,6 +99,21 @@ def test_decode_folds_and_clamps_boxes_to_the_image():
         tuple(v.hex() for v in box) for box, *_ in want]
     with pytest.raises(ValueError, match="positive"):
         decode_detections(state, 0, 32)
+
+
+@pytest.mark.parametrize("width, height, name", [
+    (math.nan, 64, "image_width"), (math.inf, 64, "image_width"), (True, 64, "image_width"),
+    (64, -math.inf, "image_height"), (64, False, "image_height"), (64, "64", "image_height"),
+    (np.float64(np.nan), 64, "image_width"),
+])
+def test_decode_and_postprocess_reject_non_finite_and_bool_extents(width, height, name):
+    """A NaN or infinite extent left boxes unclamped, and True clamped every
+    box to 1.0; each now raises one error naming the argument."""
+    state = _tiny_state()
+    for fn in (decode_detections, postprocess):
+        with pytest.raises(ValueError, match=f"^{name} must be a positive finite number"):
+            fn(state, width, height)
+    assert len(postprocess(state, np.int64(32), 32.0, score_thresh=0.0)) > 0
 
 
 def test_decode_rejects_non_finite_surviving_box():

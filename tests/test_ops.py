@@ -175,13 +175,15 @@ def test_conv_input_grad_rejects_convs_of_different_inputs():
 
 def _sample(m, x, y):
     """One bilinear sample of the [H,W] map ``m`` through the batched kernel."""
-    vals, _ = ops.bilinear_gather([m[None]], np.zeros(1, dtype=np.intp), [x], [y])
+    layout = ops.gather_layout([(1, *m.shape)], np.zeros(1, dtype=np.intp))
+    vals, _ = ops.bilinear_gather([m[None]], layout, [x], [y])
     return float(vals[0])
 
 
 def _sample_grad(m, x, y):
     """``(value, dvalue/dmap [H,W], dvalue/dx, dvalue/dy)`` of one sample."""
-    vals, cache = ops.bilinear_gather([m[None]], np.zeros(1, dtype=np.intp), [x], [y])
+    layout = ops.gather_layout([(1, *m.shape)], np.zeros(1, dtype=np.intp))
+    vals, cache = ops.bilinear_gather([m[None]], layout, [x], [y])
     (gmaps,), gxs, gys = ops.bilinear_gather_backward(cache, np.ones(1))
     return float(vals[0]), gmaps[0], float(gxs[0]), float(gys[0])
 
@@ -291,7 +293,7 @@ def test_bilinear_backward_over_several_maps_matches_the_scatter_oracle(data, sh
     xs = data.draw(st.lists(_COORDS, min_size=n, max_size=n))
     ys = data.draw(st.lists(_COORDS, min_size=n, max_size=n))
     gvals = rng.normal(size=channels.shape)
-    _, cache = ops.bilinear_gather(maps, channels, xs, ys)
+    _, cache = ops.bilinear_gather(maps, ops.gather_layout(shapes, channels), xs, ys)
     gmaps, gxs, gys = ops.bilinear_gather_backward(cache, gvals)
     ref_maps, ref_xs, ref_ys = bilinear_backward_reference(maps, channels, xs, ys, gvals)
     for got, want in zip(gmaps, ref_maps, strict=True):

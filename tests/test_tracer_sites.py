@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from pointdet.config import TrainConfig
+from pointdet.head import available_levels
 from pointdet.inference import detect
 from pointdet.model import DetectionModel, ModelConfig
 from pointdet.training import holdout_scenes, train_from_config
@@ -48,6 +49,16 @@ def test_tracer_sees_the_collection_in_training_and_detect(spans):
     assert calls["head.collect_level"]["calls"] == 1
     assert "head.collect_level_backward" not in calls
     assert tracer.counters["ops.bilinear_gather.samples"] > 0
+    # both gathers are ops.bilinear_gather lookups with the points third, as
+    # the counter reads len(args[2]): the present regression slots, 4 per
+    # available neighbor level of each grid, plus N semantic points per grid
+    cfg = ModelConfig()
+    maps = DetectionModel(cfg, seed=0).forward(np.asarray(image), keep_cache=False).maps
+    sizes = [m.h * m.w for m in maps]
+    present = sum(4 * len(available_levels(i, len(sizes), cfg.offsets)) * size
+                  for i, size in enumerate(sizes))
+    assert calls["ops.bilinear_gather"]["calls"] == 2
+    assert tracer.counters["ops.bilinear_gather.samples"] == present + cfg.n_points * sum(sizes)
 
 
 def test_every_conv_runs_through_ops_conv2d_under_its_layer(spans):
