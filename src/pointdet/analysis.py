@@ -21,6 +21,7 @@ only view in which movement along the edge registers at all.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .geometry import fold_boxes, iou_array
 from .model import DetectionModel
-from .scenes import GroundTruth
+from .scenes import GroundTruth, check_int
 from .training import assign_samples
 
 __all__ = [
@@ -70,16 +71,18 @@ def compute_accuracy_maps(model: DetectionModel, image, gt: GroundTruth,
 
     Grids whose centers fall inside the gt box dilated by ``margin`` times
     its extents are marked valid. Ground truths without any valid grid at
-    the chosen level are skipped with a warning. A level outside
-    ``[0, levels)`` raises ValueError.
+    the chosen level are skipped with a warning. A non-integer level, one
+    outside ``[0, levels)`` or a non-finite margin raises ValueError.
     """
+    check_int("level", level)
     if not 0 <= level < model.config.levels:
         raise ValueError(f"level {level} is outside the pyramid's [0, {model.config.levels})")
+    if isinstance(margin, bool) or not (isinstance(margin, numbers.Real) and np.isfinite(margin)):
+        raise ValueError(f"margin must be a finite number, got {margin!r}")
     if state is None:
         state = model.forward(np.asarray(image, dtype=np.float64), keep_cache=False)
-    col, lmaps = state.collection, state.maps[level]
+    col, (stride, h, w) = state.collection, state.maps.levels[level]
     sl = col.cuts[level]
-    h, w = lmaps.h, lmaps.w
     cx = col.grid_cx[sl].reshape(h, w)
     cy = col.grid_cy[sl].reshape(h, w)
     pred, _, _ = fold_boxes(col.boxes[sl])  # same folded view inference uses
@@ -102,7 +105,7 @@ def compute_accuracy_maps(model: DetectionModel, image, gt: GroundTruth,
         inv_err = -np.abs(pred - box[None, :]).T.reshape(4, h, w)
         det_iou = iou_array(pred, box[None, :]).reshape(h, w)
         out.append(
-            AccuracyMaps(level=level, stride=lmaps.stride, gt_box=box.copy(), label=label,
+            AccuracyMaps(level=level, stride=stride, gt_box=box.copy(), label=label,
                          cls_conf=conf, inv_err=inv_err, det_iou=det_iou, valid=valid)
         )
     return out
@@ -115,8 +118,9 @@ def best_location_histogram(maps: list[AccuracyMaps], bins: int = HIST_BINS,
     Only grids with collected-box IoU above ``iou_min`` (and inside the
     dilated box) compete. Returns ``{"hist": {target: [bins,bins]},
     "analyzed": n, "bins": bins, "range": value_range}``; each target's bin
-    counts sum to the number of analyzed objects.
+    counts sum to the number of analyzed objects; ``bins`` is a positive integer.
     """
+    check_int("bins", bins, 1)
     lo, hi = value_range
     hists = {t: np.zeros((bins, bins), dtype=np.int64) for t in TARGETS}
     analyzed = 0
@@ -182,8 +186,9 @@ def point_distance_distribution(model: DetectionModel, scenes, bins: int = 30,
     are measured against the matching ground-truth edge: the grid center, the
     grid displaced to the coarse edge along the side's axis, the coarse edge
     midpoint, and the dynamic boundary point. Returns per-config pooled
-    distances, medians, and fixed-range histograms.
+    distances, medians, and fixed-range histograms of ``bins`` >= 1 bins.
     """
+    check_int("bins", bins, 1)
     # per config, one [P,4] array (positive, side) per scene
     dist = {c: [np.zeros((0, 4))] for c in DISTANCE_CONFIGS}
     center = {c: [np.zeros((0, 4))] for c in DISTANCE_CONFIGS}

@@ -78,23 +78,25 @@ def check_conv(seed: int = 3) -> float:
 
 def check_bilinear(seed: int = 5) -> float:
     rng = np.random.default_rng(seed)
-    maps = rng.normal(size=(3, 5, 7))
+    extents = np.array([(5, 7), (3, 4)])  # side by side: level 1 starts at column 35
+    maps = rng.normal(size=(3, 5 * 7 + 3 * 4))
     n = 14
-    ch = rng.integers(0, 3, size=n)
+    ch = rng.integers(0, 6, size=n)
+    h, w = extents[ch[:n - 4] // 3].T
     # interior points with fractions away from cell boundaries, plus points
-    # clearly outside the map (clamped, zero coordinate gradient)
-    xs = np.concatenate([rng.uniform(0.2, 5.6, size=n - 4), [-1.3, 7.4, 2.3, 3.7]])
-    ys = np.concatenate([rng.uniform(0.2, 3.6, size=n - 4), [1.4, 2.6, -0.8, 4.9]])
+    # clearly outside their level (clamped, zero coordinate gradient)
+    xs = np.concatenate([rng.uniform(0.2, w - 1.4), [-1.3, 7.4, 2.3, 3.7]])
+    ys = np.concatenate([rng.uniform(0.2, h - 1.4), [1.4, 2.6, -0.8, 4.9]])
     xs = np.where(np.abs(xs - np.round(xs)) < 0.1, xs + 0.17, xs)
     ys = np.where(np.abs(ys - np.round(ys)) < 0.1, ys + 0.17, ys)
     r = rng.normal(size=n)
 
     def f():
-        vals, _ = ops.bilinear_gather([maps], ops.gather_layout([maps.shape], ch), xs, ys)
+        vals, _ = ops.bilinear_gather(maps, ops.gather_layout(3, extents, ch), xs, ys)
         return float((vals * r).sum())
 
-    _, cache = ops.bilinear_gather([maps], ops.gather_layout([maps.shape], ch), xs, ys)
-    (gmaps,), gxs, gys = ops.bilinear_gather_backward(cache, r)
+    _, cache = ops.bilinear_gather(maps, ops.gather_layout(3, extents, ch), xs, ys)
+    gmaps, gxs, gys = ops.bilinear_gather_backward(cache, r)
     worst = _max_err_over(f, maps, gmaps)
     worst = max(worst, _max_err_over(f, xs, gxs, indices=[(i,) for i in range(n)]))
     worst = max(worst, _max_err_over(f, ys, gys, indices=[(i,) for i in range(n)]))

@@ -4,18 +4,18 @@ Per pyramid level the head emits dense maps: four regression maps (one per
 box side, values are image-space offsets once scaled by the level stride),
 N*C classification logit maps, and the raw maps of the two-step point
 generation module (coarse box, boundary shifts, semantic shifts, level
-weights).
+weights), as one [C,G] array per map over the grid index (the levels'
+grids concatenated in level order, each row-major) in a :class:`Maps`.
 
 Collection then runs per grid: decode a coarse box, place one dynamic point
 on each coarse edge and N semantic points inside, sample the regression maps
 of the neighboring levels at the boundary points (blended with softmax level
 weights), sample each semantic point's own classification map, and reduce to
 a final box plus C class scores. :func:`collect_level` does this for every
-grid of every level in one pass over the grid index (the levels'
-grids concatenated in level order, each row-major), with the stride as a
+grid of every level in one pass over the grid index, with the stride as a
 per-grid array, into one :class:`Collection` whose ``cuts`` mark each
-level's slice; :func:`collect_level_backward` reverses it from gradients
-over the same index. Neighbor slot q of a level reads the level of
+level's slice; :func:`collect_level_backward` reverses it into map
+gradients over the same index. Neighbor slot q of a level reads the level of
 offset q, and a level without that neighbor has a padding slot of weight 0
 and value 0, so every blended sum keeps the bits of a per-level pass. The
 two bilinear gathers (regression, classification) run once each; the
@@ -43,7 +43,7 @@ from . import ops
 from .layers import ConvLayer, relu_chain, relu_chain_backward
 
 __all__ = [
-    "LevelMaps",
+    "Maps",
     "Collection",
     "Head",
     "available_levels",
@@ -65,24 +65,17 @@ _PLAN_CACHE: dict[tuple, dict] = {}
 
 
 @dataclass
-class LevelMaps:
-    """Dense raw outputs of one pyramid level."""
+class Maps:
+    """Dense raw outputs over the grid index: level i, of (stride, h, w) =
+    ``levels[i]``, holds the next h*w columns of each map; unread maps are None."""
 
-    stride: int
-    reg: np.ndarray                 # [4,h,w], image offsets are reg*stride
-    cls: np.ndarray                 # [N*C,h,w] logits
-    coarse: np.ndarray              # [4,h,w]
-    bshift: np.ndarray | None = None   # [4,h,w]
-    sshift: np.ndarray | None = None   # [2N,h,w]
-    lvlw: np.ndarray | None = None     # [4K,h,w]
-
-    @property
-    def h(self) -> int:
-        return self.reg.shape[1]
-
-    @property
-    def w(self) -> int:
-        return self.reg.shape[2]
+    levels: tuple
+    reg: np.ndarray                    # [4,G], image offsets are reg*stride
+    cls: np.ndarray                    # [N*C,G] logits
+    coarse: np.ndarray                 # [4,G]
+    bshift: np.ndarray | None = None   # [4,G]
+    sshift: np.ndarray | None = None   # [2N,G]
+    lvlw: np.ndarray | None = None     # [4K,G]
 
 
 def semantic_prior_fractions(n_points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -133,32 +126,28 @@ class Collection:
     _cache: dict = field(default_factory=dict, repr=False)
 
 
-def _grid_rows(maps, name, rows):
-    """Field ``name`` of every level as [rows, G] over the grid index."""
-    return np.concatenate([getattr(m, name).reshape(rows, -1) for m in maps], axis=1)
-
-
 def _plan(maps, cfg) -> dict:
     """The read-only geometry and gather layouts collection reads, per shape."""
-    key = (tuple((m.stride, m.h, m.w) for m in maps), cfg.loc_decoupled, cfg.cls_decoupled,
-           cfg.offsets, cfg.n_points, cfg.classes, maps[0].lvlw is not None)
+    key = (maps.levels, cfg.loc_decoupled, cfg.cls_decoupled, cfg.offsets, cfg.n_points,
+           cfg.classes, maps.lvlw is not None)
     if key in _PLAN_CACHE:
         return _PLAN_CACHE[key]
-    sizes = [m.h * m.w for m in maps]
+    extents = np.array(maps.levels)[:, 1:]  # [L,2] h, w
+    sizes = extents[:, 0] * extents[:, 1]
     ends = np.cumsum(sizes)
-    level = np.repeat(np.arange(len(maps)), sizes)
+    level = np.repeat(np.arange(len(sizes)), sizes)
     g = len(level)
-    strides = np.array([float(m.stride) for m in maps])
+    strides = np.array([float(stride) for stride, _, _ in maps.levels])
     s = strides[level]
-    ii, jj = np.divmod(np.arange(g) - (ends - sizes)[level], np.repeat([m.w for m in maps], sizes))
+    ii, jj = np.divmod(np.arange(g) - (ends - sizes)[level], np.repeat(extents[:, 1], sizes))
     # slot q of level i reads level src[q, i], the level of offset q; the
     # (None, i) fallback reads level i in slot 0; slots without a level are
     # padding of weight 0, and ``on`` is the present ones' flat [K,4,G] index
     k = len(cfg.offsets)
-    src = np.tile(np.arange(len(maps)), (k, 1))
-    present = np.zeros((k, len(maps)), dtype=bool)
-    for i in range(len(maps)):
-        for q, li in available_levels(i, len(maps), cfg.offsets):
+    src = np.tile(np.arange(len(sizes)), (k, 1))
+    present = np.zeros((k, len(sizes)), dtype=bool)
+    for i in range(len(sizes)):
+        for q, li in available_levels(i, len(sizes), cfg.offsets):
             src[q or 0, i], present[q or 0, i] = li, True
     on = np.flatnonzero(np.broadcast_to(present[:, None, level], (k, 4, g)))
     reg_ch = 4 * src[:, level][:, None] + np.arange(4)[:, None]  # [K,4,G]
@@ -169,8 +158,8 @@ def _plan(maps, cfg) -> dict:
         cuts=[slice(end - size, end) for size, end in zip(sizes, ends)], level=level, s=s,
         cx=(jj + 0.5) * s, cy=(ii + 0.5) * s, src_stride=strides[src][:, level], on=on,
         where=present[:, level], fractions=semantic_prior_fractions(n_pts),
-        reg_layout=ops.gather_layout([m.reg.shape for m in maps], np.take(reg_ch, on)),
-        cls_layout=ops.gather_layout([m.cls.shape for m in maps], cls_ch.reshape(-1, c)))
+        reg_layout=ops.gather_layout(4, extents, np.take(reg_ch, on)),
+        cls_layout=ops.gather_layout(n_pts * c, extents, cls_ch.reshape(-1, c)))
     for a in (*plan.values(), *plan["fractions"], *plan["reg_layout"], *plan["cls_layout"]):
         if isinstance(a, np.ndarray):
             a.flags.writeable = False
@@ -187,15 +176,14 @@ def collect_level(maps, cfg) -> Collection:
     plan = _plan(maps, cfg)
     s, cx, cy, g = plan["s"], plan["cx"], plan["cy"], len(plan["s"])
 
-    cr = _grid_rows(maps, "coarse", 4)
-    d = np.exp(np.clip(cr, -COARSE_RAW_LIMIT, COARSE_RAW_LIMIT)) * s
+    d = np.exp(np.clip(maps.coarse, -COARSE_RAW_LIMIT, COARSE_RAW_LIMIT)) * s
     box_l, box_t, box_r, box_b = cx - d[0], cy - d[1], cx + d[2], cy + d[3]
     wbox = d[0] + d[2]
     hbox = d[1] + d[3]
     midx = 0.5 * (box_l + box_r)
     midy = 0.5 * (box_t + box_b)
 
-    tb = np.tanh(_grid_rows(maps, "bshift", 4)) if cfg.loc_decoupled else None
+    tb = np.tanh(maps.bshift) if cfg.loc_decoupled else None
     if cfg.loc_decoupled:
         bx = np.stack([box_l, midx + tb[1] * 0.5 * wbox, box_r, midx + tb[3] * 0.5 * wbox])
         by = np.stack([midy + tb[0] * 0.5 * hbox, box_t, midy + tb[2] * 0.5 * hbox, box_b])
@@ -205,14 +193,14 @@ def collect_level(maps, cfg) -> Collection:
 
     # a fallback or lvlw-less level gets softmax(0) = uniform weights
     k = len(cfg.offsets)
-    use_softmax = cfg.loc_decoupled and maps[0].lvlw is not None
-    raws = _grid_rows(maps, "lvlw", 4 * k).reshape(4, k, g) if use_softmax else np.zeros((4, k, g))
+    use_softmax = cfg.loc_decoupled and maps.lvlw is not None
+    raws = maps.lvlw.reshape(4, k, g) if use_softmax else np.zeros((4, k, g))
     weights = ops.softmax(raws, axis=1, where=plan["where"])
     src_stride, on = plan["src_stride"], plan["on"]
     gx = bx / src_stride[:, None] - 0.5
     gy = by / src_stride[:, None] - 0.5
-    vals, reg_cache = ops.bilinear_gather([m.reg for m in maps], plan["reg_layout"],
-                                          np.take(gx, on), np.take(gy, on))
+    vals, reg_cache = ops.bilinear_gather(maps.reg, plan["reg_layout"], np.take(gx, on),
+                                          np.take(gy, on))
     v_img = np.zeros((k, 4, g))
     v_img.reshape(-1)[on] = vals
     v_img *= src_stride[:, None]
@@ -226,19 +214,19 @@ def collect_level(maps, cfg) -> Collection:
     ts = None
     if cfg.cls_decoupled:
         fx, fy = plan["fractions"]
-        ts = np.tanh(_grid_rows(maps, "sshift", 2 * n_pts).reshape(n_pts, 2, g))
+        ts = np.tanh(maps.sshift.reshape(n_pts, 2, g))
         sx = box_l[None] + (fx[:, None] + 0.5 * ts[:, 0]) * wbox[None]
         sy = box_t[None] + (fy[:, None] + 0.5 * ts[:, 1]) * hbox[None]
     else:
         sx = cx[None].copy()
         sy = cy[None].copy()
-    logits, cls_cache = ops.bilinear_gather([m.cls for m in maps], plan["cls_layout"],
-                                            (sx / s - 0.5).ravel(), (sy / s - 0.5).ravel())
+    logits, cls_cache = ops.bilinear_gather(maps.cls, plan["cls_layout"], (sx / s - 0.5).ravel(),
+                                            (sy / s - 0.5).ravel())
     z = logits.reshape(n_pts, g, c).sum(axis=0).T
     scores = ops.sigmoid(z)
 
-    cache = dict(plan=plan, d=d, cr_inside=np.abs(cr) < COARSE_RAW_LIMIT, wbox=wbox, hbox=hbox,
-                 tb=tb, ts=ts, weights=weights, v_img=v_img, reg_cache=reg_cache,
+    cache = dict(plan=plan, d=d, cr_inside=np.abs(maps.coarse) < COARSE_RAW_LIMIT, wbox=wbox,
+                 hbox=hbox, tb=tb, ts=ts, weights=weights, v_img=v_img, reg_cache=reg_cache,
                  cls_cache=cls_cache, use_softmax=use_softmax)
     return Collection(level=plan["level"], grid_cx=cx, grid_cy=cy,
                       coarse=np.stack([box_l, box_t, box_r, box_b], axis=1), bx=bx, by=by,
@@ -246,14 +234,14 @@ def collect_level(maps, cfg) -> Collection:
                       cuts=list(plan["cuts"]), _cache=cache)
 
 
-def collect_level_backward(maps, col, cfg, gz, gboxes, gcoarse) -> list[dict]:
+def collect_level_backward(maps, col, cfg, gz, gboxes, gcoarse) -> Maps:
     """Reverse :func:`collect_level` for every level at once.
 
     The arguments are loss gradients over the grid index: ``gz`` [C,G] with
     respect to the summed logits, ``gboxes`` [G,4] to the final boxes and
     ``gcoarse`` [G,4] to the coarse L,T,R,B; ``maps`` and ``col`` are the
-    forward's input and output. Returns per level a dict of map gradients
-    keyed like the LevelMaps fields the mode reads.
+    forward's input and output. Returns the gradients of the maps the mode
+    reads as a :class:`Maps` with the forward's ``levels``.
     """
     cache, plan = col._cache, col._cache["plan"]
     n_pts = cfg.n_points
@@ -324,9 +312,7 @@ def collect_level_backward(maps, col, cfg, gz, gboxes, gcoarse) -> list[dict]:
     # coarse box L,T,R,B -> coarse raw via d = exp(clamped raw)*stride
     gd = np.stack([-box_grad_l, -box_grad_t, box_grad_r, box_grad_b])
     per_grid["coarse"] = gd * cache["d"] * cache["cr_inside"]
-    return [dict(reg=gr, cls=gc, **{name: a[:, sl].reshape(-1, m.h, m.w)
-                                    for name, a in per_grid.items()})
-            for m, sl, gr, gc in zip(maps, col.cuts, greg, gcls)]
+    return Maps(levels=maps.levels, reg=greg, cls=gcls, **per_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +326,7 @@ class Head:
     chain over the level feature. ``outputs`` is the ordered table
     ``{map name: (trunk, ConvLayer)}`` of the raw maps read off the trunk
     ends; it holds only the maps the mode needs, and its names are the
-    :class:`LevelMaps` fields. Both orders are the creation order, which
+    :class:`Maps` fields. Both orders are the creation order, which
     fixes the initial weights and the parameter order.
     """
 
@@ -375,10 +361,9 @@ class Head:
         return [p for layer in layers for p in layer.parameters()]
 
     def forward(self, feats, strides, keep_cache=True):
-        """Per-level :class:`LevelMaps` and, with ``keep_cache``, the caches
-        :meth:`backward` reads (else an empty list)."""
-        maps = []
-        caches = []
+        """The :class:`Maps` of every level and, with ``keep_cache``, the
+        per-level caches :meth:`backward` reads (else an empty list)."""
+        raws, caches = [], []
         for feat, stride in zip(feats, strides):
             # all head convs are 3x3, stride 1, padding 1: readers share patches
             cols = ops.im2col(feat, 3, 1, 1)
@@ -394,21 +379,28 @@ class Head:
                 raw[name], cache = layer.forward(ends[trunk], cols)
                 if keep_cache:
                     out_caches[name] = cache
-            maps.append(LevelMaps(stride=stride, **raw))
+            raws.append(raw)
             if keep_cache:
                 caches.append((trunk_caches, out_caches))
+        levels = tuple((stride, *r["reg"].shape[1:]) for stride, r in zip(strides, raws))
+        maps = Maps(levels=levels, **{
+            name: np.concatenate([r[name].reshape(len(r[name]), -1) for r in raws], axis=1)
+            for name in self.outputs})
         return maps, caches
 
     def backward(self, caches, gmaps):
-        """Per-level feature gradients. Every tensor's readers share one
-        :func:`ops.conv2d_input_grad` call, stacked in table order: the trunk
-        ends' output convs, then the trunks' first convs on the feature."""
-        gfeats = []
-        for (trunk_caches, out_caches), gm in zip(caches, gmaps):
+        """Per-level feature gradients from the :class:`Maps` ``gmaps``. Every
+        tensor's readers share one :func:`ops.conv2d_input_grad` call, stacked
+        in table order: the trunk ends' output convs, then the trunks' first
+        convs on the feature."""
+        gfeats, start = [], 0
+        for (trunk_caches, out_caches), (_, h, w) in zip(caches, gmaps.levels):
             readers = {name: [] for name in self.trunks}
             for name, (trunk, layer) in self.outputs.items():
-                layer.backward(out_caches[name], gm[name])
-                readers[trunk].append((out_caches[name], gm[name]))
+                gm = getattr(gmaps, name)[:, start:start + h * w].reshape(-1, h, w)
+                layer.backward(out_caches[name], gm)
+                readers[trunk].append((out_caches[name], gm))
+            start += h * w
             firsts = [relu_chain_backward(trunk, trunk_caches[name],
                                           ops.conv2d_input_grad(*zip(*readers[name])))
                       for name, trunk in self.trunks.items()]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .backbone import BASE_STRIDE, Backbone
 from .checkpoint import load_checkpoint, save_checkpoint
-from .head import Collection, Head, LevelMaps, collect_level, collect_level_backward
+from .head import Collection, Head, Maps, collect_level, collect_level_backward
 from .optim import ParamSet
 from .scenes import check_int
 
@@ -87,9 +87,9 @@ class ModelConfig:
 
 @dataclass
 class ModelState:
-    """Forward pass artifacts: dense maps per level and their collection."""
+    """Forward pass artifacts: dense maps over the grid index and their collection."""
 
-    maps: list[LevelMaps]
+    maps: Maps
     collection: Collection
     _bcache: list = field(repr=False, default_factory=list)
     _hcache: list = field(repr=False, default_factory=list)
@@ -159,8 +159,8 @@ class DetectionModel:
         :mod:`pointdet.training` (every level's grids concatenated in
         collection order, each row-major): ``gz`` [C,G] with respect to the
         summed logits, ``gboxes`` [G,4] to the collected boxes and
-        ``gcoarse`` [G,4] to the coarse boxes. ``state`` must come from a
-        forward that kept its caches.
+        ``gcoarse`` [G,4] to the coarse boxes, turned into one :class:`Maps`
+        of map gradients. ``state`` must come from a forward that kept its caches.
         """
         if not (state._bcache and state._hcache):
             raise ValueError("backward needs the conv caches, but the forward ran with "

@@ -231,36 +231,36 @@ def softmax_backward(s, gs, axis=-1):
 # bilinear sampling
 
 
-def gather_layout(shapes, channels):
+def gather_layout(rows, extents, channels):
     """Everything :func:`bilinear_gather` needs besides the points, built
-    once for maps of ``shapes`` (a list of [M_i,H_i,W_i] tuples, channels
-    numbered in list order) and ``channels`` ([S], or [S,C] for C channels
-    of one map shape sharing each point's cells): corner offsets, widths,
-    and per axis of extent e the clamp bounds e-1.0, e-2.0 and e>1."""
+    once for a [rows,G] array holding levels of ``extents`` ((H_i, W_i) pairs)
+    side by side, channel ``i*rows + m`` being row m in level i's columns,
+    and ``channels`` ([S], or [S,C] for C channels of one level sharing each
+    point's cells): corner offsets, widths, and per axis of extent e the
+    clamp bounds e-1.0, e-2.0 and e>1."""
     ch = np.asarray(channels, dtype=np.intp)
     # [C,S] in memory too, so elementwise loops run along the points
-    chc = np.ascontiguousarray((ch[:, None] if ch.ndim == 1 else ch).T)
-    # per channel number: width and height [2,M], start in the flat concatenation
-    wh = np.repeat([s[:0:-1] for s in shapes], [s[0] for s in shapes], axis=0).T
-    starts = np.cumsum(wh[0] * wh[1]) - wh[0] * wh[1]
-    ext = np.take(wh, chc[0], axis=1)  # [2,S]
+    level, row = np.divmod(np.ascontiguousarray((ch[:, None] if ch.ndim == 1 else ch).T), rows)
+    wh = np.asarray(extents)[:, ::-1].T  # [2,L] width, height per level
+    ends = np.cumsum(wh[0] * wh[1])
+    ext = np.take(wh, level[0], axis=1)  # [2,S]
     # [4,C,S] flat offsets of corners 00, 01, 10, 11; an extent-1 axis reads one cell twice
     dx, dy = (ext[0] > 1).astype(np.intp), (ext[1] > 1) * ext[0]
-    base = np.stack([0 * dx, dx, dy, dy + dx])[:, None] + starts[chc]
-    ends = np.cumsum([np.prod(s) for s in shapes])
-    return list(shapes), ends, ch.shape, base, ext[0], ext - 1.0, ext - 2.0, ext > 1
+    first = row * ends[-1] + (ends - wh[0] * wh[1])[level]  # [C,S] channel's cell 0
+    base = np.stack([0 * dx, dx, dy, dy + dx])[:, None] + first
+    return (rows, ends[-1]), ch.shape, base, ext[0], ext - 1.0, ext - 2.0, ext > 1
 
 
 def bilinear_gather(maps, layout, xs, ys):
-    """Sample channels of several maps bilinearly at grid coords ``(xs, ys)``.
+    """Sample channels of ``maps`` bilinearly at grid coords ``(xs, ys)``.
 
-    ``maps`` is a list of [M_i,H_i,W_i] arrays, and ``layout`` is
-    :func:`gather_layout` of their shapes and the channels to sample; ``xs``
-    and ``ys`` hold its S points. Coordinates outside [0,W-1]x[0,H-1] are
-    clamped to the border. Returns ``(values shaped like channels, cache)``.
+    ``maps`` is one [M,G] array of levels side by side, and ``layout`` is
+    :func:`gather_layout` of its rows, extents and the channels to sample;
+    ``xs`` and ``ys`` hold its S points, clamped to the border of the level
+    read. Returns ``(values shaped like channels, cache)``.
     """
-    shapes, ends, shape, base, width, hi, last, wide = layout
-    maps = [np.asarray(m, dtype=np.float64) for m in maps]
+    shape, out_shape, base, width, hi, last, wide = layout
+    maps = np.asarray(maps, dtype=np.float64)
     pts = np.stack([np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)])
     if not np.isfinite(pts).all():
         raise NonFiniteError("non-finite sample coordinates")
@@ -273,28 +273,28 @@ def bilinear_gather(maps, layout, xs, ys):
     x, y = cell.astype(np.intp)
     # flat indices of the corners 00, 01, 10, 11 of every channel: [4,C,S]
     idx = base + (y * width + x)
-    corners = np.take(np.concatenate([m.ravel() for m in maps]), idx)
+    corners = np.take(maps, idx)
     (fx, fy), (v00, v01, v10, v11) = frac, corners
     # convex form is exact at cell corners (fx, fy in {0, 1})
     top = (1.0 - fx) * v00 + fx * v01
     bot = (1.0 - fx) * v10 + fx * v11
     vals = (1.0 - fy) * top + fy * bot
-    cache = (shapes, ends, idx, frac, inside, corners)
-    return vals.T.reshape(shape), cache
+    cache = (shape, idx, frac, inside, corners)
+    return vals.T.reshape(out_shape), cache
 
 
 def bilinear_gather_backward(cache, gvals):
     """Backward of :func:`bilinear_gather`: ``(gmaps, gxs, gys)`` with
-    ``gmaps`` a list of arrays shaped like the maps.
+    ``gmaps`` shaped like the maps.
 
     The map gradient is one ``np.bincount`` over the corner-major index, so
     every cell adds its contributions in (corner, channel, point) order.
     """
-    shapes, ends, idx, (fx, fy), (inx, iny), (v00, v01, v10, v11) = cache
+    shape, idx, (fx, fy), (inx, iny), (v00, v01, v10, v11) = cache
     gv = np.ascontiguousarray(np.asarray(gvals, dtype=np.float64).reshape(idx.shape[:0:-1]).T)
     corner = np.stack([(1.0 - fx) * (1.0 - fy), fx * (1.0 - fy), (1.0 - fx) * fy, fx * fy])
-    flat = np.bincount(idx.ravel(), weights=(corner[:, None] * gv).ravel(), minlength=ends[-1])
-    gmaps = [part.reshape(s) for part, s in zip(np.split(flat, ends[:-1]), shapes)]
+    gmaps = np.bincount(idx.ravel(), weights=(corner[:, None] * gv).ravel(),
+                        minlength=shape[0] * shape[1]).reshape(shape)
     dfx = (1.0 - fy) * (v01 - v00) + fy * (v11 - v10)
     dfy = (1.0 - fx) * (v10 - v00) + fx * (v11 - v01)
     # a point's channels add up one after another, as the [C,S] rows sum

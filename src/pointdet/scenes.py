@@ -72,13 +72,13 @@ def scene_seed(base_seed: int, stream: int, index: int) -> np.random.SeedSequenc
     return np.random.SeedSequence([base_seed, stream, index])
 
 
-def check_int(what, value, least):
+def check_int(what, value, least=-np.inf):
     """Raise one ValueError naming ``what`` unless ``value`` is an integer,
     not a bool, of at least ``least`` (0 for a seed: numpy seed sequences
     take no other base)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        kind = {0: "a non-negative integer", 1: "a positive integer"}.get(
-            least, f"an integer of at least {least}")
+        kind = {-np.inf: "an integer", 0: "a non-negative integer",
+                1: "a positive integer"}.get(least, f"an integer of at least {least}")
         raise ValueError(f"{what} must be {kind}, got {value!r}")
 
 

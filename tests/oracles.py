@@ -48,6 +48,37 @@ def level_views(col):
             for i, sl in enumerate(col.cuts)]
 
 
+MAP_NAMES = ("reg", "cls", "coarse", "bshift", "sshift", "lvlw")
+
+
+def pack_maps(per_level):
+    """Fields of dense maps over the grid index from per-level dicts of
+    ``stride`` and raw [C,h,w] maps: ``levels``, the (stride, h, w) of each
+    level, and per map name one [C,G] array holding the levels side by side
+    in level order (None where the levels have no such map)."""
+    fields = {"levels": tuple((lv["stride"], *lv["reg"].shape[1:]) for lv in per_level)}
+    for name in MAP_NAMES:
+        parts = [lv.get(name) for lv in per_level]
+        fields[name] = None if parts[0] is None else np.concatenate(
+            [a.reshape(len(a), -1) for a in parts], axis=1)
+    return fields
+
+
+def map_views(maps):
+    """Per-level views of dense maps over the grid index (``maps.levels``
+    and one [C,G] array or None per map name), in the per-level form the
+    collection oracles below take: ``stride``, ``h``, ``w`` and each map as
+    [C,h,w]. The views share memory with ``maps``."""
+    views, start = [], 0
+    for stride, h, w in maps.levels:
+        arrays = {name: getattr(maps, name) for name in MAP_NAMES}
+        views.append(SimpleNamespace(stride=stride, h=h, w=w, **{
+            name: None if a is None else a[:, start:start + h * w].reshape(-1, h, w)
+            for name, a in arrays.items()}))
+        start += h * w
+    return views
+
+
 def assign_reference(collections, gt_boxes, rule="coarse-iou", iou_thresh=0.6):
     """Loop transcription of sample assignment over the grid index: every
     level's grids in collection order, each row-major. ``collections[i]``

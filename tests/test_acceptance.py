@@ -18,13 +18,13 @@ from pointdet.analysis import (
 from pointdet.config import TrainConfig
 from pointdet.geometry import Box
 from pointdet.gradcheck import run_checks
-from pointdet.head import LevelMaps, available_levels, collect_level
+from pointdet.head import Maps, available_levels, collect_level
 from pointdet.inference import AP_IOU_THRESHOLDS, Detection, average_precision, detect, nms
 from pointdet.model import DetectionModel, ModelConfig
 from pointdet.scenes import generate_scene, scene_seed
 from pointdet.training import model_config_from, run_training, train_from_config
 
-from oracles import average_precision_reference, nms_reference
+from oracles import average_precision_reference, nms_reference, pack_maps
 
 _CACHE: dict = {}
 
@@ -349,10 +349,10 @@ def test_criterion_8_structural_invariants(tmp_path):
     on_edge = simplex = dilated = True
     grids = 0
     while grids < 10_000:
-        maps = []
+        levels = []
         for stride in cfg.strides:
             h = w = 128 // stride
-            maps.append(LevelMaps(
+            levels.append(dict(
                 stride=stride,
                 reg=rng.normal(size=(4, h, w)),
                 cls=rng.normal(size=(cfg.n_points * cfg.classes, h, w)),
@@ -361,7 +361,7 @@ def test_criterion_8_structural_invariants(tmp_path):
                 sshift=rng.normal(scale=2.0, size=(2 * cfg.n_points, h, w)),
                 lvlw=rng.normal(scale=3.0, size=(4 * len(cfg.offsets), h, w)),
             ))
-        col = collect_level(maps, cfg)
+        col = collect_level(Maps(**pack_maps(levels)), cfg)
         grids += len(col.level)
         l, t, r, b = col.coarse.T
         on_edge &= bool(np.all(col.bx[0] == l) and np.all(col.bx[2] == r))
@@ -373,7 +373,7 @@ def test_criterion_8_structural_invariants(tmp_path):
         )
         for li, sl in enumerate(col.cuts):
             # the weights of each grid's available neighbor slots
-            slots = [q or 0 for q, _ in available_levels(li, len(maps), cfg.offsets)]
+            slots = [q or 0 for q, _ in available_levels(li, len(levels), cfg.offsets)]
             weights = col.weights[:, slots, sl]
             simplex &= bool(np.all(weights > 0))
             simplex &= bool(np.all(np.abs(weights.sum(axis=1) - 1.0) <= 1e-12))

@@ -56,11 +56,31 @@ def test_accuracy_maps_constant_bias_everywhere():
     assert np.all(maps[0].inv_err == -2.0)
 
 
-@pytest.mark.parametrize("level", [-1, 3])
-def test_accuracy_maps_reject_a_level_outside_the_pyramid(level):
+@pytest.mark.parametrize("level, match", [
+    (-1, r"level -1 is outside the pyramid's \[0, 3\)"),
+    (3, r"level 3 is outside the pyramid's \[0, 3\)"),
+    (True, "level must be an integer, got True"),
+    (1.0, "level must be an integer, got 1.0"),
+    ("1", "level must be an integer, got '1'"),
+], ids=["-1", "3", "True", "1.0", "str"])
+def test_accuracy_maps_reject_a_level_outside_the_pyramid(level, match):
     model, img, gt = _model_and_scene()
-    with pytest.raises(ValueError, match=rf"level {level} is outside the pyramid's \[0, 3\)"):
+    with pytest.raises(ValueError, match=match):
         compute_accuracy_maps(model, img, gt, level=level)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda m, img, gt: best_location_histogram([], bins=0), "bins must be a positive integer"),
+    (lambda m, img, gt: best_location_histogram([], bins=True), "bins must be"),
+    (lambda m, img, gt: best_location_histogram([], bins=2.5), "bins must be"),
+    (lambda m, img, gt: point_distance_distribution(m, [(img, gt)], bins=True), "bins must be"),
+    (lambda m, img, gt: compute_accuracy_maps(m, img, gt, margin=float("nan")),
+     "margin must be a finite number, got nan"),
+], ids=["hist-bins-0", "hist-bins-bool", "hist-bins-float", "distance-bins-bool", "margin-nan"])
+def test_analysis_arguments_are_checked(call, match):
+    model, img, gt = _model_and_scene()
+    with pytest.raises(ValueError, match=match):
+        call(model, img, gt)
 
 
 def test_accuracy_maps_skips_tiny_object_with_warning():

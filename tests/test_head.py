@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from pointdet import head, ops
 from pointdet.head import (
-    LevelMaps,
+    Maps,
     available_levels,
     collect_level,
     collect_level_backward,
@@ -21,21 +23,24 @@ from oracles import (
     collect_box_reference,
     collect_grid_reference,
     level_weights_reference,
+    map_views,
     neighbor_levels_reference,
+    pack_maps,
     semantic_points_reference,
 )
 
 
 def _random_collections(seed, draws, cfg=None, coarse=1.5, shift=2.0, lvlw=3.0):
-    """``(maps, collection)`` for each of ``draws`` sets of dense maps of a
-    128x128 image (1344 grids per draw) with random raw values."""
+    """``(per-level map views, collection)`` for each of ``draws`` sets of
+    dense maps of a 128x128 image (1344 grids per draw) with random raw
+    values."""
     cfg = cfg or ModelConfig()
     rng = np.random.default_rng(seed)
     for _ in range(draws):
-        maps = []
+        levels = []
         for stride in cfg.strides:
             h = w = 128 // stride
-            maps.append(LevelMaps(
+            levels.append(dict(
                 stride=stride,
                 reg=rng.normal(size=(4, h, w)),
                 cls=rng.normal(size=(cfg.n_points * cfg.classes, h, w)),
@@ -44,7 +49,8 @@ def _random_collections(seed, draws, cfg=None, coarse=1.5, shift=2.0, lvlw=3.0):
                 sshift=rng.normal(scale=shift, size=(2 * cfg.n_points, h, w)),
                 lvlw=rng.normal(scale=lvlw, size=(4 * len(cfg.offsets), h, w)),
             ))
-        yield maps, collect_level(maps, cfg)
+        maps = Maps(**pack_maps(levels))
+        yield map_views(maps), collect_level(maps, cfg)
 
 
 def _level_weights(col, li, n_levels, offsets):
@@ -56,10 +62,10 @@ def _level_weights(col, li, n_levels, offsets):
 def _ragged_maps(cfg, h0, w0, rng):
     """Random raw maps of a ``cfg`` pyramid whose level 0 is h0 x w0 grids and
     each coarser level halves it, rounding up (so coarse levels reach 1x1)."""
-    maps = []
+    levels = []
     for lv, stride in enumerate(cfg.strides):
         h, w = -(-h0 // 2**lv), -(-w0 // 2**lv)
-        maps.append(LevelMaps(
+        levels.append(dict(
             stride=stride,
             reg=rng.normal(size=(4, h, w)),
             cls=rng.normal(size=(cfg.n_points * cfg.classes, h, w)),
@@ -69,7 +75,7 @@ def _ragged_maps(cfg, h0, w0, rng):
                     if cfg.cls_decoupled else None),
             lvlw=rng.normal(scale=3.0, size=(4 * len(cfg.offsets), h, w)) if cfg.has_lvlw else None,
         ))
-    return maps
+    return Maps(**pack_maps(levels))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +196,7 @@ def test_level_weights_simplex_property():
 
 
 def _flat_maps(stride, h, w, reg_fill=0.0, n=1, c=2):
-    return LevelMaps(
+    return SimpleNamespace(
         stride=stride,
         reg=np.full((4, h, w), reg_fill),
         cls=np.zeros((n * c, h, w)),
@@ -296,11 +302,11 @@ def test_vectorized_collection_matches_scalar_ops():
     model = DetectionModel(cfg, seed=2)
     img = np.random.default_rng(8).uniform(size=(3, 32, 32))
     state = model.forward(img)
-    col = state.collection
-    for li, (m, sl) in enumerate(zip(state.maps, col.cuts)):
-        avail = neighbor_levels_reference(li, len(state.maps), cfg.offsets)
+    col, views = state.collection, map_views(state.maps)
+    for li, (m, sl) in enumerate(zip(views, col.cuts)):
+        avail = neighbor_levels_reference(li, len(views), cfg.offsets)
         k_model = m.lvlw.shape[0] // 4
-        level_weights = _level_weights(col, li, len(state.maps), cfg.offsets)
+        level_weights = _level_weights(col, li, len(views), cfg.offsets)
         for flat in range(m.h * m.w):
             i, j = divmod(flat, m.w)
             g = sl.start + flat
@@ -315,7 +321,7 @@ def test_vectorized_collection_matches_scalar_ops():
                                        spts, atol=1e-9)
             weights = level_weights_reference(m.lvlw[:, i, j], k_model, [q for q, _ in avail])
             np.testing.assert_allclose(level_weights[:, :, flat], weights, atol=1e-9)
-            box = collect_box_reference(state.maps, bpts, weights, li, cfg.offsets)
+            box = collect_box_reference(views, bpts, weights, li, cfg.offsets)
             np.testing.assert_allclose(col.boxes[g], box, atol=1e-9)
             scores = class_scores_reference(m.cls, cfg.classes, spts, m.stride)
             np.testing.assert_allclose(col.scores[:, g], scores, atol=1e-9)
@@ -332,14 +338,14 @@ def test_collection_matches_scalar_oracles_on_ragged_pyramids(levels, h0, w0, of
     cfg = ModelConfig(classes=2, n_semantic=4, levels=levels, neighbor_offsets=offsets,
                       mode=mode)
     maps = _ragged_maps(cfg, h0, w0, np.random.default_rng(seed))
-    col = collect_level(maps, cfg)
-    for li, (m, sl) in enumerate(zip(maps, col.cuts)):
-        level_weights = _level_weights(col, li, len(maps), cfg.offsets)
+    col, views = collect_level(maps, cfg), map_views(maps)
+    for li, (m, sl) in enumerate(zip(views, col.cuts)):
+        level_weights = _level_weights(col, li, len(views), cfg.offsets)
         for flat in range(m.h * m.w):
             i, j = divmod(flat, m.w)
             g = sl.start + flat
             coarse, boundary, semantic, weights, box, scores = collect_grid_reference(
-                maps, li, i, j, cfg.loc_decoupled, cfg.cls_decoupled, cfg.offsets, cfg.classes)
+                views, li, i, j, cfg.loc_decoupled, cfg.cls_decoupled, cfg.offsets, cfg.classes)
             for got, want in (
                 (col.coarse[g], coarse),
                 (np.stack([col.bx[:, g], col.by[:, g]], axis=1), boundary),
@@ -366,8 +372,8 @@ def test_collection_cuts_partition_the_grid_index(levels, h0, w0, offsets):
     assert col.coarse.shape == col.boxes.shape == (g, 4)
     assert col.bx.shape == (4, g) and col.sx.shape == (cfg.n_points, g)
     assert col.weights.shape == (4, len(cfg.offsets), g) and col.z.shape == (cfg.classes, g)
-    for i, (m, sl) in enumerate(zip(maps, col.cuts)):
-        assert sl.stop - sl.start == m.h * m.w
+    for i, ((_, h, w), sl) in enumerate(zip(maps.levels, col.cuts)):
+        assert sl.stop - sl.start == h * w
         assert np.all(col.level[sl] == i)
         # a slot without an available level is padding of weight 0
         used = {q or 0 for q, _ in available_levels(i, levels, cfg.offsets)}
@@ -380,8 +386,9 @@ def test_weight_simplex_invariant_on_random_models():
         model = DetectionModel(ModelConfig(channels=8), seed=seed)
         img = np.random.default_rng(seed).uniform(size=(3, 32, 32))
         state = model.forward(img)
-        for li in range(len(state.maps)):
-            weights = _level_weights(state.collection, li, len(state.maps), model.config.offsets)
+        for li in range(len(state.maps.levels)):
+            weights = _level_weights(state.collection, li, len(state.maps.levels),
+                                     model.config.offsets)
             sums = weights.sum(axis=1)
             np.testing.assert_allclose(sums, 1.0, atol=1e-12)
             assert np.all(weights > 0)
@@ -396,13 +403,15 @@ def test_eq3_consistency_offset_plus_coordinate():
         n_grids = sl.stop - sl.start
         bx, by = col.bx[0, sl], col.by[0, sl]
         sampled_l = np.zeros(n_grids)
-        for q, lvl in available_levels(li, len(state.maps), model.config.offsets):
-            m = state.maps[lvl]
+        levels = state.maps.levels
+        for q, lvl in available_levels(li, len(levels), model.config.offsets):
+            stride = levels[lvl][0]
             vals, _ = ops.bilinear_gather(
-                [m.reg], ops.gather_layout([m.reg.shape], np.zeros(n_grids, dtype=np.intp)),
-                bx / m.stride - 0.5, by / m.stride - 0.5,
+                state.maps.reg, ops.gather_layout(4, [(h, w) for _, h, w in levels],
+                                                  np.full(n_grids, 4 * lvl)),
+                bx / stride - 0.5, by / stride - 0.5,
             )
-            sampled_l += col.weights[0, q or 0, sl] * vals * m.stride
+            sampled_l += col.weights[0, q or 0, sl] * vals * stride
         np.testing.assert_allclose(col.boxes[sl, 0] - bx, sampled_l, atol=1e-9)
 
 
@@ -413,7 +422,7 @@ def test_baseline_degeneracy_reduces_to_per_grid_reading():
     img = np.random.default_rng(10).uniform(size=(3, 32, 32))
     state = model.forward(img)
     col = state.collection
-    for m, sl in zip(state.maps, col.cuts):
+    for m, sl in zip(map_views(state.maps), col.cuts):
         h, w = m.h, m.w
         boxes, cx, cy = col.boxes[sl], col.grid_cx[sl], col.grid_cy[sl]
         reg = m.reg.reshape(4, h * w) * m.stride
@@ -432,7 +441,7 @@ def test_gradient_locality_follows_sampling_points():
     img = np.random.default_rng(11).uniform(size=(3, 32, 32))
     state = model.forward(img)
     col = state.collection
-    m = state.maps[0]
+    m = map_views(state.maps)[0]
     grid = 20  # level 0 comes first in the grid index
     x_l = col.bx[0, grid] / m.stride - 0.5
     y_l = col.by[0, grid] / m.stride - 0.5
@@ -491,7 +500,7 @@ def test_a_cached_plan_collects_like_a_fresh_one(monkeypatch):
     for i, (cfg, maps) in enumerate(cases):
         head._PLAN_CACHE.clear()
         cold.append(_collect_both_ways(maps, cfg, i))
-    assert any(m.h == m.w == 1 for _, maps in cases for m in maps)
+    assert any(h == w == 1 for _, maps in cases for _, h, w in maps.levels)
     head._PLAN_CACHE.clear()
     for cfg, maps in cases:
         collect_level(maps, cfg)
@@ -500,7 +509,7 @@ def test_a_cached_plan_collects_like_a_fresh_one(monkeypatch):
         cfg, maps = cases[i]
         col, grads = _collect_both_ways(maps, cfg, i)
         _assert_same_bytes(vars(col), vars(cold[i][0]))
-        _assert_same_tree(grads, cold[i][1])
+        _assert_same_tree(vars(grads), vars(cold[i][1]))
     # coupled and cls-only ignore the offsets, so three of each mode's cases share a plan
     assert len(head._PLAN_CACHE) == n_plans == 4 * (3 + 1 + 3 + 1)
 
@@ -559,8 +568,7 @@ def test_head_forward_shares_patches_bit_for_bit(mode, monkeypatch):
     monkeypatch.setattr(ConvLayer, "forward", lambda self, x, cols=None: own_patches(self, x))
     ref_maps, ref_caches = model.head.forward(feats, model.backbone.strides)
     monkeypatch.undo()
-    for m, r in zip(maps, ref_maps):
-        _assert_same_tree(vars(m), vars(r))
+    _assert_same_tree(vars(maps), vars(ref_maps))
     _assert_same_tree(caches, ref_caches)
 
     for trunk_caches, out_caches in caches:
@@ -596,8 +604,7 @@ def test_forward_without_cache_gives_the_same_bytes(mode):
     light = model.forward(image, keep_cache=False)
     assert light._bcache == [] and light._hcache == []
     assert len(full._bcache) == 3 and len(full._hcache) == 3
-    for m, r in zip(light.maps, full.maps):
-        _assert_same_bytes(vars(m), vars(r))
+    _assert_same_bytes(vars(light.maps), vars(full.maps))
     _assert_same_bytes(vars(light.collection), vars(full.collection))
 
 
@@ -607,6 +614,21 @@ def test_backward_after_a_forward_without_cache_raises():
     g = len(state.collection.level)
     with pytest.raises(ValueError, match="kept no caches"):
         model.backward(state, np.zeros((3, g)), np.zeros((g, 4)), np.zeros((g, 4)))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_collection_backward_returns_the_maps_the_head_outputs(mode):
+    """``Head.backward`` reads the gradient of each map of its output table
+    by name: the collection backward gives exactly those, over the forward's
+    levels and each shaped like its forward map."""
+    model = DetectionModel(ModelConfig(channels=8, mode=mode), seed=0)
+    state = model.forward(np.random.default_rng(15).uniform(size=(3, 32, 48)))
+    _, grads = _collect_both_ways(state.maps, model.config, 16)
+    assert isinstance(grads, Maps) and grads.levels == state.maps.levels
+    present = {name: a for name, a in vars(grads).items() if name != "levels" and a is not None}
+    assert set(present) == set(model.head.outputs)
+    for name, a in present.items():
+        assert a.shape == getattr(state.maps, name).shape, name
 
 
 def test_one_training_step_makes_one_input_gradient_per_conv_input(monkeypatch):

@@ -175,17 +175,17 @@ def test_conv_input_grad_rejects_convs_of_different_inputs():
 
 def _sample(m, x, y):
     """One bilinear sample of the [H,W] map ``m`` through the batched kernel."""
-    layout = ops.gather_layout([(1, *m.shape)], np.zeros(1, dtype=np.intp))
-    vals, _ = ops.bilinear_gather([m[None]], layout, [x], [y])
+    layout = ops.gather_layout(1, [m.shape], np.zeros(1, dtype=np.intp))
+    vals, _ = ops.bilinear_gather(m.reshape(1, -1), layout, [x], [y])
     return float(vals[0])
 
 
 def _sample_grad(m, x, y):
     """``(value, dvalue/dmap [H,W], dvalue/dx, dvalue/dy)`` of one sample."""
-    layout = ops.gather_layout([(1, *m.shape)], np.zeros(1, dtype=np.intp))
-    vals, cache = ops.bilinear_gather([m[None]], layout, [x], [y])
-    (gmaps,), gxs, gys = ops.bilinear_gather_backward(cache, np.ones(1))
-    return float(vals[0]), gmaps[0], float(gxs[0]), float(gys[0])
+    layout = ops.gather_layout(1, [m.shape], np.zeros(1, dtype=np.intp))
+    vals, cache = ops.bilinear_gather(m.reshape(1, -1), layout, [x], [y])
+    gmaps, gxs, gys = ops.bilinear_gather_backward(cache, np.ones(1))
+    return float(vals[0]), gmaps.reshape(m.shape), float(gxs[0]), float(gys[0])
 
 
 def test_bilinear_integer_gridpoint_exact():
@@ -269,14 +269,15 @@ _COORDS = st.one_of(st.floats(-2.0, 7.0, allow_nan=False),
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), shared=st.booleans(), seed=st.integers(0, 2**16))
 def test_bilinear_backward_over_several_maps_matches_the_scatter_oracle(data, shared, seed):
-    """Map and coordinate gradients of a gather over 1-4 maps (1x1 and 1xW
-    ones included) against one scalar scatter-add per sample. ``shared``
-    rows read C channels of one map at each point; otherwise each point
-    reads one channel of any map."""
+    """Map and coordinate gradients of a gather over 1-4 levels of M
+    channels side by side (1x1 and 1xW ones included) against one scalar
+    scatter-add per sample. ``shared`` rows read C channels of one level at
+    each point; otherwise each point reads one channel of any level."""
     rng = np.random.default_rng(seed)
-    shapes = data.draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 5),
-                                          st.integers(1, 5)), min_size=1, max_size=4))
-    maps = [rng.normal(size=shape) for shape in shapes]
+    n_rows = data.draw(st.integers(1, 3))
+    extents = data.draw(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                                 min_size=1, max_size=4))
+    maps = [rng.normal(size=(n_rows, *extent)) for extent in extents]
     starts = np.cumsum([0] + [m.shape[0] for m in maps])
     n = data.draw(st.integers(1, 12))
     if shared:
@@ -293,11 +294,12 @@ def test_bilinear_backward_over_several_maps_matches_the_scatter_oracle(data, sh
     xs = data.draw(st.lists(_COORDS, min_size=n, max_size=n))
     ys = data.draw(st.lists(_COORDS, min_size=n, max_size=n))
     gvals = rng.normal(size=channels.shape)
-    _, cache = ops.bilinear_gather(maps, ops.gather_layout(shapes, channels), xs, ys)
+    packed = np.concatenate([a.reshape(n_rows, -1) for a in maps], axis=1)
+    _, cache = ops.bilinear_gather(packed, ops.gather_layout(n_rows, extents, channels), xs, ys)
     gmaps, gxs, gys = ops.bilinear_gather_backward(cache, gvals)
     ref_maps, ref_xs, ref_ys = bilinear_backward_reference(maps, channels, xs, ys, gvals)
-    for got, want in zip(gmaps, ref_maps, strict=True):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    want = np.concatenate([a.reshape(n_rows, -1) for a in ref_maps], axis=1)
+    np.testing.assert_allclose(gmaps, want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(gxs, ref_xs, rtol=0, atol=1e-12)
     np.testing.assert_allclose(gys, ref_ys, rtol=0, atol=1e-12)
 

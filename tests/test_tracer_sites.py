@@ -54,7 +54,7 @@ def test_tracer_sees_the_collection_in_training_and_detect(spans):
     # available neighbor level of each grid, plus N semantic points per grid
     cfg = ModelConfig()
     maps = DetectionModel(cfg, seed=0).forward(np.asarray(image), keep_cache=False).maps
-    sizes = [m.h * m.w for m in maps]
+    sizes = [h * w for _, h, w in maps.levels]
     present = sum(4 * len(available_levels(i, len(sizes), cfg.offsets)) * size
                   for i, size in enumerate(sizes))
     assert calls["ops.bilinear_gather"]["calls"] == 2
