@@ -39,12 +39,14 @@ __all__ = [
     "point_distance_distribution",
     "HIST_BINS",
     "HIST_RANGE",
+    "DIST_RANGE",
     "DISTANCE_CONFIGS",
     "TARGETS",
 ]
 
 HIST_BINS = 21
 HIST_RANGE = (-0.5, 1.5)
+DIST_RANGE = (0.0, 1.5)
 TARGETS = ("l", "t", "r", "b", "c")
 DISTANCE_CONFIGS = ("grid", "grid_offset", "midpoint", "dynamic")
 _SIDES = ("l", "t", "r", "b")
@@ -112,16 +114,16 @@ def compute_accuracy_maps(model: DetectionModel, image, gt: GroundTruth,
 
 
 def best_location_histogram(maps: list[AccuracyMaps], bins: int = HIST_BINS,
-                            value_range=HIST_RANGE, iou_min: float = 0.5) -> dict:
-    """Bin the argmax locations of each target over box-normalized coordinates.
+                            iou_min: float = 0.5) -> dict:
+    """Bin the argmax locations of each target over box-normalized ``HIST_RANGE``.
 
     Only grids with collected-box IoU above ``iou_min`` (and inside the
     dilated box) compete. Returns ``{"hist": {target: [bins,bins]},
-    "analyzed": n, "bins": bins, "range": value_range}``; each target's bin
+    "analyzed": n, "bins": bins, "range": HIST_RANGE}``; each target's bin
     counts sum to the number of analyzed objects; ``bins`` is a positive integer.
     """
     check_int("bins", bins, 1)
-    lo, hi = value_range
+    lo, hi = HIST_RANGE
     hists = {t: np.zeros((bins, bins), dtype=np.int64) for t in TARGETS}
     analyzed = 0
     for m in maps:
@@ -144,7 +146,7 @@ def best_location_histogram(maps: list[AccuracyMaps], bins: int = HIST_BINS,
             bx = int(np.clip((nx[best] - lo) / (hi - lo) * bins, 0, bins - 1))
             by = int(np.clip((ny[best] - lo) / (hi - lo) * bins, 0, bins - 1))
             hists[t][by, bx] += 1
-    return {"hist": hists, "analyzed": analyzed, "bins": bins, "range": tuple(value_range)}
+    return {"hist": hists, "analyzed": analyzed, "bins": bins, "range": HIST_RANGE}
 
 
 # per side: True for the vertical edges (l, r), whose x is fixed
@@ -178,15 +180,14 @@ def _edge_center_distance(px, py, boxes):
     return np.hypot((px - edge_x) / bw, (py - edge_y) / bh)
 
 
-def point_distance_distribution(model: DetectionModel, scenes, bins: int = 30,
-                                dist_range=(0.0, 1.5)) -> dict:
+def point_distance_distribution(model: DetectionModel, scenes, bins: int = 30) -> dict:
     """Normalized point-to-edge distances per point configuration.
 
     For every positive grid and every side, four candidate sampling points
     are measured against the matching ground-truth edge: the grid center, the
     grid displaced to the coarse edge along the side's axis, the coarse edge
     midpoint, and the dynamic boundary point. Returns per-config pooled
-    distances, medians, and fixed-range histograms of ``bins`` >= 1 bins.
+    distances, medians, and histograms of ``bins`` >= 1 bins over ``DIST_RANGE``.
     """
     check_int("bins", bins, 1)
     # per config, one [P,4] array (positive, side) per scene
@@ -216,13 +217,12 @@ def point_distance_distribution(model: DetectionModel, scenes, bins: int = 30,
             dist[cfg_name].append(_edge_distance(px, py, box))
             center[cfg_name].append(_edge_center_distance(px, py, box))
 
-    lo, hi = dist_range
     result = {}
     for cfg_name in DISTANCE_CONFIGS:
         per_side = np.concatenate(dist[cfg_name])
         arr = per_side.ravel()  # pooled in (scene, positive, side) order
         to_center = np.concatenate(center[cfg_name]).ravel()
-        hist, _ = np.histogram(arr, bins=bins, range=(lo, hi))
+        hist, _ = np.histogram(arr, bins=bins, range=DIST_RANGE)
         result[cfg_name] = {
             "count": int(arr.size),
             "median": float(np.median(arr)) if arr.size else float("nan"),
@@ -236,5 +236,5 @@ def point_distance_distribution(model: DetectionModel, scenes, bins: int = 30,
             },
         }
     result["bins"] = bins
-    result["range"] = (lo, hi)
+    result["range"] = DIST_RANGE
     return result

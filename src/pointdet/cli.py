@@ -148,9 +148,7 @@ def _cmd_eval(args) -> int:
         detect_s.append(time.perf_counter() - start)
     report = average_precision(dets, gts)
     os.makedirs(os.path.dirname(os.path.abspath(args.report)), exist_ok=True)
-    with open(args.report, "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+    dataio.write_json(args.report, report)
     write_detections(os.path.splitext(args.report)[0] + "_detections.jsonl", dets)
     # latency goes to the printed line only: the report file stays deterministic
     ms = np.percentile(np.array(detect_s) * 1e3, [50, 90]).tolist() if detect_s else [None] * 2
@@ -192,14 +190,10 @@ def _cmd_analyze(args) -> int:
         "range": list(hist["range"]),
         "hist": {t: h.tolist() for t, h in hist["hist"].items()},
     }
-    with open(os.path.join(args.out, "histograms.json"), "w", encoding="utf-8") as f:
-        json.dump(hist_json, f, indent=2, sort_keys=True)
-        f.write("\n")
+    dataio.write_json(os.path.join(args.out, "histograms.json"), hist_json)
 
     dists = analysis.point_distance_distribution(model, scenes)
-    with open(os.path.join(args.out, "distances.json"), "w", encoding="utf-8") as f:
-        json.dump(dists, f, indent=2, sort_keys=True)
-        f.write("\n")
+    dataio.write_json(os.path.join(args.out, "distances.json"), dists)
 
     heat_dir = os.path.join(args.out, "accuracy_maps")
     os.makedirs(heat_dir, exist_ok=True)
@@ -257,9 +251,7 @@ def _cmd_ablate(args) -> int:
     dets = {i: detect(model, img, image_id=i) for i, (img, _) in enumerate(scenes)}
     gts = {i: gt for i, (_, gt) in enumerate(scenes)}
     report = average_precision(dets, gts)
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+    dataio.write_json(os.path.join(out_dir, "report.json"), report)
     print(json.dumps({"mode": args.mode, "AP": report["AP"], "AP50": report["AP50"]},
                      sort_keys=True))
     return 0

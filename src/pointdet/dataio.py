@@ -13,7 +13,7 @@ import numpy as np
 from .inference import read_ground_truths, write_ground_truths
 from .scenes import check_int, check_scene_args, generate_scene
 
-__all__ = ["write_dataset", "load_dataset"]
+__all__ = ["write_dataset", "load_dataset", "write_json"]
 
 MANIFEST_NAME = "manifest.json"
 SCENES_NAME = "scenes.npz"
@@ -42,10 +42,14 @@ def write_dataset(out_dir, seed: int, count: int, width: int = 64, height: int =
         "seed": seed, "count": count, "width": width, "height": height,
         "max_objects": max_objects, "classes": classes,
     }
-    with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(os.path.join(out_dir, MANIFEST_NAME), manifest)
     return manifest
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` to ``path`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def load_dataset(data_dir):

@@ -70,21 +70,12 @@ def _annotation(item, classes: int, where: str) -> GroundTruth:
         raise ValueError(f"{where} must be a GroundTruth, a (boxes, labels) pair or a dict "
                          f"with 'boxes' and 'labels', got {type(item).__name__}")
     try:
-        boxes = np.asarray(boxes, dtype=np.float64)
-        labels = np.asarray(labels)
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"{where} is not numeric: {e}") from None
-    if not (boxes.ndim == 2 and boxes.shape[1] == 4 or boxes.size == 0):
-        raise ValueError(f"{where} needs boxes shaped [M,4], got shape {boxes.shape}")
-    if labels.size and (labels.dtype.kind not in "iuf" or not np.all(np.isfinite(labels))
-                        or np.any(labels != np.round(labels))):
-        raise ValueError(f"{where} needs integer labels, got {labels.tolist()}")
-    if labels.size and (labels.min() < 0 or labels.max() >= classes):
-        raise ValueError(f"{where} has labels outside [0, {classes}): {labels}")
-    try:
-        return GroundTruth(boxes, labels)
+        gt = GroundTruth(boxes, labels)
     except ValueError as e:
         raise ValueError(f"{where}: {e}") from None
+    if len(gt) and (gt.labels.min() < 0 or gt.labels.max() >= classes):
+        raise ValueError(f"{where} has labels outside [0, {classes}): {gt.labels}")
+    return gt
 
 
 class PointDetector:

@@ -82,18 +82,18 @@ def iou_matrix(a, b):
 def fold_boxes(boxes):
     """Sort each box's coordinate pairs so r >= l and b >= t.
 
-    Returns ``(folded, swap_x, swap_y)`` where the swap masks let a caller
-    route gradients back to the original coordinates. Used as a guard for
-    raw predicted boxes, which may come out inverted mid-training.
+    Returns ``(folded, swap_x, swap_y)``; the swap masks (r < l, b < t) let a
+    caller route gradients back. The folded l is ``np.where(r < l, r, l)`` and
+    r is r unless ``r <= l`` (t, b alike): Python's ``min(l, r)`` and
+    ``max(l, r)`` down to which of two equal zeros comes out (np.minimum and
+    np.maximum return the second operand on ties), except that a NaN stays.
+    Guards raw predicted boxes, which may come out inverted mid-training.
     """
     boxes = np.asarray(boxes, dtype=np.float64)
-    swap_x = boxes[..., 0] > boxes[..., 2]
-    swap_y = boxes[..., 1] > boxes[..., 3]
-    folded = boxes.copy()
-    folded[..., 0] = np.where(swap_x, boxes[..., 2], boxes[..., 0])
-    folded[..., 2] = np.where(swap_x, boxes[..., 0], boxes[..., 2])
-    folded[..., 1] = np.where(swap_y, boxes[..., 3], boxes[..., 1])
-    folded[..., 3] = np.where(swap_y, boxes[..., 1], boxes[..., 3])
+    l, t, r, b = (boxes[..., i] for i in range(4))
+    swap_x, swap_y = r < l, b < t
+    folded = np.stack([np.where(swap_x, r, l), np.where(swap_y, b, t),
+                       np.where(r <= l, l, r), np.where(b <= t, t, b)], axis=-1)
     return folded, swap_x, swap_y
 
 

@@ -24,8 +24,8 @@ and the backward reads and writes through the same slots.
 
 Grid centers, strides, cuts, neighbor slots and both gather layouts depend
 only on the pyramid's shape: :func:`_plan` builds them once as read-only
-arrays, cached by each level's (stride, h, w) and the config fields the
-collection reads, so the cache gains one entry per distinct image shape.
+arrays, memoized by each level's (stride, h, w) and the config fields the
+collection reads: one entry per image shape a model sees, at most ``_PLAN_MEMO_SIZE``.
 
 Coordinate conventions: grid (i, j) at stride s sits at image point
 ((j+0.5)s, (i+0.5)s); image point x maps to level grid coordinate
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,8 +61,8 @@ COARSE_BIAS = 0.7
 # exp argument clamp in coarse decoding; keeps runaway raws from producing
 # astronomically large boxes whose GIoU gradients vanish irrecoverably
 COARSE_RAW_LIMIT = 6.0
-# collection plans by pyramid shape and config, see :func:`_plan`
-_PLAN_CACHE: dict[tuple, dict] = {}
+# collection plans kept, least recently used out first, see :func:`_plan`
+_PLAN_MEMO_SIZE = 32
 
 
 @dataclass
@@ -126,35 +127,33 @@ class Collection:
     _cache: dict = field(default_factory=dict, repr=False)
 
 
-def _plan(maps, cfg) -> dict:
-    """The read-only geometry and gather layouts collection reads, per shape."""
-    key = (maps.levels, cfg.loc_decoupled, cfg.cls_decoupled, cfg.offsets, cfg.n_points,
-           cfg.classes, maps.lvlw is not None)
-    if key in _PLAN_CACHE:
-        return _PLAN_CACHE[key]
-    extents = np.array(maps.levels)[:, 1:]  # [L,2] h, w
+@lru_cache(maxsize=_PLAN_MEMO_SIZE)
+def _plan(levels, offsets, n_pts, c) -> dict:
+    """Read-only geometry and gather layouts of a collection over ``levels``
+    ((stride, h, w) each) with these neighbor offsets, points and classes: all
+    it reads, so modes that agree on them (coupled, loc-only at (0,)) share it."""
+    extents = np.array(levels)[:, 1:]  # [L,2] h, w
     sizes = extents[:, 0] * extents[:, 1]
     ends = np.cumsum(sizes)
     level = np.repeat(np.arange(len(sizes)), sizes)
     g = len(level)
-    strides = np.array([float(stride) for stride, _, _ in maps.levels])
+    strides = np.array([float(stride) for stride, _, _ in levels])
     s = strides[level]
     ii, jj = np.divmod(np.arange(g) - (ends - sizes)[level], np.repeat(extents[:, 1], sizes))
     # slot q of level i reads level src[q, i], the level of offset q; the
     # (None, i) fallback reads level i in slot 0; slots without a level are
     # padding of weight 0, and ``on`` is the present ones' flat [K,4,G] index
-    k = len(cfg.offsets)
+    k = len(offsets)
     src = np.tile(np.arange(len(sizes)), (k, 1))
     present = np.zeros((k, len(sizes)), dtype=bool)
     for i in range(len(sizes)):
-        for q, li in available_levels(i, len(sizes), cfg.offsets):
+        for q, li in available_levels(i, len(sizes), offsets):
             src[q or 0, i], present[q or 0, i] = li, True
     on = np.flatnonzero(np.broadcast_to(present[:, None, level], (k, 4, g)))
     reg_ch = 4 * src[:, level][:, None] + np.arange(4)[:, None]  # [K,4,G]
     # the C classes of semantic point n at grid g share its cells: [N*G,C]
-    n_pts, c = cfg.n_points, cfg.classes
     cls_ch = (level * (n_pts * c) + np.arange(n_pts)[:, None] * c)[..., None] + np.arange(c)
-    plan = _PLAN_CACHE[key] = dict(
+    plan = dict(
         cuts=[slice(end - size, end) for size, end in zip(sizes, ends)], level=level, s=s,
         cx=(jj + 0.5) * s, cy=(ii + 0.5) * s, src_stride=strides[src][:, level], on=on,
         where=present[:, level], fractions=semantic_prior_fractions(n_pts),
@@ -173,7 +172,7 @@ def collect_level(maps, cfg) -> Collection:
     one :class:`Collection` over it. ``cfg`` provides loc_decoupled,
     cls_decoupled, offsets, n_points and classes.
     """
-    plan = _plan(maps, cfg)
+    plan = _plan(maps.levels, cfg.offsets, cfg.n_points, cfg.classes)
     s, cx, cy, g = plan["s"], plan["cx"], plan["cy"], len(plan["s"])
 
     d = np.exp(np.clip(maps.coarse, -COARSE_RAW_LIMIT, COARSE_RAW_LIMIT)) * s

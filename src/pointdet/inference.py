@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Box, iou_matrix
+from .geometry import Box, fold_boxes, iou_matrix
 from .model import DetectionModel, ModelState
 from .scenes import GroundTruth, check_int
 
@@ -94,13 +94,14 @@ def decode_detections(state: ModelState, image_width: float, image_height: float
     Per level: keep grid-class pairs with score strictly above the threshold,
     cap at ``topk_per_level`` by score (ties keep lower flat index ``class *
     grids + grid``; below the cap, flat index order), then concatenate the
-    levels, fold each box so r >= l and b >= t, and clamp it to
+    levels, fold each box with :func:`~pointdet.geometry.fold_boxes` and clamp it to
     [0, width] x [0, height]. A surviving box with a non-finite coordinate
     raises ValueError, as does a ``topk_per_level`` that is not a positive
     integer or an image extent that is not a positive finite number.
     """
-    if isinstance(score_thresh, bool) or not (0.0 <= score_thresh < 1.0):
-        raise ValueError(f"score threshold must be in [0,1), got {score_thresh}")
+    if isinstance(score_thresh, bool) or not (isinstance(score_thresh, numbers.Real)
+                                              and 0.0 <= score_thresh < 1.0):
+        raise ValueError(f"score threshold must be in [0,1), got {score_thresh!r}")
     check_int("topk_per_level", topk_per_level, 1)
     for name, v in (("image_width", image_width), ("image_height", image_height)):
         if isinstance(v, bool) or not (isinstance(v, numbers.Real) and 0 < v < math.inf):
@@ -121,16 +122,10 @@ def decode_detections(state: ModelState, image_width: float, image_height: float
         bad = int(np.argmin(finite))
         raise ValueError(f"decoded box coordinates must be finite, got {boxes[bad].tolist()} "
                          f"at level {levels[bad]}, grid {grids[bad]}")
-    # np.where(b < a, b, a) is Python's min(a, b) and np.where(b > a, b, a) its
-    # max, down to which of two equal zeros comes out; np.minimum/np.maximum
-    # return the second operand on ties and would flip the sign of some zeros.
-    l, t, r, b = boxes.T
-    sides = (np.where(r < l, r, l), np.where(b < t, b, t),
-             np.where(r > l, r, l), np.where(b > t, b, t))
-    boxes = np.empty_like(boxes)
-    for k, (v, hi) in enumerate(zip(sides, (image_width, image_height) * 2)):
-        v = np.where(v < 0.0, 0.0, v)
-        boxes[:, k] = np.where(v > hi, float(hi), v)
+    boxes = fold_boxes(boxes)[0]
+    boxes = np.where(boxes < 0.0, 0.0, boxes)
+    hi = np.array([image_width, image_height] * 2, dtype=np.float64)
+    boxes = np.where(boxes > hi, hi, boxes)
     return Candidates(boxes, scores, class_ids, levels, grids)
 
 
@@ -264,9 +259,8 @@ def _interpolated_ap(tp_flags: np.ndarray, n_gt: int) -> float:
     return ap / len(_RECALL_POINTS)
 
 
-def average_precision(dets_per_image: dict, gts_per_image: dict,
-                      iou_thresholds=AP_IOU_THRESHOLDS) -> dict:
-    """COCO-style AP over IoU thresholds 0.50:0.05:0.95.
+def average_precision(dets_per_image: dict, gts_per_image: dict) -> dict:
+    """COCO-style AP over the IoU thresholds ``AP_IOU_THRESHOLDS``, 0.50:0.05:0.95.
 
     ``dets_per_image`` maps image id to a list of Detections;
     ``gts_per_image`` maps image id to a GroundTruth. Detections are matched
@@ -283,8 +277,7 @@ def average_precision(dets_per_image: dict, gts_per_image: dict,
     classes = set()
     for img in image_ids:
         classes.update(int(label) for label in gts_per_image[img].labels)
-    iou_thresholds = [float(t) for t in iou_thresholds]
-    thresholds = np.array(iou_thresholds)
+    thresholds = np.array(AP_IOU_THRESHOLDS)
     every_t = np.arange(len(thresholds))
 
     # every detection of the evaluated images: image position, index in its list
@@ -297,8 +290,7 @@ def average_precision(dets_per_image: dict, gts_per_image: dict,
     det_boxes = np.array([(d.box.l, d.box.t, d.box.r, d.box.b) for _, _, d in dets],
                          dtype=np.float64).reshape(-1, 4)
 
-    per_class: dict[int, float] = {}
-    per_class_at: dict[float, dict[int, float]] = {t: {} for t in iou_thresholds}
+    aps: dict[int, list] = {}  # per class, its AP at each IoU threshold
     for cls in sorted(classes):
         n_gt = sum(int((gts_per_image[i].labels == cls).sum()) for i in image_ids)
         # global score-ordered detection list for this class
@@ -311,8 +303,8 @@ def average_precision(dets_per_image: dict, gts_per_image: dict,
             if len(gt_boxes) == 0 or len(pos) == 0:
                 continue
             ious = iou_matrix(det_boxes[entries[pos]], gt_boxes)
-            # an entry whose best IoU is below every threshold matches nothing
-            live = ious.max(axis=1) >= min(iou_thresholds, default=np.inf)
+            # an entry whose best IoU is below the lowest threshold matches nothing
+            live = ious.max(axis=1) >= thresholds[0]
             matched = np.zeros((len(thresholds), len(gt_boxes)), dtype=bool)
             for p, row in zip(pos[live], ious[live]):
                 masked = np.where(matched, -1.0, row)
@@ -320,23 +312,16 @@ def average_precision(dets_per_image: dict, gts_per_image: dict,
                 hit = masked[every_t, best] >= thresholds
                 matched[every_t[hit], best[hit]] = True
                 flags[:, p] = hit
-        aps = []
-        for t, thr in enumerate(iou_thresholds):
-            ap_t = _interpolated_ap(flags[t], n_gt)
-            aps.append(ap_t)
-            per_class_at[thr][cls] = ap_t
-        per_class[cls] = float(np.mean(aps))
+        aps[cls] = [_interpolated_ap(flags[t], n_gt) for t in every_t]
 
-    def mean_over_classes(values: dict[int, float]) -> float:
-        return float(np.mean(list(values.values()))) if values else 0.0
+    def mean_over_classes(values: list) -> float:
+        return float(np.mean(values)) if values else 0.0
 
-    report = {
-        "AP": mean_over_classes(per_class),
-        "AP50": mean_over_classes(per_class_at.get(0.5, {})),
-        "AP75": mean_over_classes(per_class_at.get(0.75, {})),
-        "per_class": {int(k): float(v) for k, v in per_class.items()},
-    }
-    return report
+    per_class = {cls: float(np.mean(a)) for cls, a in aps.items()}
+    at50, at75 = (AP_IOU_THRESHOLDS.index(t) for t in (0.5, 0.75))
+    return {"AP": mean_over_classes(list(per_class.values())),
+            "AP50": mean_over_classes([a[at50] for a in aps.values()]),
+            "AP75": mean_over_classes([a[at75] for a in aps.values()]), "per_class": per_class}
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ collected:
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -21,7 +20,8 @@ import numpy as np
 
 from .backbone import BASE_STRIDE, Backbone
 from .checkpoint import load_checkpoint, save_checkpoint
-from .head import Collection, Head, Maps, collect_level, collect_level_backward
+from .head import (Collection, Head, Maps, collect_level, collect_level_backward,
+                   semantic_prior_fractions)
 from .optim import ParamSet
 from .scenes import check_int
 
@@ -44,11 +44,7 @@ class ModelConfig:
             raise ValueError(f"unknown mode {self.mode!r}; choose from {MODES}")
         for name in ("classes", "n_semantic", "channels", "levels"):
             check_int(f"model config {name!r}", getattr(self, name), 1)
-        root = math.isqrt(self.n_semantic)
-        if root * root != self.n_semantic:
-            raise ValueError(
-                f"semantic point count must be a perfect square, got {self.n_semantic}"
-            )
+        semantic_prior_fractions(self.n_semantic)  # raises unless a perfect square
         offs = self.neighbor_offsets
         if not isinstance(offs, (tuple, list)) or not all(
             isinstance(o, numbers.Integral) and not isinstance(o, bool) for o in offs

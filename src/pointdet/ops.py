@@ -18,6 +18,8 @@ Conventions:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -46,9 +48,8 @@ class NonFiniteError(ValueError):
 # ---------------------------------------------------------------------------
 # convolution
 
-# patch indices into the flat zero-padded input, keyed by (input shape, kernel,
-# stride, padding): one index serves the im2col gather and the col2im bincount
-_COL2IM_CACHE: dict[tuple, np.ndarray] = {}
+# patch indices kept, least recently used out first; 7 serve a model at one image size
+_COL2IM_MEMO_SIZE = 128
 
 
 def im2col(x, k, stride, padding):
@@ -59,7 +60,7 @@ def im2col(x, k, stride, padding):
     ho, wo = (h + 2 * padding - k) // stride + 1, (wd + 2 * padding - k) // stride + 1
     xp = np.zeros((cin, h + 2 * padding, wd + 2 * padding))
     xp[:, padding : padding + h, padding : padding + wd] = x
-    cols = xp.take(_col2im_indices(x.shape, k, stride, padding, ho, wo))
+    cols = xp.take(_col2im_indices(x.shape, k, stride, padding))
     cols.flags.writeable = False
     return cols.reshape(ho * wo, cin * k * k)
 
@@ -112,22 +113,18 @@ def conv2d(x, w, b=None, stride=1, padding=0, cols=None):
     return y, cache
 
 
-def _col2im_indices(xshape, k, stride, padding, ho, wo):
-    key = (xshape, k, stride, padding)
-    idx = _COL2IM_CACHE.get(key)
-    if idx is None:
-        cin, h, wd = xshape
-        hp, wp = h + 2 * padding, wd + 2 * padding
-        rows = np.arange(ho * wo)
-        oy, ox = np.divmod(rows, wo)
-        row_base = (oy * stride) * wp + (ox * stride)
-        cols = np.arange(cin * k * k)
-        ci, rem = np.divmod(cols, k * k)
-        u, v = np.divmod(rem, k)
-        col_base = ci * (hp * wp) + u * wp + v
-        idx = (row_base[:, None] + col_base[None, :]).ravel()
-        _COL2IM_CACHE[key] = idx
-    return idx
+@lru_cache(maxsize=_COL2IM_MEMO_SIZE)
+def _col2im_indices(xshape, k, stride, padding):
+    """Patch indices into the flat padded input, for the im2col gather and the
+    col2im bincount; writeable, as ``np.take`` runs slower on a large read-only index."""
+    cin, h, wd = xshape
+    hp, wp = h + 2 * padding, wd + 2 * padding
+    wo = (wp - k) // stride + 1
+    oy, ox = np.divmod(np.arange(((hp - k) // stride + 1) * wo), wo)
+    ci, rem = np.divmod(np.arange(cin * k * k), k * k)
+    u, v = np.divmod(rem, k)
+    col_base = ci * (hp * wp) + u * wp + v
+    return ((oy * stride * wp + ox * stride)[:, None] + col_base[None, :]).ravel()
 
 
 def conv2d_backward(cache, gy):
@@ -166,7 +163,7 @@ def conv2d_input_grad(caches, gys):
         gyf, wf = (r[0] if len(r) == 1 else np.concatenate(r) for r in rows)
         gcols = gyf.T @ wf
         hp, wp = h + 2 * padding, wd + 2 * padding
-        idx = _col2im_indices(xshape, k, stride, padding, ho, wo)
+        idx = _col2im_indices(xshape, k, stride, padding)
         gxp = np.bincount(idx, weights=gcols.ravel(), minlength=cin * hp * wp)
         part = gxp.reshape(cin, hp, wp)[:, padding : padding + h, padding : padding + wd]
         gx = part if gx is None else gx + part
@@ -248,7 +245,7 @@ def gather_layout(rows, extents, channels):
     dx, dy = (ext[0] > 1).astype(np.intp), (ext[1] > 1) * ext[0]
     first = row * ends[-1] + (ends - wh[0] * wh[1])[level]  # [C,S] channel's cell 0
     base = np.stack([0 * dx, dx, dy, dy + dx])[:, None] + first
-    return (rows, ends[-1]), ch.shape, base, ext[0], ext - 1.0, ext - 2.0, ext > 1
+    return (rows, int(ends[-1])), ch.shape, base, ext[0], ext - 1.0, ext - 2.0, ext > 1
 
 
 def bilinear_gather(maps, layout, xs, ys):
@@ -257,10 +254,14 @@ def bilinear_gather(maps, layout, xs, ys):
     ``maps`` is one [M,G] array of levels side by side, and ``layout`` is
     :func:`gather_layout` of its rows, extents and the channels to sample;
     ``xs`` and ``ys`` hold its S points, clamped to the border of the level
-    read. Returns ``(values shaped like channels, cache)``.
+    read. Returns ``(values shaped like channels, cache)``; ``maps`` of
+    another shape than the layout's raises ValueError.
     """
     shape, out_shape, base, width, hi, last, wide = layout
     maps = np.asarray(maps, dtype=np.float64)
+    if maps.shape != shape:
+        raise ValueError(f"maps of shape {maps.shape} do not fit a gather layout built "
+                         f"for shape {shape}")
     pts = np.stack([np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)])
     if not np.isfinite(pts).all():
         raise NonFiniteError("non-finite sample coordinates")

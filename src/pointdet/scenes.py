@@ -39,19 +39,31 @@ _FILL_NOISE = 0.03
 
 @dataclass
 class GroundTruth:
+    """One image's objects: finite boxes (l, t, r, b) with r >= l and b >= t,
+    shaped [M,4] (or empty), and M labels that are integer-valued numbers,
+    not bools, kept as int64. Any other input raises ValueError."""
+
     boxes: np.ndarray   # [M,4] (l,t,r,b) floats
     labels: np.ndarray  # [M] ints in [0, classes)
 
     def __post_init__(self):
-        self.boxes = np.asarray(self.boxes, dtype=np.float64).reshape(-1, 4)
-        self.labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
-        if len(self.boxes) != len(self.labels):
-            raise ValueError(
-                f"{len(self.boxes)} boxes but {len(self.labels)} labels"
-            )
-        b = self.boxes
+        try:
+            b, labels = np.asarray(self.boxes, dtype=np.float64), np.asarray(self.labels).ravel()
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"ground truth is not numeric: {e}") from None
+        b = b.reshape(0, 4) if b.size == 0 else b
+        if b.ndim != 2 or b.shape[1] != 4:
+            raise ValueError(f"ground truth needs boxes shaped [M,4], got shape {b.shape}")
+        numeric = labels.dtype.kind in "iuf" or labels.size == 0
+        with np.errstate(invalid="ignore"):  # NaN, inf and floats past int64 cast to junk
+            as_int = labels.astype(np.int64) if numeric else labels
+        if not numeric or (as_int != labels).any():
+            raise ValueError(f"ground truth needs integer labels, got {labels.tolist()}")
+        if len(b) != len(labels):
+            raise ValueError(f"{len(b)} boxes but {len(labels)} labels")
         if not (np.isfinite(b).all() and (b[:, 2] >= b[:, 0]).all() and (b[:, 3] >= b[:, 1]).all()):
             raise ValueError("ground-truth boxes must be finite and satisfy r >= l and b >= t")
+        self.boxes, self.labels = b, as_int
 
     def __len__(self) -> int:
         return len(self.labels)

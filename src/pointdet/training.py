@@ -26,7 +26,7 @@ from .config import TrainConfig
 from .geometry import giou_loss_grad_array, iou_matrix
 from .model import DetectionModel, ModelConfig, ModelState
 from .ops import NonFiniteError, sigmoid, softplus
-from .optim import SGD, NonFiniteGradientError
+from .optim import SGD
 from .scenes import GroundTruth, check_int, generate_scene, scene_seed
 
 __all__ = [
@@ -256,10 +256,7 @@ def run_training(model: DetectionModel, provider, iters: int, lr: float,
             raise TrainingDiverged(it, f"gradient norm became {gnorm}", model)
         if gnorm > MAX_GRAD_NORM:
             params.grads *= MAX_GRAD_NORM / gnorm
-        try:
-            opt.step(lr=lr_at(lr, it, iters))
-        except NonFiniteGradientError as e:
-            raise TrainingDiverged(it, str(e), model) from e
+        opt.step(lr=lr_at(lr, it, iters))
         entry = {"iter": it, **{k: float(v) for k, v in comps.items()}, "total": float(total)}
         history.append(entry)
         if log_fn is not None:
@@ -281,27 +278,21 @@ def train_from_config(cfg: TrainConfig, mode: str = "decoupled",
     Fully deterministic per seed. Returns ``(model, history)``.
     """
     model = DetectionModel(model_config_from(cfg, mode), seed=cfg.seed)
-
-    def provider(it):
-        return generate_scene(
-            scene_seed(cfg.seed, 0, it), width=cfg.image_size, height=cfg.image_size,
-            max_objects=cfg.max_objects, classes=cfg.classes,
-        )
-
     history = run_training(
-        model, provider, iters=cfg.iters, lr=cfg.lr, momentum=cfg.momentum,
+        model, lambda it: _scene(cfg, 0, it), iters=cfg.iters, lr=cfg.lr, momentum=cfg.momentum,
         weight_decay=cfg.weight_decay, lambda1=cfg.lambda1, lambda2=cfg.lambda2,
         assignment_rule=assignment_rule, log_fn=log_fn,
     )
     return model, history
 
 
+def _scene(cfg: TrainConfig, stream: int, index: int):
+    """Scene ``index`` of the config's ``stream`` (0 = training, 1 = holdout)."""
+    return generate_scene(scene_seed(cfg.seed, stream, index), width=cfg.image_size,
+                          height=cfg.image_size, max_objects=cfg.max_objects,
+                          classes=cfg.classes)
+
+
 def holdout_scenes(cfg: TrainConfig, count: int):
     """Evaluation scenes drawn from a stream disjoint from training."""
-    return [
-        generate_scene(
-            scene_seed(cfg.seed, 1, i), width=cfg.image_size, height=cfg.image_size,
-            max_objects=cfg.max_objects, classes=cfg.classes,
-        )
-        for i in range(count)
-    ]
+    return [_scene(cfg, 1, i) for i in range(count)]

@@ -156,6 +156,23 @@ def test_groundtruth_validation():
         GroundTruth(np.array([[5.0, 0.0, 1.0, 2.0]]), np.array([0]))
 
 
+@pytest.mark.parametrize("boxes, labels, message", [
+    (np.zeros((2, 2)), [0], r"shaped \[M,4\]"),  # read as one box
+    (np.zeros(8), [0, 0], r"shaped \[M,4\]"),
+    ([[0.0, 0.0, 5.0, 5.0]], [1.7], "integer labels"),  # read as label 1
+    ([[0.0, 0.0, 5.0, 5.0]], [True], "integer labels"),
+], ids=["2x2 boxes", "flat boxes", "fractional label", "bool label"])
+def test_groundtruth_rejects_malformed_boxes_and_labels(boxes, labels, message):
+    with pytest.raises(ValueError, match=message):
+        GroundTruth(boxes, labels)
+
+
+@pytest.mark.parametrize("boxes", [[], np.zeros((0, 4))], ids=["empty list", "0x4"])
+def test_groundtruth_accepts_no_objects(boxes):
+    gt = GroundTruth(boxes, [])
+    assert gt.boxes.shape == (0, 4) and gt.labels.dtype == np.int64 and len(gt) == 0
+
+
 @pytest.mark.parametrize("box", [[np.nan, 0.0, 10.0, 10.0], [0.0, 0.0, np.inf, 10.0],
                                  [0.0, -np.inf, 10.0, 10.0], [0.0, 0.0, 10.0, np.nan]])
 def test_groundtruth_rejects_non_finite_boxes(box):

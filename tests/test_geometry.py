@@ -139,6 +139,18 @@ def test_fold_boxes_routes_inverted_coordinates():
     assert loss_inv[0] == loss_ok[0] == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("box", [[0.0, 0.0, np.nan, 5.0], [np.nan, 0.0, 3.0, 5.0],
+                                 [0.0, 1.0, 3.0, np.nan], [0.0, np.nan, 3.0, 5.0]])
+def test_fold_boxes_keeps_a_nan_in_the_box(box):
+    """Python's max(l, nan) is l; the fold keeps the NaN instead, so the GIoU
+    loss treats the prediction as a degenerate pair (loss 1, zero gradient)
+    and never takes a gradient from a made-up zero-width box."""
+    folded, _, _ = fold_boxes([box])
+    assert np.isnan(folded).any()
+    loss, grad = giou_loss_grad_array([box], [[0.0, 0.0, 3.0, 5.0]])
+    assert loss.tolist() == [1.0] and not grad.any()
+
+
 def test_iou_matrix_matches_scalar():
     rng = np.random.default_rng(11)
     a = np.sort(rng.uniform(0, 10, size=(5, 2, 2)), axis=2).reshape(5, 4)[:, [0, 2, 1, 3]]

@@ -489,44 +489,59 @@ def _collect_both_ways(maps, cfg, seed):
                                        rng.normal(size=(g, 4)), rng.normal(size=(g, 4)))
 
 
-def test_a_cached_plan_collects_like_a_fresh_one(monkeypatch):
+def test_a_cached_plan_collects_like_a_fresh_one():
     """Forward and backward through a plan fetched from the cache equal,
     bit for bit, the same collection through a plan built just for it,
     visiting the cases in an order that alternates modes, offsets and
     shapes; 1x1 levels give the gathers axes of extent 1."""
-    monkeypatch.setattr(head, "_PLAN_CACHE", {})
     cases = _plan_cases()
     cold = []
     for i, (cfg, maps) in enumerate(cases):
-        head._PLAN_CACHE.clear()
+        head._plan.cache_clear()
         cold.append(_collect_both_ways(maps, cfg, i))
     assert any(h == w == 1 for _, maps in cases for _, h, w in maps.levels)
-    head._PLAN_CACHE.clear()
+    head._plan.cache_clear()
     for cfg, maps in cases:
         collect_level(maps, cfg)
-    n_plans = len(head._PLAN_CACHE)
+    n_plans = head._plan.cache_info().currsize
     for i in (7 * k % len(cases) for k in range(len(cases))):
         cfg, maps = cases[i]
         col, grads = _collect_both_ways(maps, cfg, i)
         _assert_same_bytes(vars(col), vars(cold[i][0]))
         _assert_same_tree(vars(grads), vars(cold[i][1]))
     # coupled and cls-only ignore the offsets, so three of each mode's cases share a plan
-    assert len(head._PLAN_CACHE) == n_plans == 4 * (3 + 1 + 3 + 1)
+    assert head._plan.cache_info().currsize == n_plans == 4 * (3 + 1 + 3 + 1)
 
 
-def test_same_shape_forwards_share_one_plan(monkeypatch):
-    monkeypatch.setattr(head, "_PLAN_CACHE", {})
+def test_same_shape_forwards_share_one_plan():
+    head._plan.cache_clear()
     model = DetectionModel(ModelConfig(channels=8), seed=0)
     rng = np.random.default_rng(13)
     cols = [model.forward(rng.uniform(size=(3, 32, 32)), keep_cache=False).collection
             for _ in range(3)]
-    assert len(head._PLAN_CACHE) == 1
+    assert head._plan.cache_info().currsize == 1
     assert cols[0].level is cols[2].level and cols[0].grid_cx is cols[1].grid_cx
     # another image shape or another mode gets an entry of its own
     model.forward(rng.uniform(size=(3, 32, 48)), keep_cache=False)
     DetectionModel(ModelConfig(channels=8, mode="coupled"), seed=0).forward(
         rng.uniform(size=(3, 32, 32)), keep_cache=False)
-    assert len(head._PLAN_CACHE) == 3
+    assert head._plan.cache_info().currsize == 3
+
+
+def test_modes_that_read_the_same_plan_share_it():
+    """coupled and loc-only with the lone offset 0 read the same grid
+    geometry and layouts, so they share one plan."""
+    head._plan.cache_clear()
+    image = np.random.default_rng(15).uniform(size=(3, 32, 32))
+    for mode in ("coupled", "loc-only"):
+        DetectionModel(ModelConfig(channels=8, mode=mode, neighbor_offsets=(0,)), seed=0).forward(
+            image, keep_cache=False)
+    assert head._plan.cache_info().currsize == 1
+
+
+def test_shape_memos_are_bounded():
+    for memo in (head._plan, ops._col2im_indices):
+        assert isinstance(memo.cache_info().maxsize, int)
 
 
 def test_shared_collection_arrays_are_read_only():

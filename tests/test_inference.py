@@ -81,6 +81,9 @@ def test_decode_validates_arguments():
         decode_detections(state, 32, 32, score_thresh=1.2)
     with pytest.raises(ValueError, match="threshold"):
         decode_detections(state, 32, 32, score_thresh=False)  # it read as 0.0
+    for not_a_number in ("0.1", None):  # each failed inside <= with a bare TypeError
+        with pytest.raises(ValueError, match="^score threshold must be in"):
+            decode_detections(state, 32, 32, score_thresh=not_a_number)
     with pytest.raises(ValueError, match="topk"):
         decode_detections(state, 32, 32, topk_per_level=0)
 

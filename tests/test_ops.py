@@ -188,6 +188,13 @@ def _sample_grad(m, x, y):
     return float(vals[0]), gmaps.reshape(m.shape), float(gxs[0]), float(gys[0])
 
 
+def test_bilinear_gather_rejects_maps_of_another_shape():
+    """A layout of one 2x2 level read flat cell 3 of a [2,6] array (3.0) without error."""
+    layout = ops.gather_layout(1, [(2, 2)], np.zeros(1, dtype=np.intp))
+    with pytest.raises(ValueError, match=r"shape \(2, 6\).*shape \(1, 4\)"):
+        ops.bilinear_gather(np.arange(12.0).reshape(2, 6), layout, [1.0], [1.0])
+
+
 def test_bilinear_integer_gridpoint_exact():
     rng = np.random.default_rng(2)
     m = rng.normal(size=(4, 5))

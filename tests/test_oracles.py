@@ -1,9 +1,12 @@
-"""The reference implementations stay independent of the library."""
+"""Import rules: the reference implementations stay independent of the
+library, and the library imports nothing but numpy and the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 ORACLES = Path(__file__).with_name("oracles.py")
+LIBRARY = Path(__file__).parents[1] / "src" / "pointdet"
 
 
 def test_oracles_do_not_import_pointdet():
@@ -15,3 +18,21 @@ def test_oracles_do_not_import_pointdet():
             imported.append("." * node.level + (node.module or ""))
     bad = [m for m in imported if m.split(".")[0] == "pointdet" or m.startswith(".")]
     assert not bad, f"tests/oracles.py must share no code with pointdet, imports {bad}"
+
+
+def test_library_imports_only_numpy_and_the_standard_library():
+    sources = sorted(LIBRARY.glob("*.py"))
+    assert len(sources) > 1
+    bad = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            bad += [f"{path.name}: {name}" for name in names
+                    if name.split(".")[0] != "numpy"
+                    and name.split(".")[0] not in sys.stdlib_module_names]
+    assert not bad, f"pointdet must depend on numpy alone, imports {bad}"
