@@ -8,6 +8,8 @@ with a single machine-readable JSON error line on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import sys
@@ -106,26 +108,33 @@ def _cmd_gen_data(args) -> int:
 
 
 def _train_common(cfg: TrainConfig, mode: str, out_dir: str, assignment_rule="coarse-iou"):
-    os.makedirs(out_dir, exist_ok=True)
-    log_path = os.path.join(out_dir, "train_log.jsonl")
+    """Train, writing ``config.txt``, ``train_log.jsonl`` and ``model.pdn`` to
+    ``out_dir``. The directory is made at the first log entry or checkpoint,
+    after every check on the config has passed: a rejected config leaves none."""
+    config_text = format_config(cfg)
     ckpt_path = os.path.join(out_dir, "model.pdn")
-    with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8") as f:
-        f.write(format_config(cfg))
-    with open(log_path, "w", encoding="utf-8") as f:
-        def log_fn(entry):
-            f.write(json.dumps(entry) + "\n")
+    with contextlib.ExitStack() as files:
+        @functools.cache
+        def open_run():
+            os.makedirs(out_dir, exist_ok=True)
+            with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8") as f:
+                f.write(config_text)
+            return files.enter_context(
+                open(os.path.join(out_dir, "train_log.jsonl"), "w", encoding="utf-8"))
 
         try:
             model, history = train_from_config(
-                cfg, mode=mode, assignment_rule=assignment_rule, log_fn=log_fn
-            )
+                cfg, mode=mode, assignment_rule=assignment_rule,
+                log_fn=lambda entry: open_run().write(json.dumps(entry) + "\n"))
         except TrainingDiverged as e:
             # keep the last parameters that produced a finite loss
             if e.model is not None:
+                open_run()
                 e.model.save(ckpt_path)
             raise RuntimeError(
                 f"training diverged: {e}; last-good checkpoint saved to {ckpt_path}"
             ) from e
+        open_run()
     model.save(ckpt_path)
     return model, history, ckpt_path
 
@@ -157,6 +166,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if not 0.0 < args.tolerance < np.inf:
+        raise ValueError(f"--tolerance must be a positive finite number, got {args.tolerance}")
     names = [args.op] if args.op else None
     results = gradcheck.run_checks(names)
     ok = True

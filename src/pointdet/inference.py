@@ -34,14 +34,14 @@ __all__ = [
     "write_ground_truths",
     "read_ground_truths",
     "DEFAULT_SCORE_THRESH",
-    "DEFAULT_TOPK_PER_LEVEL",
+    "TOPK_PER_LEVEL",
     "DEFAULT_MAX_DETECTIONS",
     "DEFAULT_NMS_IOU",
     "AP_IOU_THRESHOLDS",
 ]
 
 DEFAULT_SCORE_THRESH = 0.05
-DEFAULT_TOPK_PER_LEVEL = 1000
+TOPK_PER_LEVEL = 1000
 DEFAULT_MAX_DETECTIONS = 100
 DEFAULT_NMS_IOU = 0.6
 AP_IOU_THRESHOLDS = tuple(np.round(np.arange(0.50, 0.96, 0.05), 2))
@@ -87,22 +87,20 @@ def _check_iou_thresh(name: str, value) -> None:
 
 
 def decode_detections(state: ModelState, image_width: float, image_height: float,
-                      score_thresh: float = DEFAULT_SCORE_THRESH,
-                      topk_per_level: int = DEFAULT_TOPK_PER_LEVEL) -> Candidates:
+                      score_thresh: float = DEFAULT_SCORE_THRESH) -> Candidates:
     """Threshold and top-k filter the per-grid collected results.
 
     Per level: keep grid-class pairs with score strictly above the threshold,
-    cap at ``topk_per_level`` by score (ties keep lower flat index ``class *
+    cap at ``TOPK_PER_LEVEL`` by score (ties keep lower flat index ``class *
     grids + grid``; below the cap, flat index order), then concatenate the
     levels, fold each box with :func:`~pointdet.geometry.fold_boxes` and clamp it to
     [0, width] x [0, height]. A surviving box with a non-finite coordinate
-    raises ValueError, as does a ``topk_per_level`` that is not a positive
-    integer or an image extent that is not a positive finite number.
+    raises ValueError, as does an image extent that is not a positive finite
+    number.
     """
     if isinstance(score_thresh, bool) or not (isinstance(score_thresh, numbers.Real)
                                               and 0.0 <= score_thresh < 1.0):
         raise ValueError(f"score threshold must be in [0,1), got {score_thresh!r}")
-    check_int("topk_per_level", topk_per_level, 1)
     for name, v in (("image_width", image_width), ("image_height", image_height)):
         if isinstance(v, bool) or not (isinstance(v, numbers.Real) and 0 < v < math.inf):
             raise ValueError(f"{name} must be a positive finite number, got {v!r}")
@@ -111,8 +109,8 @@ def decode_detections(state: ModelState, image_width: float, image_height: float
     for level, sl in enumerate(col.cuts):
         flat_scores = col.scores[:, sl].ravel()  # [C*G_level], class-major
         keep = np.nonzero(flat_scores > score_thresh)[0]
-        if len(keep) > topk_per_level:
-            keep = keep[np.lexsort((keep, -flat_scores[keep]))[:topk_per_level]]
+        if len(keep) > TOPK_PER_LEVEL:
+            keep = keep[np.lexsort((keep, -flat_scores[keep]))[:TOPK_PER_LEVEL]]
         class_ids, grids = np.divmod(keep, sl.stop - sl.start)
         parts.append((col.boxes[sl][grids], flat_scores[keep], class_ids,
                       np.full(len(keep), level), grids))
@@ -146,9 +144,8 @@ def nms(boxes, scores, class_ids, iou_thresh: float = DEFAULT_NMS_IOU,
     bit is set in its class's suppression bitset, then ORs in the box's row.
     An entry is decided by the entries kept before it alone, so with a cap
     the table and scan cover the first ``2 * max_kept`` entries in score
-    order, and the prefix doubles until the cap is met or it holds them all.
-    A widening keeps the table and the scan's state: it adds the rows and
-    columns of the boxes new to the prefix and scans on from where it stopped.
+    order, and the prefix doubles until the cap is met or it holds them all;
+    each doubling builds the table and runs the scan afresh over the prefix.
     """
     _check_iou_thresh("iou_thresh", iou_thresh)
     if max_kept is not None:
@@ -162,72 +159,54 @@ def nms(boxes, scores, class_ids, iou_thresh: float = DEFAULT_NMS_IOU,
     order = np.lexsort((np.arange(len(scores)), -scores))
     size = len(order) if max_kept is None else 2 * max_kept
     keys = boxes.view(np.dtype((np.void, 32))).ravel()
-    seen, rows, start = keys[:0], [], 0  # the distinct boxes' keys in table order, their rows
-    suppressed, kept, kept_at = {}, [], []  # kept_at: (box, class) of each kept entry
     while True:
-        chunk, u0 = order[start:size], len(seen)
-        uniq, first, inverse = np.unique(np.concatenate([seen, keys[chunk]]),
-                                         return_index=True, return_inverse=True)
-        fresh = first >= u0  # a box seen before keeps its place in the table
-        box_of = np.where(fresh, u0 + np.cumsum(fresh) - 1, first)[inverse[u0:]]
-        seen = np.concatenate([seen, uniq[fresh]])
-        distinct, u, lo = seen.view(np.float64).reshape(-1, 4), len(seen), u0
-        over = np.empty((u - u0, u), dtype=bool)  # the new boxes' rows
+        chunk = order[:size]
+        uniq, box_of = np.unique(keys[chunk], return_inverse=True)
+        distinct, u, lo = uniq.view(np.float64).reshape(-1, 4), len(uniq), 0
+        over = np.empty((u, u), dtype=bool)
         while lo < u:  # IoU is exactly symmetric: fill the upper triangle and mirror it
             hi = lo + max(1, _IOU_BLOCK_PAIRS // (u - lo))
-            over[lo - u0:hi - u0, lo:] = iou_matrix(distinct[lo:hi], distinct[lo:]) > iou_thresh
-            over[hi - u0:, lo:hi] = over[lo - u0:hi - u0, hi:].T
+            over[lo:hi, lo:] = iou_matrix(distinct[lo:hi], distinct[lo:]) > iou_thresh
+            over[hi:, lo:hi] = over[lo:hi, hi:].T
             lo = hi
-        if 0 < u0 < u:  # a widening: the old boxes against the new ones extend the old rows
-            old, new, cross = distinct[:u0], distinct[u0:], np.empty((u0, u - u0), dtype=bool)
-            step = max(1, _IOU_BLOCK_PAIRS // (u - u0))
-            for lo in range(0, u0, step):
-                cross[lo:lo + step] = iou_matrix(old[lo:lo + step], new) > iou_thresh
-            over[:, :u0] = cross.T
-            for b, r in enumerate(np.packbits(cross, axis=1, bitorder="little")):
-                rows[b] |= int.from_bytes(r.tobytes(), "little") << u0
-            for b, cls in kept_at:
-                suppressed[cls] |= rows[b]
-        rows += [int.from_bytes(r.tobytes(), "little")
-                 for r in np.packbits(over, axis=1, bitorder="little")]
+        rows = [int.from_bytes(r.tobytes(), "little")
+                for r in np.packbits(over, axis=1, bitorder="little")]
+        suppressed, kept = {}, []
         for i, b, cls in zip(chunk.tolist(), box_of.tolist(), class_ids[chunk].tolist()):
             bits = suppressed.get(cls, 0)
             if not bits >> b & 1:
                 kept.append(i)
                 if len(kept) == max_kept:
                     return kept
-                kept_at.append((b, cls))
                 suppressed[cls] = bits | rows[b]
         if size >= len(order):
             return kept
-        start, size = size, 2 * size
+        size *= 2
 
 
 def detect(model: DetectionModel, image, score_thresh: float = DEFAULT_SCORE_THRESH,
-           topk_per_level: int = DEFAULT_TOPK_PER_LEVEL,
            nms_iou: float = DEFAULT_NMS_IOU,
            max_detections: int = DEFAULT_MAX_DETECTIONS,
            image_id: int = 0) -> list[Detection]:
     """Full inference for one image: forward, then :func:`postprocess`."""
     image = np.asarray(image, dtype=np.float64)
     return postprocess(model.forward(image, keep_cache=False), image.shape[2], image.shape[1],
-                       score_thresh, topk_per_level, nms_iou, max_detections, image_id)
+                       score_thresh, nms_iou, max_detections, image_id)
 
 
 def postprocess(state: ModelState, image_width: float, image_height: float,
                 score_thresh: float = DEFAULT_SCORE_THRESH,
-                topk_per_level: int = DEFAULT_TOPK_PER_LEVEL,
                 nms_iou: float = DEFAULT_NMS_IOU,
                 max_detections: int = DEFAULT_MAX_DETECTIONS,
                 image_id: int = 0) -> list[Detection]:
     """Detections of one forward pass, score-sorted: decode, NMS, cap at
     ``max_detections``. Only the survivors become :class:`Detection` objects,
     carrying their ``source_level`` and ``source_grid``. A ``max_detections``
-    or ``topk_per_level`` that is not a positive integer, or an ``nms_iou``
-    that is not a number in (0,1], raises ValueError naming it."""
+    that is not a positive integer, or an ``nms_iou`` that is not a number in
+    (0,1], raises ValueError naming it."""
     check_int("max_detections", max_detections, 1)
     _check_iou_thresh("nms_iou", nms_iou)
-    cand = decode_detections(state, image_width, image_height, score_thresh, topk_per_level)
+    cand = decode_detections(state, image_width, image_height, score_thresh)
     kept = nms(cand.boxes, cand.scores, cand.class_ids, nms_iou, max_detections)
     return [
         Detection(Box(*box), class_id, score, image_id, level, grid)

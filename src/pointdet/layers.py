@@ -11,7 +11,7 @@ __all__ = ["ConvLayer", "relu_chain", "relu_chain_backward"]
 
 
 class ConvLayer:
-    """3x3 (or kxk) convolution with bias.
+    """3x3 convolution with padding 1 and bias.
 
     ``forward`` returns ``(y, cache)``; ``backward`` accumulates weight/bias
     gradients into the layer's parameters. The input gradient is left to the
@@ -22,19 +22,17 @@ class ConvLayer:
     the input's patches from :func:`ops.im2col`, built once for several layers.
     """
 
-    def __init__(self, name, cin, cout, rng, k=3, stride=1, padding=1,
-                 weight_scale=None, bias_fill=0.0):
+    def __init__(self, name, cin, cout, rng, stride=1, weight_scale=None, bias_fill=0.0):
         if weight_scale is None:
-            weight_scale = np.sqrt(2.0 / (cin * k * k))
-        w = rng.normal(0.0, weight_scale, size=(cout, cin, k, k))
+            weight_scale = np.sqrt(2.0 / (cin * 9))
+        w = rng.normal(0.0, weight_scale, size=(cout, cin, 3, 3))
         b = np.broadcast_to(np.asarray(bias_fill, dtype=np.float64), (cout,)).copy()
         self.w = Parameter(f"{name}.w", w)
         self.b = Parameter(f"{name}.b", b)
         self.stride = stride
-        self.padding = padding
 
     def forward(self, x, cols=None):
-        return ops.conv2d(x, self.w.value, self.b.value, self.stride, self.padding, cols=cols)
+        return ops.conv2d(x, self.w.value, self.b.value, self.stride, 1, cols=cols)
 
     def backward(self, cache, gy) -> None:
         gw, gb = ops.conv2d_backward(cache, gy)

@@ -123,6 +123,20 @@ def test_cli_rejects_negative_counts(argv, option, capsys):
     assert option in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("override", [
+    {"classes": 0}, {"image_size": 60}, {"lr": 0.0}, {"max_objects": 0}, {"neighbor_set": ()},
+    {"n_semantic": 5},
+], ids=["classes", "image-size", "lr", "max-objects", "neighbor-set", "n-semantic"])
+def test_rejected_config_leaves_no_run_directory(tmp_path, capsys, command, override):
+    config_path, _ = _write_config(tmp_path, iters=1, **override)
+    argv = [command, "--config", str(config_path)]
+    rc = main(argv + (["--mode", "coupled"] if command == "ablate" else []))
+    assert rc == 1
+    assert "error" in json.loads(capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
 def test_gen_data_rejects_a_negative_count(tmp_path, capsys):
     out = tmp_path / "data"
     rc = main(["gen-data", "--seed", "1", "--count", "-2", "--out", str(out)])
@@ -165,6 +179,17 @@ def test_gradcheck_cli_unknown_op(capsys):
     rc = main(["gradcheck", "--op", "frobnicate"])
     assert rc == 1
     assert "unknown gradcheck op" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf", "1e400"])
+def test_gradcheck_cli_rejects_a_tolerance_that_is_not_positive_finite(tolerance, capsys):
+    # nan and -1 failed every check, inf passed every one
+    rc = main(["gradcheck", "--op", "softmax", "--tolerance", tolerance])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""  # no check ran
+    assert json.loads(err)["error"] == (f"ValueError: --tolerance must be a positive finite "
+                                        f"number, got {float(tolerance)}")
 
 
 def test_render_cli(tmp_path, capsys):

@@ -65,9 +65,10 @@ def test_decode_single_survivor():
     assert 0 <= l <= r <= 32 and 0 <= t <= b <= 32
 
 
-def test_decode_respects_topk_cap():
+def test_decode_respects_topk_cap(monkeypatch):
     state = _tiny_state()
-    cand = decode_detections(state, 32, 32, score_thresh=0.0, topk_per_level=3)
+    monkeypatch.setattr(inference, "TOPK_PER_LEVEL", 3)
+    cand = decode_detections(state, 32, 32, score_thresh=0.0)
     assert len(cand) <= 3 * len(state.collection.cuts)
     per_level = {}
     for level in cand.levels.tolist():
@@ -84,8 +85,6 @@ def test_decode_validates_arguments():
     for not_a_number in ("0.1", None):  # each failed inside <= with a bare TypeError
         with pytest.raises(ValueError, match="^score threshold must be in"):
             decode_detections(state, 32, 32, score_thresh=not_a_number)
-    with pytest.raises(ValueError, match="topk"):
-        decode_detections(state, 32, 32, topk_per_level=0)
 
 
 def test_decode_folds_and_clamps_boxes_to_the_image():
@@ -126,19 +125,20 @@ def test_decode_rejects_non_finite_surviving_box():
         decode_detections(state, 32, 32, score_thresh=0.0)
 
 
-def test_postprocess_equals_scalar_reference_pipeline():
+def test_postprocess_equals_scalar_reference_pipeline(monkeypatch):
     # fresh model, every candidate above 0: top-k binds on the two finer
     # levels and several hundred candidates reach NMS
     model = DetectionModel(ModelConfig(), seed=0)
     state = model.forward(np.random.default_rng(0).uniform(size=(3, 64, 64)))
     topk = 150
+    monkeypatch.setattr(inference, "TOPK_PER_LEVEL", topk)
     levels = level_views(state.collection)
     ref = decode_reference(levels, 64, 64, 0.0, topk)
     assert len(ref) == 2 * topk + levels[2].scores.size
     kept = nms_reference([r[0] for r in ref], [r[1] for r in ref], [r[2] for r in ref],
                          DEFAULT_NMS_IOU)[:DEFAULT_MAX_DETECTIONS]
     want = [tuple(v.hex() for v in ref[i][0]) + (ref[i][1].hex(),) + ref[i][2:] for i in kept]
-    dets = postprocess(state, 64, 64, score_thresh=0.0, topk_per_level=topk, image_id=5)
+    dets = postprocess(state, 64, 64, score_thresh=0.0, image_id=5)
     got = [(d.box.l.hex(), d.box.t.hex(), d.box.r.hex(), d.box.b.hex(), d.score.hex(),
             d.class_id, d.source_level, d.source_grid) for d in dets]
     assert len(got) == DEFAULT_MAX_DETECTIONS and got == want
@@ -268,32 +268,9 @@ def test_nms_cap_widens_prefix_until_reached(monkeypatch):
     monkeypatch.setattr(inference, "iou_matrix", counting_iou_matrix)
     kept = nms(boxes, scores, [0] * 7, 0.6, max_kept=2)
     assert kept == [0, 5] == nms_reference(boxes, scores, [0] * 7, 0.6)[:2]
-    # one distinct box in the first prefix; the widening adds the two new
-    # boxes' rows, then the old box against them
-    assert rows == [1, 2, 1]
-
-
-def test_nms_widening_computes_each_iou_pair_once(monkeypatch):
-    # 8 clusters of 5 nested boxes, scores falling cluster by cluster, then
-    # every box once more in class 1. A cap of 10 keeps one entry per cluster
-    # and two of class 1: prefixes of 20, 40 and 80 entries, and the last
-    # chunk holds only boxes seen before. One-row blocks fill no pair twice
-    # within a block, so any repeat would come from a widening.
-    boxes = [[40 * c, 0, 40 * c + 30 - k, 30 - k] for c in range(8) for k in range(5)] * 2
-    scores = np.linspace(1.0, 0.2, 80)
-    classes = [0] * 40 + [1] * 40
-    pairs = []
-
-    def recording_iou_matrix(a, b):
-        pairs.extend(frozenset((tuple(p), tuple(q))) for p in a.tolist() for q in b.tolist())
-        return iou_matrix(a, b)
-
-    monkeypatch.setattr(inference, "iou_matrix", recording_iou_matrix)
-    monkeypatch.setattr(inference, "_IOU_BLOCK_PAIRS", 1)
-    kept = nms(boxes, scores, classes, 0.6, max_kept=10)
-    assert kept == nms_reference(boxes, scores, classes, 0.6)[:10]
-    assert kept == [0, 5, 10, 15, 20, 25, 30, 35, 40, 45]
-    assert len(pairs) == len(set(pairs)) == 40 * 41 // 2  # each of the 40 boxes' pairs once
+    # one distinct box in the first prefix's table; the doubled prefix
+    # builds its own table over all three
+    assert rows == [1, 3]
 
 
 def _table_pairs_bound(u):
@@ -471,14 +448,11 @@ def test_detect_peak_memory_stays_below_the_training_forward():
     ({"max_detections": 1.5}, "max_detections"),
     ({"max_detections": True}, "max_detections"),
     ({"max_detections": "10"}, "max_detections"),
-    ({"topk_per_level": 1.5}, "topk_per_level"),
-    ({"topk_per_level": "3"}, "topk_per_level"),
-    ({"topk_per_level": True}, "topk_per_level"),
     ({"nms_iou": True}, "nms_iou"),
     ({"nms_iou": "0.6"}, "nms_iou"),
     ({"image": np.full((3, 32, 32), np.nan)}, "image contains non-finite"),
-], ids=["negative", "zero", "fractional", "bool", "string", "topk-fractional", "topk-string",
-        "topk-bool", "nms-iou-bool", "nms-iou-string", "nan-image"])
+], ids=["negative", "zero", "fractional", "bool", "string", "nms-iou-bool", "nms-iou-string",
+        "nan-image"])
 def test_detect_rejects_bad_arguments(kwargs, match):
     model = DetectionModel(ModelConfig(channels=8, classes=2, n_semantic=4), seed=0)
     kwargs = {"image": np.zeros((3, 32, 32)), **kwargs}

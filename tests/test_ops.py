@@ -10,6 +10,9 @@ from oracles import (
     im2col_reference,
 )
 from pointdet import ops
+from pointdet.config import TrainConfig
+from pointdet.inference import detect
+from pointdet.training import train_from_config
 
 
 def test_conv_identity_1x1():
@@ -159,6 +162,20 @@ def test_conv_input_grad_matches_the_summed_oracle_gradients(cin, h, w, convs, s
         gys.append(gy)
         ref += np.asarray(conv2d_backward_reference(x, wt, gy, stride, padding)[0])
     assert _max_rel_err(ops.conv2d_input_grad(caches, gys), ref) < 1e-12
+
+
+def test_memoized_im2col_indices_stay_unchanged_by_training_and_detection():
+    # the memo hands every conv of a shape the same writeable index, kept
+    # writeable because np.take runs several times slower on a read-only one
+    model, _ = train_from_config(TrainConfig(iters=1))
+    detect(model, np.random.default_rng(0).uniform(size=(3, 64, 64)))
+    keys = [(shape, 3, 2, 1) for shape in ((3, 64, 64), (32, 32, 32), (32, 16, 16), (32, 8, 8))]
+    keys += [(shape, 3, 1, 1) for shape in ((32, 16, 16), (32, 8, 8), (32, 4, 4))]
+    for key in keys:
+        misses = ops._col2im_indices.cache_info().misses
+        memo = ops._col2im_indices(*key)
+        assert ops._col2im_indices.cache_info().misses == misses, key  # the model's own index
+        np.testing.assert_array_equal(memo, ops._col2im_indices.__wrapped__(*key))
 
 
 def test_conv_input_grad_rejects_convs_of_different_inputs():
