@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--image", required=True, help="input scene (.ppm or .npy)")
     p.add_argument("--out", required=True)
-    p.add_argument("--scale", type=int, default=4)
+    p.add_argument("--scale", type=_count(1), default=4)
     p.add_argument("--score-thresh", type=float, default=0.3)
 
     p = sub.add_parser("ablate", help="train one collection mode and evaluate it")
@@ -181,8 +181,6 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_analyze(args) -> int:
     model = DetectionModel.load(args.ckpt)
     images, gts, _ = dataio.load_dataset(args.data)
-    os.makedirs(args.out, exist_ok=True)
-
     all_maps = []
     scenes = []
     for i in range(len(images)):
@@ -201,13 +199,12 @@ def _cmd_analyze(args) -> int:
         "range": list(hist["range"]),
         "hist": {t: h.tolist() for t, h in hist["hist"].items()},
     }
-    dataio.write_json(os.path.join(args.out, "histograms.json"), hist_json)
-
     dists = analysis.point_distance_distribution(model, scenes)
-    dataio.write_json(os.path.join(args.out, "distances.json"), dists)
-
+    # --out is made only now: arguments the analyses reject leave nothing behind
     heat_dir = os.path.join(args.out, "accuracy_maps")
     os.makedirs(heat_dir, exist_ok=True)
+    dataio.write_json(os.path.join(args.out, "histograms.json"), hist_json)
+    dataio.write_json(os.path.join(args.out, "distances.json"), dists)
     for n, m in enumerate(all_maps[: args.max_heatmaps]):
         ppm.render_heatmap(m.cls_conf, os.path.join(heat_dir, f"obj{n:03d}_cls.ppm"),
                            valid=m.valid)

@@ -52,9 +52,9 @@ def check_conv(seed: int = 3) -> float:
     rng = np.random.default_rng(seed)
     worst = 0.0
     # 5x8 at stride 2 leaves the last input column unread: (8 + 2 - 3) % 2 != 0;
-    # the last case is three convs of one input, two of them stacked at stride 2
+    # the last case is three stride-2 convs of one input, stacked in one gradient
     for (h, wd), strides, couts in (((4, 4), (1,), (3,)), ((4, 4), (2,), (3,)),
-                                    ((5, 8), (2,), (3,)), ((5, 6), (2, 1, 2), (3, 1, 2))):
+                                    ((5, 8), (2,), (3,)), ((5, 6), (2, 2, 2), (3, 1, 2))):
         x = rng.normal(size=(2, h, wd))
         ws = [rng.normal(size=(cout, 2, 3, 3)) for cout in couts]
         bs = [rng.normal(size=cout) for cout in couts]

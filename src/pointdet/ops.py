@@ -18,6 +18,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -54,15 +55,12 @@ _COL2IM_MEMO_SIZE = 128
 
 def im2col(x, k, stride, padding):
     """Read-only patches of ``x`` [Cin,H,W]: rows are output positions
-    (row-major), columns (cin, ky, kx). This layout is fixed: training is
-    bit-identical only for ``cols @ w.T``; ``w @ cols.T`` rounds differently."""
-    cin, h, wd = x.shape
-    ho, wo = (h + 2 * padding - k) // stride + 1, (wd + 2 * padding - k) // stride + 1
-    xp = np.zeros((cin, h + 2 * padding, wd + 2 * padding))
-    xp[:, padding : padding + h, padding : padding + wd] = x
-    cols = xp.take(_col2im_indices(x.shape, k, stride, padding))
+    (row-major), columns (cin, ky, kx); padding cells read the zero appended
+    to the flat input. This layout is fixed: training is bit-identical only
+    for ``cols @ w.T``; ``w @ cols.T`` rounds differently."""
+    cols = np.append(x, 0.0).take(_col2im_indices(x.shape, k, stride, padding))
     cols.flags.writeable = False
-    return cols.reshape(ho * wo, cin * k * k)
+    return cols.reshape(-1, x.shape[0] * k * k)
 
 
 def conv2d(x, w, b=None, stride=1, padding=0, cols=None):
@@ -85,17 +83,13 @@ def conv2d(x, w, b=None, stride=1, padding=0, cols=None):
     if kh % 2 != 1:
         raise ValueError(f"kernel size must be odd, got {kh}")
     if cin_w != cin:
-        raise ValueError(
-            f"input channel mismatch: input has {cin} channels, weights expect {cin_w}"
-        )
+        raise ValueError(f"input channel mismatch: input has {cin} channels, "
+                         f"weights expect {cin_w}")
     if stride not in (1, 2):
         raise ValueError(f"stride must be 1 or 2, got {stride}")
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (wd + 2 * padding - kw) // stride + 1
+    ho, wo = ((n + 2 * padding - kh) // stride + 1 for n in (h, wd))
     if ho < 1 or wo < 1:
-        raise ValueError(
-            f"output would be empty: input {h}x{wd}, kernel {kh}, padding {padding}"
-        )
+        raise ValueError(f"output would be empty: input {h}x{wd}, kernel {kh}, padding {padding}")
     if b is not None:
         b = np.asarray(b, dtype=np.float64)
         if b.shape != (cout,):
@@ -109,29 +103,34 @@ def conv2d(x, w, b=None, stride=1, padding=0, cols=None):
     if b is not None:
         y += b
     y = np.ascontiguousarray(y.T.reshape(cout, ho, wo))
-    cache = (cols, x.shape, w, stride, padding, ho, wo, b is not None)
+    cache = (cols, x.shape, w, stride, padding, b is not None)
     return y, cache
 
 
 @lru_cache(maxsize=_COL2IM_MEMO_SIZE)
 def _col2im_indices(xshape, k, stride, padding):
-    """Patch indices into the flat padded input, for the im2col gather and the
-    col2im bincount; writeable, as ``np.take`` runs slower on a large read-only index."""
+    """Patch indices into ``x.ravel()`` plus one trailing zero, for the
+    im2col gather and the col2im bincount: a cell inside the image names its
+    flat index in ``x``, a padding cell ``x.size``. Writeable, as ``np.take``
+    runs slower on a large read-only index."""
     cin, h, wd = xshape
-    hp, wp = h + 2 * padding, wd + 2 * padding
-    wo = (wp - k) // stride + 1
-    oy, ox = np.divmod(np.arange(((hp - k) // stride + 1) * wo), wo)
-    ci, rem = np.divmod(np.arange(cin * k * k), k * k)
-    u, v = np.divmod(rem, k)
-    col_base = ci * (hp * wp) + u * wp + v
-    return ((oy * stride * wp + ox * stride)[:, None] + col_base[None, :]).ravel()
+    # the input rows [H',k] and columns [W',k] that each output position reads
+    r, c = (np.arange((n + 2 * padding - k) // stride + 1)[:, None] * stride
+            + np.arange(k) - padding for n in (h, wd))
+    # [H',W',Cin,k,k], built in place: no other array is near its size
+    idx = np.empty((len(r), len(c), cin, k, k), dtype=np.intp)
+    np.add((r * wd)[:, None, None, :, None] + (np.arange(cin) * (h * wd))[:, None, None],
+           c[:, None, None, :], out=idx)
+    np.copyto(idx, cin * h * wd, where=((r < 0) | (r >= h))[:, None, None, :, None]
+              | ((c < 0) | (c >= wd))[:, None, None, :])
+    return idx.ravel()
 
 
 def conv2d_backward(cache, gy):
     """Parameter gradients of conv2d: ``(gw, gb)``; ``gb`` is None if no bias."""
-    cols, _, w, _, _, ho, wo, has_bias = cache
+    cols, _, w, _, _, has_bias = cache
     gy = np.asarray(gy, dtype=np.float64)
-    gw = (gy.reshape(w.shape[0], ho * wo) @ cols).reshape(w.shape)
+    gw = (gy.reshape(w.shape[0], -1) @ cols).reshape(w.shape)
     gb = gy.sum(axis=(1, 2)) if has_bias else None
     return gw, gb
 
@@ -140,34 +139,25 @@ def conv2d_input_grad(caches, gys):
     """Gradient of the one input ``x`` that every conv of ``caches`` read,
     given their output gradients ``gys``: the sum of each conv's ``gx``.
 
-    The convs of one geometry (kernel, stride, padding) stack their output
-    gradients as [sum Cout, H'*W'] rows and their weights as
-    [sum Cout, Cin*k*k] rows, make one patch gradient and scatter it with one
-    ``bincount`` through the patch index :func:`im2col` gathers with. A conv
-    that reads its input alone gets the bits of its own backward.
+    The convs, of one geometry (kernel, stride, padding; else ValueError),
+    stack output gradients and weights into one patch gradient, scattered by
+    one ``bincount`` through :func:`im2col`'s index; the padding cells' bin,
+    the last, is dropped. A lone conv gets the bits of its own backward.
     """
-    xshape = caches[0][1]
-    groups = {}
-    for cache, gy in zip(caches, gys, strict=True):
-        _, cache_xshape, w, stride, padding, ho, wo, _ = cache
-        if cache_xshape != xshape:
-            raise ValueError(f"convs read inputs of shapes {xshape} and {cache_xshape}")
-        gyfs, ws = groups.setdefault((w.shape[2], stride, padding, ho, wo), ([], []))
-        cout = w.shape[0]
-        gyfs.append(np.asarray(gy, dtype=np.float64).reshape(cout, ho * wo))
-        ws.append(w.reshape(cout, -1))
-    cin, h, wd = xshape
-    gx = None
-    for (k, stride, padding, ho, wo), rows in groups.items():
-        # a lone conv's rows are used in place, without a copy
-        gyf, wf = (r[0] if len(r) == 1 else np.concatenate(r) for r in rows)
-        gcols = gyf.T @ wf
-        hp, wp = h + 2 * padding, wd + 2 * padding
-        idx = _col2im_indices(xshape, k, stride, padding)
-        gxp = np.bincount(idx, weights=gcols.ravel(), minlength=cin * hp * wp)
-        part = gxp.reshape(cin, hp, wp)[:, padding : padding + h, padding : padding + wd]
-        gx = part if gx is None else gx + part
-    return np.ascontiguousarray(gx)
+    _, xshape, w, stride, padding, _ = caches[0]
+    key = (xshape, w.shape[2], stride, padding)  # of the patch index all readers share
+    gyfs, ws = [], []
+    for (_, xshape, w, stride, padding, _), gy in zip(caches, gys, strict=True):
+        if (xshape, w.shape[2], stride, padding) != key:
+            raise ValueError(f"convs read inputs of shapes {key[0]} and {xshape} with (kernel, "
+                             f"stride, padding) {key[1:]} and {(w.shape[2], stride, padding)}")
+        gyfs.append(np.asarray(gy, dtype=np.float64).reshape(len(w), -1))
+        ws.append(w.reshape(len(w), -1))
+    # a lone conv's rows are used in place, without a copy
+    gyf, wf = (r[0] if len(r) == 1 else np.concatenate(r) for r in (gyfs, ws))
+    gx = np.bincount(_col2im_indices(*key), weights=(gyf.T @ wf).ravel(),
+                     minlength=math.prod(key[0]) + 1)
+    return gx[:-1].reshape(key[0])
 
 
 # ---------------------------------------------------------------------------

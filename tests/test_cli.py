@@ -115,7 +115,11 @@ def test_cli_unknown_config_key_fails(tmp_path, capsys):
      "--eval-count: must be an integer >= 1, got -3"),
     (["analyze", "--ckpt", "m.pdn", "--data", "d", "--out", "o", "--max-heatmaps", "-1"],
      "--max-heatmaps: must be an integer >= 0, got -1"),
-], ids=["ablate-eval-count", "analyze-max-heatmaps"])
+    (["render", "--ckpt", "m.pdn", "--image", "i.npy", "--out", "sub/r.ppm", "--scale", "0"],
+     "--scale: must be an integer >= 1, got 0"),
+    (["render", "--ckpt", "m.pdn", "--image", "i.npy", "--out", "sub/r.ppm", "--scale", "-2"],
+     "--scale: must be an integer >= 1, got -2"),
+], ids=["ablate-eval-count", "analyze-max-heatmaps", "render-scale-0", "render-scale-negative"])
 def test_cli_rejects_negative_counts(argv, option, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -298,6 +302,28 @@ def test_analyze_cli(tmp_path, capsys):
     assert set(dists) >= {"grid", "grid_offset", "midpoint", "dynamic"}
     ppms = list((out_dir / "accuracy_maps").glob("*.ppm"))
     assert ppms
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--level", "5", "ValueError: level 5 is outside the pyramid's [0, 3)"),
+    ("--level", "-1", "ValueError: level -1 is outside the pyramid's [0, 3)"),
+    ("--margin", "nan", "ValueError: margin must be a finite number, got nan"),
+    ("--margin", "inf", "ValueError: margin must be a finite number, got inf"),
+], ids=["level-5", "level-negative", "margin-nan", "margin-inf"])
+def test_analyze_cli_rejected_argument_leaves_no_out_directory(tmp_path, capsys, option, value,
+                                                               message):
+    ckpt = tmp_path / "model.pdn"
+    DetectionModel(ModelConfig(channels=8, n_semantic=4), seed=0).save(ckpt)
+    data_dir = tmp_path / "data"
+    main(["gen-data", "--seed", "2", "--count", "2", "--out", str(data_dir),
+          "--image-size", "32"])
+    capsys.readouterr()
+    out_dir = tmp_path / "analysis"
+    rc = main(["analyze", "--ckpt", str(ckpt), "--data", str(data_dir), "--out", str(out_dir),
+               option, value])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"] == message
+    assert not out_dir.exists()
 
 
 def test_analyze_cli_deterministic(tmp_path):

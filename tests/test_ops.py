@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -140,21 +142,20 @@ def test_conv_matches_direct_loop_oracle(cin, cout, h, w, k, stride, padding, bi
         assert _max_rel_err(gb, rgb) < 1e-12
 
 
-_conv_geometry = st.tuples(st.integers(1, 4), st.sampled_from([1, 3, 5]),
-                           st.sampled_from([1, 2]), st.integers(0, 2))
-
-
 @settings(max_examples=80, deadline=None)
 @given(cin=st.integers(1, 3), h=st.integers(1, 8), w=st.integers(1, 8),
-       convs=st.lists(_conv_geometry, min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1))
-def test_conv_input_grad_matches_the_summed_oracle_gradients(cin, h, w, convs, seed):
-    """Convs of any geometry on one input, stacked or not: one input gradient
+       k=st.sampled_from([1, 3, 5]), stride=st.sampled_from([1, 2]), padding=st.integers(0, 2),
+       couts=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_conv_input_grad_matches_the_summed_oracle_gradients(cin, h, w, k, stride, padding,
+                                                              couts, seed):
+    """Convs of one geometry on one input, stacked or not: one input gradient
     equals the sum of every conv's own input gradient."""
-    assume(all(h + 2 * p >= k and w + 2 * p >= k for _, k, _, p in convs))
+    assume(h + 2 * padding >= k and w + 2 * padding >= k)
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(cin, h, w))
     caches, gys, ref = [], [], np.zeros_like(x)
-    for cout, k, stride, padding in convs:
+    for cout in couts:
         wt = rng.normal(size=(cout, cin, k, k))
         y, cache = ops.conv2d(x, wt, None, stride=stride, padding=padding)
         gy = rng.normal(size=y.shape)
@@ -162,6 +163,27 @@ def test_conv_input_grad_matches_the_summed_oracle_gradients(cin, h, w, convs, s
         gys.append(gy)
         ref += np.asarray(conv2d_backward_reference(x, wt, gy, stride, padding)[0])
     assert _max_rel_err(ops.conv2d_input_grad(caches, gys), ref) < 1e-12
+
+
+@pytest.mark.parametrize("xshape, k, stride, padding", [
+    ((2, 5, 8), 3, 2, 1), ((2, 5, 6), 3, 2, 1), ((3, 4, 4), 3, 1, 1), ((3, 4, 4), 3, 1, 0),
+    ((1, 6, 7), 1, 2, 0), ((2, 3, 4), 5, 1, 2), ((2, 7, 5), 5, 2, 1), ((32, 16, 16), 3, 1, 1),
+])
+def test_patch_index_reads_the_unpadded_input_plus_one_zero(xshape, k, stride, padding):
+    """Against the index into the zero-framed [Cin,H+2p,W+2p] copy: a padding
+    cell names ``x.size``, every other entry the same cell of ``x``."""
+    cin, h, w = xshape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
+    oy, ox = np.divmod(np.arange(ho * wo), wo)
+    ci, u, v = np.unravel_index(np.arange(cin * k * k), (cin, k, k))
+    framed = ((oy * stride * wp + ox * stride)[:, None] + (ci * hp * wp + u * wp + v)).ravel()
+    # each cell of the frame names its cell of x; the frame's border names x.size
+    cell = np.full((cin, hp, wp), cin * h * w)
+    cell[:, padding:padding + h, padding:padding + w] = np.arange(cin * h * w).reshape(xshape)
+    idx = ops._col2im_indices.__wrapped__(xshape, k, stride, padding)
+    np.testing.assert_array_equal(idx, cell.ravel()[framed])
+    assert idx.flags.writeable
 
 
 def test_memoized_im2col_indices_stay_unchanged_by_training_and_detection():
@@ -183,6 +205,18 @@ def test_conv_input_grad_rejects_convs_of_different_inputs():
     w = rng.normal(size=(2, 3, 3, 3))
     (y1, c1), (y2, c2) = (ops.conv2d(rng.normal(size=(3, n, n)), w, None, 1, 1) for n in (4, 5))
     with pytest.raises(ValueError, match="inputs of shapes"):
+        ops.conv2d_input_grad([c1, c2], [y1, y2])
+
+
+@pytest.mark.parametrize("other", [(3, 2, 1), (1, 1, 0), (3, 1, 2)],
+                         ids=["stride", "kernel", "padding"])
+def test_conv_input_grad_rejects_convs_of_different_geometries(other):
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(2, 6, 6))
+    (y1, c1), (y2, c2) = (ops.conv2d(x, rng.normal(size=(3, 2, k, k)), None, stride, padding)
+                          for k, stride, padding in ((3, 1, 1), other))
+    with pytest.raises(ValueError, match=r"\(kernel, stride, padding\) \(3, 1, 1\) and "
+                                         + re.escape(str(other))):
         ops.conv2d_input_grad([c1, c2], [y1, y2])
 
 

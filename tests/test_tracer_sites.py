@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pointdet import ops
 from pointdet.config import TrainConfig
 from pointdet.head import available_levels
 from pointdet.inference import detect
@@ -79,3 +80,26 @@ def test_every_conv_runs_through_ops_conv2d_under_its_layer(spans):
     with spans.Tracer() as tracer:
         train_from_config(TrainConfig(iters=1))
     assert spans.aggregate(tracer.spans)["ops.conv2d_backward"]["calls"] == 40
+
+
+def test_conv_flop_counter_follows_each_convs_output_shape(spans, monkeypatch):
+    """``ops.conv2d.flop`` is computed from ``ops.conv2d``'s ``stride`` and
+    ``padding`` arguments; it must equal 2*Cout*Cin*9*H'*W' read off the
+    outputs of the default model's 40 convs in one 64x64 ``detect``."""
+    image = np.random.default_rng(0).uniform(size=(3, 64, 64))
+    model = DetectionModel(ModelConfig(), seed=0)
+    conv2d, flops = ops.conv2d, []
+
+    def recording(x, w, *args, **kwargs):
+        y, cache = conv2d(x, w, *args, **kwargs)
+        assert w.shape[2:] == (3, 3)
+        flops.append(2 * w.shape[0] * w.shape[1] * 9 * y.shape[1] * y.shape[2])
+        return y, cache
+
+    with monkeypatch.context() as patched:
+        patched.setattr(ops, "conv2d", recording)
+        detect(model, image)
+    assert len(flops) == 40
+    with spans.Tracer() as tracer:
+        detect(model, image)
+    assert tracer.counters["ops.conv2d.flop"] == sum(flops)
