@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import ops
 from .backbone import BASE_STRIDE, Backbone
 from .checkpoint import load_checkpoint, save_checkpoint
 from .head import (Collection, Head, Maps, collect_level, collect_level_backward,
@@ -157,14 +158,24 @@ class DetectionModel:
         summed logits, ``gboxes`` [G,4] to the collected boxes and
         ``gcoarse`` [G,4] to the coarse boxes, turned into one :class:`Maps`
         of map gradients. ``state`` must come from a forward that kept its caches.
+        Backward consumes it: it empties the conv caches, and their patch buffers
+        replace :func:`ops.im2col`'s spares, refilled by the next forward.
         """
         if not (state._bcache and state._hcache):
-            raise ValueError("backward needs the conv caches, but the forward ran with "
-                             "keep_cache=False and kept no caches")
+            raise ValueError("backward needs the conv caches, but the state kept no caches: its "
+                             "forward ran with keep_cache=False, or a backward consumed it and "
+                             "its caches went back to the patch pool")
         gmaps = collect_level_backward(state.maps, state.collection, self.config, gz, gboxes,
                                        gcoarse)
         gfeats = self.head.backward(state._hcache, gmaps)
         self.backbone.backward(state._bcache, gfeats)
+        convs = [conv for chain in state._bcache for conv, _ in chain]
+        for trunks, outs in state._hcache:
+            convs += [conv for chain in trunks.values() for conv, _ in chain]
+            convs += outs.values()
+        ops.recycle_patches(convs)
+        state._bcache.clear()
+        state._hcache.clear()
 
     # ------------------------------------------------------------------
     def save(self, path) -> None:

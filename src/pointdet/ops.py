@@ -26,6 +26,7 @@ import numpy as np
 __all__ = [
     "NonFiniteError",
     "im2col",
+    "recycle_patches",
     "conv2d",
     "conv2d_backward",
     "conv2d_input_grad",
@@ -51,16 +52,38 @@ class NonFiniteError(ValueError):
 
 # patch indices kept, least recently used out first; 7 serve a model at one image size
 _COL2IM_MEMO_SIZE = 128
+# spare patch buffers by im2col key: those of the last state a backward consumed
+_SPARES = {}
 
 
 def im2col(x, k, stride, padding):
     """Read-only patches of ``x`` [Cin,H,W]: rows are output positions
     (row-major), columns (cin, ky, kx); padding cells read the zero appended
     to the flat input. This layout is fixed: training is bit-identical only
-    for ``cols @ w.T``; ``w @ cols.T`` rounds differently."""
-    cols = np.append(x, 0.0).take(_col2im_indices(x.shape, k, stride, padding))
+    for ``cols @ w.T``; ``w @ cols.T`` rounds differently.
+
+    The patches view a new buffer, or a spare of the same key: the spares
+    are the buffers of the last training state that
+    :meth:`DetectionModel.backward` consumed (:func:`recycle_patches`), so
+    training holds one step's patches, not two, and never frees them."""
+    key = (x.shape, k, stride, padding)
+    spares = _SPARES.get(key)
+    # the memoized index is in range, and mode="raise" would write through a temporary
+    buf = np.append(x, 0.0).take(_col2im_indices(*key), out=spares.pop() if spares else None,
+                                 mode="clip")
+    cols = buf.reshape(-1, x.shape[0] * k * k)
     cols.flags.writeable = False
-    return cols.reshape(-1, x.shape[0] * k * k)
+    return cols
+
+
+def recycle_patches(caches):
+    """Make the distinct buffers under the patches of the conv ``caches``,
+    all built by :func:`im2col`, its spares in place of the ones it had. The
+    caller gives the patches up: the next im2col of their key overwrites them."""
+    distinct = {id(cache[0].base): cache for cache in caches}
+    _SPARES.clear()
+    for cols, xshape, w, stride, padding, _ in distinct.values():
+        _SPARES.setdefault((xshape, w.shape[2], stride, padding), []).append(cols.base)
 
 
 def conv2d(x, w, b=None, stride=1, padding=0, cols=None):

@@ -218,6 +218,9 @@ def run_training(model: DetectionModel, provider, iters: int, lr: float,
     :class:`TrainingDiverged` is raised. Returns the loss history. A
     negative or non-integer ``iters``, a non-positive ``lr`` or a non-finite
     value raises ValueError.
+
+    ``log_fn`` gets each history entry plus the step's gradient norm before
+    clipping ``gnorm``, ``clipped``, ``lr`` and positive grids ``n_pos``.
     """
     check_int("training argument 'iters'", iters, 0)
     for name, value in (("lr", lr), ("momentum", momentum), ("weight_decay", weight_decay),
@@ -234,7 +237,7 @@ def run_training(model: DetectionModel, provider, iters: int, lr: float,
         image, gt = provider(it)
         try:
             state = model.forward(image)
-            total, comps, grads, _ = compute_losses(
+            total, comps, grads, assignment = compute_losses(
                 state, gt, lambda1=lambda1, lambda2=lambda2,
                 assignment_rule=assignment_rule,
             )
@@ -256,11 +259,13 @@ def run_training(model: DetectionModel, provider, iters: int, lr: float,
             raise TrainingDiverged(it, f"gradient norm became {gnorm}", model)
         if gnorm > MAX_GRAD_NORM:
             params.grads *= MAX_GRAD_NORM / gnorm
-        opt.step(lr=lr_at(lr, it, iters))
+        step_lr = lr_at(lr, it, iters)
+        opt.step(lr=step_lr)
         entry = {"iter": it, **{k: float(v) for k, v in comps.items()}, "total": float(total)}
         history.append(entry)
         if log_fn is not None:
-            log_fn(entry)
+            log_fn({**entry, "gnorm": float(gnorm), "clipped": bool(gnorm > MAX_GRAD_NORM),
+                    "lr": step_lr, "n_pos": assignment.n_positives})
     return history
 
 

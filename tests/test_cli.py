@@ -54,7 +54,8 @@ def test_train_eval_cycle(tmp_path, capsys):
     log_lines = (tmp_path / "run" / "train_log.jsonl").read_text().strip().splitlines()
     assert len(log_lines) == 30
     entry = json.loads(log_lines[0])
-    assert set(entry) == {"iter", "l_cls", "l_reg", "l_reg2", "total"}
+    assert set(entry) == {"iter", "l_cls", "l_reg", "l_reg2", "total", "gnorm", "clipped", "lr",
+                          "n_pos"}
 
     data_dir = tmp_path / "data"
     main(["gen-data", "--seed", "9", "--count", "3", "--out", str(data_dir),

@@ -631,6 +631,17 @@ def test_backward_after_a_forward_without_cache_raises():
         model.backward(state, np.zeros((3, g)), np.zeros((g, 4)), np.zeros((g, 4)))
 
 
+def test_second_backward_on_a_consumed_state_raises():
+    model = DetectionModel(ModelConfig(channels=8), seed=0)
+    state = model.forward(np.random.default_rng(1).uniform(size=(3, 32, 32)))
+    g = len(state.collection.level)
+    grads = np.zeros((3, g)), np.zeros((g, 4)), np.zeros((g, 4))
+    model.backward(state, *grads)
+    assert state._bcache == [] and state._hcache == []
+    with pytest.raises(ValueError, match="went back to the patch pool"):
+        model.backward(state, *grads)
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_collection_backward_returns_the_maps_the_head_outputs(mode):
     """``Head.backward`` reads the gradient of each map of its output table

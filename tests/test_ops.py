@@ -14,7 +14,9 @@ from oracles import (
 from pointdet import ops
 from pointdet.config import TrainConfig
 from pointdet.inference import detect
-from pointdet.training import train_from_config
+from pointdet.model import DetectionModel, ModelConfig
+from pointdet.scenes import generate_scene
+from pointdet.training import compute_losses, train_from_config
 
 
 def test_conv_identity_1x1():
@@ -198,6 +200,47 @@ def test_memoized_im2col_indices_stay_unchanged_by_training_and_detection():
         memo = ops._col2im_indices(*key)
         assert ops._col2im_indices.cache_info().misses == misses, key  # the model's own index
         np.testing.assert_array_equal(memo, ops._col2im_indices.__wrapped__(*key))
+
+
+def _patch_buffers(state):
+    """The distinct buffers under the im2col patches of ``state``'s conv caches, by id."""
+    convs = [conv for chain in state._bcache for conv, _ in chain]
+    for trunks, outs in state._hcache:
+        convs += [conv for chain in trunks.values() for conv, _ in chain] + list(outs.values())
+    return {id(conv[0].base): conv[0].base for conv in convs}
+
+
+def _spare_ids():
+    return sorted(id(buf) for bufs in ops._SPARES.values() for buf in bufs)
+
+
+def test_backward_recycles_only_the_last_consumed_states_patches(monkeypatch):
+    """Backward hands the consumed state's distinct patch buffers to im2col's
+    spares in place of the earlier ones, none of them under a live state's
+    caches; a forward that refills them gives the same bytes, and ``detect``
+    drains the spares without ever adding to them."""
+    model = DetectionModel(ModelConfig(channels=8), seed=0)
+    image, gt = generate_scene(3, width=32, height=32, max_objects=2, classes=3)
+    live = model.forward(image)
+    maps = []
+    for _ in range(2):
+        state = model.forward(image)
+        bufs = _patch_buffers(state)
+        maps.append(state.maps)
+        _, _, grads, _ = compute_losses(state, gt)
+        model.backward(state, *grads)
+        assert _spare_ids() == sorted(bufs)
+    # 4 backbone convs; per head level the feature, 3 trunk middles and 3 trunk ends
+    assert len(bufs) == 4 + 3 * 7
+    assert not set(_spare_ids()) & set(_patch_buffers(live))
+    for name, a in vars(maps[0]).items():
+        if isinstance(a, np.ndarray):
+            assert a.tobytes() == getattr(maps[1], name).tobytes(), name
+
+    sizes, im2col = [], ops.im2col
+    monkeypatch.setattr(ops, "im2col", lambda *args: sizes.append(len(_spare_ids())) or im2col(*args))
+    detect(model, image)
+    assert sizes[0] == 25 and sizes == sorted(sizes, reverse=True) and _spare_ids() == []
 
 
 def test_conv_input_grad_rejects_convs_of_different_inputs():
