@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ops
 from .backbone import BASE_STRIDE, Backbone
 from .checkpoint import load_checkpoint, save_checkpoint
 from .head import (Collection, Head, Maps, collect_level, collect_level_backward,
@@ -158,22 +157,16 @@ class DetectionModel:
         summed logits, ``gboxes`` [G,4] to the collected boxes and
         ``gcoarse`` [G,4] to the coarse boxes, turned into one :class:`Maps`
         of map gradients. ``state`` must come from a forward that kept its caches.
-        Backward consumes it: it empties the conv caches, and their patch buffers
-        replace :func:`ops.im2col`'s spares, refilled by the next forward.
+        Backward consumes it: it empties the conv caches, so their patches are
+        freed before the next forward builds its own.
         """
         if not (state._bcache and state._hcache):
             raise ValueError("backward needs the conv caches, but the state kept no caches: its "
-                             "forward ran with keep_cache=False, or a backward consumed it and "
-                             "its caches went back to the patch pool")
+                             "forward ran with keep_cache=False, or a backward consumed it")
         gmaps = collect_level_backward(state.maps, state.collection, self.config, gz, gboxes,
                                        gcoarse)
         gfeats = self.head.backward(state._hcache, gmaps)
         self.backbone.backward(state._bcache, gfeats)
-        convs = [conv for chain in state._bcache for conv, _ in chain]
-        for trunks, outs in state._hcache:
-            convs += [conv for chain in trunks.values() for conv, _ in chain]
-            convs += outs.values()
-        ops.recycle_patches(convs)
         state._bcache.clear()
         state._hcache.clear()
 
@@ -207,5 +200,7 @@ class DetectionModel:
                     f"checkpoint parameter {p.name!r} has shape {stored.shape}, "
                     f"model expects {p.value.shape}"
                 )
+            if not np.isfinite(stored).all():
+                raise ValueError(f"checkpoint {path!r}: parameter {p.name!r} holds NaN or infinity")
             p.value[...] = stored
         return model

@@ -26,7 +26,6 @@ import numpy as np
 __all__ = [
     "NonFiniteError",
     "im2col",
-    "recycle_patches",
     "conv2d",
     "conv2d_backward",
     "conv2d_input_grad",
@@ -52,8 +51,6 @@ class NonFiniteError(ValueError):
 
 # patch indices kept, least recently used out first; 7 serve a model at one image size
 _COL2IM_MEMO_SIZE = 128
-# spare patch buffers by im2col key: those of the last state a backward consumed
-_SPARES = {}
 
 
 def im2col(x, k, stride, padding):
@@ -62,28 +59,13 @@ def im2col(x, k, stride, padding):
     to the flat input. This layout is fixed: training is bit-identical only
     for ``cols @ w.T``; ``w @ cols.T`` rounds differently.
 
-    The patches view a new buffer, or a spare of the same key: the spares
-    are the buffers of the last training state that
-    :meth:`DetectionModel.backward` consumed (:func:`recycle_patches`), so
-    training holds one step's patches, not two, and never frees them."""
-    key = (x.shape, k, stride, padding)
-    spares = _SPARES.get(key)
-    # the memoized index is in range, and mode="raise" would write through a temporary
-    buf = np.append(x, 0.0).take(_col2im_indices(*key), out=spares.pop() if spares else None,
-                                 mode="clip")
-    cols = buf.reshape(-1, x.shape[0] * k * k)
+    The patches view a new buffer; they live as long as a conv cache holds
+    them, and :meth:`DetectionModel.backward` empties a training state's
+    caches, so training holds one step's patches, not two."""
+    # the memoized index is in range, and mode="clip" skips the bounds check
+    cols = np.append(x, 0.0).take(_col2im_indices(x.shape, k, stride, padding), mode="clip")
     cols.flags.writeable = False
-    return cols
-
-
-def recycle_patches(caches):
-    """Make the distinct buffers under the patches of the conv ``caches``,
-    all built by :func:`im2col`, its spares in place of the ones it had. The
-    caller gives the patches up: the next im2col of their key overwrites them."""
-    distinct = {id(cache[0].base): cache for cache in caches}
-    _SPARES.clear()
-    for cols, xshape, w, stride, padding, _ in distinct.values():
-        _SPARES.setdefault((xshape, w.shape[2], stride, padding), []).append(cols.base)
+    return cols.reshape(-1, x.shape[0] * k * k)
 
 
 def conv2d(x, w, b=None, stride=1, padding=0, cols=None):

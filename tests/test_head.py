@@ -638,7 +638,7 @@ def test_second_backward_on_a_consumed_state_raises():
     grads = np.zeros((3, g)), np.zeros((g, 4)), np.zeros((g, 4))
     model.backward(state, *grads)
     assert state._bcache == [] and state._hcache == []
-    with pytest.raises(ValueError, match="went back to the patch pool"):
+    with pytest.raises(ValueError, match="or a backward consumed it"):
         model.backward(state, *grads)
 
 

@@ -1,4 +1,5 @@
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -210,37 +211,18 @@ def _patch_buffers(state):
     return {id(conv[0].base): conv[0].base for conv in convs}
 
 
-def _spare_ids():
-    return sorted(id(buf) for bufs in ops._SPARES.values() for buf in bufs)
-
-
-def test_backward_recycles_only_the_last_consumed_states_patches(monkeypatch):
-    """Backward hands the consumed state's distinct patch buffers to im2col's
-    spares in place of the earlier ones, none of them under a live state's
-    caches; a forward that refills them gives the same bytes, and ``detect``
-    drains the spares without ever adding to them."""
+def test_backward_frees_the_consumed_states_patches():
+    """Backward empties the state's conv caches, so once the loss gradients
+    are in, nothing holds the 25 distinct patch buffers any more."""
     model = DetectionModel(ModelConfig(channels=8), seed=0)
     image, gt = generate_scene(3, width=32, height=32, max_objects=2, classes=3)
-    live = model.forward(image)
-    maps = []
-    for _ in range(2):
-        state = model.forward(image)
-        bufs = _patch_buffers(state)
-        maps.append(state.maps)
-        _, _, grads, _ = compute_losses(state, gt)
-        model.backward(state, *grads)
-        assert _spare_ids() == sorted(bufs)
+    state = model.forward(image)
+    refs = [weakref.ref(buf) for buf in _patch_buffers(state).values()]
     # 4 backbone convs; per head level the feature, 3 trunk middles and 3 trunk ends
-    assert len(bufs) == 4 + 3 * 7
-    assert not set(_spare_ids()) & set(_patch_buffers(live))
-    for name, a in vars(maps[0]).items():
-        if isinstance(a, np.ndarray):
-            assert a.tobytes() == getattr(maps[1], name).tobytes(), name
-
-    sizes, im2col = [], ops.im2col
-    monkeypatch.setattr(ops, "im2col", lambda *args: sizes.append(len(_spare_ids())) or im2col(*args))
-    detect(model, image)
-    assert sizes[0] == 25 and sizes == sorted(sizes, reverse=True) and _spare_ids() == []
+    assert len(refs) == 4 + 3 * 7
+    _, _, grads, _ = compute_losses(state, gt)
+    model.backward(state, *grads)
+    assert [ref for ref in refs if ref() is not None] == []
 
 
 def test_conv_input_grad_rejects_convs_of_different_inputs():

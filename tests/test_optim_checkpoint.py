@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -312,6 +313,22 @@ def test_model_load_rejects_unknown_record(tmp_path):
     )
     with pytest.raises(ValueError, match="unknown record 'head.extra.w'"):
         DetectionModel.load(path)
+
+
+@pytest.mark.parametrize("name", ["head.out_cls.w", "backbone.stem0.b"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_model_load_rejects_non_finite_parameters(tmp_path, name, bad):
+    def poison(records):
+        records[name].flat[0] = bad
+
+    path = _tampered_checkpoint(tmp_path, poison)
+    with pytest.raises(ValueError, match=f"parameter '{name}' holds NaN or infinity") as exc:
+        DetectionModel.load(path)
+    assert str(path) in str(exc.value)
+
+
+def test_bundled_benchmark_checkpoint_still_loads():
+    DetectionModel.load(Path(__file__).resolve().parents[1] / "perfbench" / "eval_model.pdn")
 
 
 def test_checkpoint_overflowing_extents_rejected(tmp_path):

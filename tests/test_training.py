@@ -322,10 +322,11 @@ def test_training_log_carries_step_telemetry_and_keeps_the_pin():
 
 
 def test_training_holds_one_steps_patches():
-    """Backward recycles its patch buffers, so the next forward refills them
-    instead of building a second set beside them: a 5-step default run peaks
-    at about 13.1 MB of new allocations, and at 19.6 MB when the previous
-    step's 25 patch matrices (6.4 MB) stayed alive through each forward."""
+    """Backward empties the state's conv caches, so the previous step's
+    patches are freed before the next forward builds its own: a 5-step
+    default run peaks at about 13.1 MB of new allocations, and at 19.6 MB
+    when the previous step's 25 patch matrices (6.4 MB) stayed alive
+    through each forward."""
     cfg = TrainConfig(iters=5)
     # warm the patch index and collection plan memos, as one forward without caches does
     DetectionModel(model_config_from(cfg), seed=cfg.seed).forward(
