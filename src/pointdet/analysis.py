@@ -56,10 +56,8 @@ _SIDES = ("l", "t", "r", "b")
 class AccuracyMaps:
     """Per-object accuracy over one level's grid (full level extents)."""
 
-    level: int
     stride: int
     gt_box: np.ndarray        # [4]
-    label: int
     cls_conf: np.ndarray      # [h,w] score on the true class
     inv_err: np.ndarray       # [4,h,w] negated |predicted edge - gt edge|
     det_iou: np.ndarray       # [h,w] IoU of the grid's collected box vs gt
@@ -91,7 +89,6 @@ def compute_accuracy_maps(model: DetectionModel, image, gt: GroundTruth,
     out = []
     for k in range(len(gt)):
         box = gt.boxes[k]
-        label = int(gt.labels[k])
         bw = box[2] - box[0]
         bh = box[3] - box[1]
         valid = (
@@ -103,13 +100,11 @@ def compute_accuracy_maps(model: DetectionModel, image, gt: GroundTruth,
                 f"ground truth {k} has no interior grids at level {level}; skipped"
             )
             continue
-        conf = col.scores[label, sl].reshape(h, w).copy()
+        conf = col.scores[gt.labels[k], sl].reshape(h, w).copy()
         inv_err = -np.abs(pred - box[None, :]).T.reshape(4, h, w)
         det_iou = iou_array(pred, box[None, :]).reshape(h, w)
-        out.append(
-            AccuracyMaps(level=level, stride=stride, gt_box=box.copy(), label=label,
-                         cls_conf=conf, inv_err=inv_err, det_iou=det_iou, valid=valid)
-        )
+        out.append(AccuracyMaps(stride=stride, gt_box=box.copy(), cls_conf=conf,
+                                inv_err=inv_err, det_iou=det_iou, valid=valid))
     return out
 
 

@@ -128,9 +128,8 @@ def _train_common(cfg: TrainConfig, mode: str, out_dir: str, assignment_rule="co
                 log_fn=lambda entry: open_run().write(json.dumps(entry) + "\n"))
         except TrainingDiverged as e:
             # keep the last parameters that produced a finite loss
-            if e.model is not None:
-                open_run()
-                e.model.save(ckpt_path)
+            open_run()
+            e.model.save(ckpt_path)
             raise RuntimeError(
                 f"training diverged: {e}; last-good checkpoint saved to {ckpt_path}"
             ) from e

@@ -9,7 +9,7 @@ annotations; scenes can also be produced with :func:`pointdet.scenes.generate_sc
 
 from __future__ import annotations
 
-import inspect
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,12 +29,12 @@ __all__ = ["PointDetector", "check_images", "check_annotations"]
 
 def check_images(X) -> np.ndarray:
     """Validate detection inputs into an [n,3,H,W] float64 stack."""
-    if isinstance(X, np.ndarray) and X.ndim == 3:
-        X = X[None]
     try:
         arr = np.asarray(X, dtype=np.float64)
     except (TypeError, ValueError) as e:
         raise ValueError(f"images are not numeric array-like: {e}") from e
+    if arr.ndim == 3:
+        arr = arr[None]
     if arr.ndim != 4 or arr.shape[1] != 3:
         raise ValueError(
             f"expected images shaped [n,3,H,W] (or a single [3,H,W]), got {arr.shape}"
@@ -78,6 +78,7 @@ def _annotation(item, classes: int, where: str) -> GroundTruth:
     return gt
 
 
+@dataclass(eq=False)
 class PointDetector:
     """Prediction-decoupled dense detector with a fit/predict interface.
 
@@ -85,43 +86,33 @@ class PointDetector:
     point count, pyramid levels, neighbor level offsets, collection mode)
     and optimization settings. ``fit`` trains from scratch; ``predict``
     returns per-image Detection lists; ``score`` is the COCO-style AP on the
-    given annotations.
+    given annotations. The repr lists the parameters; equality and hashing
+    stay by identity.
     """
 
-    def __init__(self, classes=3, n_semantic=9, channels=32, levels=3,
-                 neighbor_offsets=(-1, 0), mode="decoupled", iters=2000,
-                 lr=0.01, momentum=0.9, weight_decay=1e-4, lambda1=2.0,
-                 lambda2=0.5, score_thresh=DEFAULT_SCORE_THRESH,
-                 nms_iou=DEFAULT_NMS_IOU, max_detections=DEFAULT_MAX_DETECTIONS,
-                 seed=0):
-        self.classes = classes
-        self.n_semantic = n_semantic
-        self.channels = channels
-        self.levels = levels
-        self.neighbor_offsets = neighbor_offsets
-        self.mode = mode
-        self.iters = iters
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.lambda1 = lambda1
-        self.lambda2 = lambda2
-        self.score_thresh = score_thresh
-        self.nms_iou = nms_iou
-        self.max_detections = max_detections
-        self.seed = seed
+    classes: int = 3
+    n_semantic: int = 9
+    channels: int = 32
+    levels: int = 3
+    neighbor_offsets: tuple = (-1, 0)
+    mode: str = "decoupled"
+    iters: int = 2000
+    lr: float = 0.01
+    momentum: float = 0.9
+    weight_decay: float = 1e-4
+    lambda1: float = 2.0
+    lambda2: float = 0.5
+    score_thresh: float = DEFAULT_SCORE_THRESH
+    nms_iou: float = DEFAULT_NMS_IOU
+    max_detections: int = DEFAULT_MAX_DETECTIONS
+    seed: int = 0
 
     # -- sklearn protocol ------------------------------------------------
-    @classmethod
-    def _param_names(cls):
-        sig = inspect.signature(cls.__init__)
-        return [p for p in sig.parameters if p != "self"]
-
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def set_params(self, **params) -> "PointDetector":
-        valid = set(self._param_names())
+        valid = {f.name for f in fields(self)}
         for key, value in params.items():
             if key not in valid:
                 raise ValueError(

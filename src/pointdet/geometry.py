@@ -36,22 +36,6 @@ class Box:
         if self.r < self.l or self.b < self.t:
             raise ValueError(f"invalid box (needs r >= l and b >= t): {self}")
 
-    @property
-    def width(self) -> float:
-        return self.r - self.l
-
-    @property
-    def height(self) -> float:
-        return self.b - self.t
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (0.5 * (self.l + self.r), 0.5 * (self.t + self.b))
-
 
 # ---------------------------------------------------------------------------
 # array core

@@ -58,6 +58,9 @@ class SGD:
     """
 
     def __init__(self, params, lr: float, momentum: float = 0.9, weight_decay: float = 0.0):
+        for name, value in (("lr", lr), ("momentum", momentum), ("weight_decay", weight_decay)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.params = params

@@ -152,8 +152,4 @@ def generate_scene(seed, width: int = 64, height: int = 64, max_objects: int = 3
         image[:, t:b, l:r] = patch
 
     np.clip(image, 0.0, 1.0, out=image)
-    if boxes:
-        gt = GroundTruth(np.stack(boxes), np.array(labels))
-    else:  # cannot happen with the placement retry budget, but stay safe
-        gt = GroundTruth(np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
-    return image, gt
+    return image, GroundTruth(np.stack(boxes), np.array(labels))

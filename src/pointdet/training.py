@@ -33,7 +33,6 @@ __all__ = [
     "Assignment",
     "assign_samples",
     "focal_loss_from_logits",
-    "total_loss",
     "compute_losses",
     "TrainingDiverged",
     "run_training",
@@ -132,12 +131,6 @@ def focal_loss_from_logits(z, targets, alpha=FOCAL_ALPHA, gamma=FOCAL_GAMMA,
     return float(elem.sum() * norm), delem * norm
 
 
-def total_loss(l_cls: float, l_reg: float, l_reg2: float,
-               lambda1: float = 2.0, lambda2: float = 0.5) -> float:
-    """Loss balance: ``L_cls + lambda1*L_reg + lambda2*L_reg2``."""
-    return l_cls + lambda1 * l_reg + lambda2 * l_reg2
-
-
 def compute_losses(state: ModelState, gt: GroundTruth, lambda1=2.0, lambda2=0.5,
                    assignment=None, assignment_rule: str = "coarse-iou"):
     """Losses plus their gradients with respect to the collection.
@@ -173,7 +166,7 @@ def compute_losses(state: ModelState, gt: GroundTruth, lambda1=2.0, lambda2=0.5,
         l_reg2 = float(losses2.mean())
         np.add.at(gcoarse, assignment.center_grid, lambda2 / m * gcenter)
 
-    total = total_loss(l_cls, l_reg, l_reg2, lambda1, lambda2)
+    total = l_cls + lambda1 * l_reg + lambda2 * l_reg2
     comps = {"l_cls": l_cls, "l_reg": l_reg, "l_reg2": l_reg2}
     return total, comps, (gz, gboxes, gcoarse), assignment
 
@@ -188,7 +181,7 @@ class TrainingDiverged(RuntimeError):
     starting parameters if the first forward already failed) and is
     attached as ``model`` so callers can checkpoint it."""
 
-    def __init__(self, iteration: int, detail: str, model=None):
+    def __init__(self, iteration: int, detail: str, model):
         super().__init__(f"training diverged at iteration {iteration}: {detail}")
         self.iteration = iteration
         self.model = model

@@ -106,7 +106,7 @@ def _synthetic_map(extent=16, stride=4, gt_box=(8.0, 8.0, 40.0, 40.0), argmax_ce
     for side in range(4):
         inv[side][argmax_cell] = 0.0
     return AccuracyMaps(
-        level=0, stride=stride, gt_box=np.array(gt_box), label=0,
+        stride=stride, gt_box=np.array(gt_box),
         cls_conf=conf, inv_err=inv, det_iou=np.ones((h, w)),
         valid=np.ones((h, w), dtype=bool),
     )

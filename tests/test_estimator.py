@@ -29,6 +29,13 @@ def test_check_images_accepts_single_image():
     assert arr.shape == (1, 3, 32, 32)
 
 
+def test_check_images_accepts_single_image_as_nested_lists():
+    img = np.random.default_rng(0).uniform(size=(3, 32, 32))
+    arr = check_images(img.tolist())
+    assert arr.shape == (1, 3, 32, 32)
+    assert np.array_equal(arr[0], img)
+
+
 def test_check_images_rejects_bad_shapes():
     with pytest.raises(ValueError, match=r"\[n,3,H,W\]"):
         check_images(np.zeros((2, 4, 32, 32)))

@@ -40,7 +40,7 @@ def test_box_validation():
         Box(1, 0, 0, 1)
     with pytest.raises(ValueError, match="finite"):
         Box(0, 0, np.inf, 1)
-    assert Box(1, 2, 1, 2).area == 0.0  # degenerate allowed
+    assert Box(1, 2, 1, 2) == Box(1.0, 2.0, 1.0, 2.0)  # degenerate allowed
 
 
 def test_iou_identity_and_disjoint():

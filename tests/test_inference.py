@@ -331,7 +331,7 @@ def test_ap_perfect_detection():
     gt = {0: GroundTruth(np.array([[10.0, 10.0, 30.0, 30.0]]), np.array([0]))}
     # IoU with gt = 0.9 (area ratio trick: shrink one side)
     det_box = Box(10, 10, 30, 28.0)
-    assert det_box.area / Box(10, 10, 30, 30).area == pytest.approx(0.9)
+    assert iou_matrix([[10, 10, 30, 28.0]], gt[0].boxes)[0, 0] == pytest.approx(0.9)
     dets = {0: [Detection(det_box, 0, 0.8, 0)]}
     rep = average_precision(dets, gt)
     assert rep["AP50"] == 1.0

@@ -76,6 +76,14 @@ def test_sgd_rejects_bad_lr():
         SGD(ParamSet([Parameter("w", np.zeros(1))]), lr=0.0)
 
 
+@pytest.mark.parametrize("name", ["lr", "momentum", "weight_decay"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_sgd_rejects_a_non_finite_setting_naming_it(name, value):
+    settings = {"lr": 0.1, "momentum": 0.9, "weight_decay": 1e-4, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        SGD(ParamSet([Parameter("w", np.zeros(1))]), **settings)
+
+
 _shapes = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple)
 
 

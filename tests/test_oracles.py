@@ -1,7 +1,9 @@
 """Import rules: the reference implementations stay independent of the
-library, and the library imports nothing but numpy and the standard library."""
+library, the library imports nothing but numpy and the standard library,
+and every name a library module exports exists in it."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -36,3 +38,14 @@ def test_library_imports_only_numpy_and_the_standard_library():
                     if name.split(".")[0] != "numpy"
                     and name.split(".")[0] not in sys.stdlib_module_names]
     assert not bad, f"pointdet must depend on numpy alone, imports {bad}"
+
+
+def test_every_exported_name_exists_in_its_module():
+    modules = ["pointdet"] + [f"pointdet.{p.stem}" for p in sorted(LIBRARY.glob("*.py"))
+                              if p.stem != "__init__"]
+    missing = []
+    for name in modules:
+        module = importlib.import_module(name)
+        assert hasattr(module, "__all__"), f"{name} declares no __all__"
+        missing += [f"{name}.{attr}" for attr in module.__all__ if not hasattr(module, attr)]
+    assert not missing, f"__all__ names what the module does not define: {missing}"

@@ -21,7 +21,6 @@ from pointdet.training import (
     lr_at,
     model_config_from,
     run_training,
-    total_loss,
     train_from_config,
 )
 
@@ -187,12 +186,14 @@ def test_focal_normalized_by_positives():
 # total loss
 
 
-def test_total_loss_zero_case():
-    assert total_loss(0.0, 0.0, 0.0) == 0.0
-
-
-def test_total_loss_balance_arithmetic():
-    assert total_loss(1.0, 0.5, 0.2) == pytest.approx(2.1)
+def test_total_loss_is_the_lambda_weighted_sum_of_the_components():
+    model, _ = _forward_state()
+    img, gt = generate_scene(3)
+    state = model.forward(img)
+    total, comps, _, asn = compute_losses(state, gt, lambda1=3.0, lambda2=0.25,
+                                          assignment_rule="inside-box")
+    assert asn.n_positives > 0 and comps["l_reg"] > 0 and comps["l_reg2"] > 0
+    assert total == comps["l_cls"] + 3.0 * comps["l_reg"] + 0.25 * comps["l_reg2"]
 
 
 def test_reg2_averages_over_gt_count():
