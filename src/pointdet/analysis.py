@@ -21,7 +21,6 @@ only view in which movement along the edge registers at all.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from .geometry import fold_boxes, iou_array
 from .model import DetectionModel
-from .scenes import GroundTruth, check_int
+from .scenes import GroundTruth, check_int, check_real
 from .training import assign_samples
 
 __all__ = [
@@ -77,8 +76,7 @@ def compute_accuracy_maps(model: DetectionModel, image, gt: GroundTruth,
     check_int("level", level)
     if not 0 <= level < model.config.levels:
         raise ValueError(f"level {level} is outside the pyramid's [0, {model.config.levels})")
-    if isinstance(margin, bool) or not (isinstance(margin, numbers.Real) and np.isfinite(margin)):
-        raise ValueError(f"margin must be a finite number, got {margin!r}")
+    check_real("margin", margin)
     if state is None:
         state = model.forward(np.asarray(image, dtype=np.float64), keep_cache=False)
     col, (stride, h, w) = state.collection, state.maps.levels[level]

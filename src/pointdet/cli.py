@@ -20,8 +20,8 @@ import numpy as np
 from . import analysis, dataio, gradcheck, ppm
 from .config import TrainConfig, format_config, load_config
 from .inference import average_precision, detect, postprocess, write_detections
-from .model import MODES, DetectionModel
-from .scenes import GroundTruth
+from .model import MODES, DetectionModel, ModelConfig
+from .scenes import GroundTruth, check_real
 from .training import TrainingDiverged, holdout_scenes, train_from_config
 
 __all__ = ["main", "build_parser"]
@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--mode", choices=MODES, default="decoupled")
+    p.add_argument("--mode", choices=MODES, default=ModelConfig.mode)
     p.add_argument("--assign", choices=("coarse-iou", "inside-box"), default="coarse-iou",
                    help="positive-sample rule; inside-box is the dense recipe "
                         "used to train the accuracy-map analysis baseline")
@@ -165,8 +165,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    if not 0.0 < args.tolerance < np.inf:
-        raise ValueError(f"--tolerance must be a positive finite number, got {args.tolerance}")
+    check_real("--tolerance", args.tolerance, 0, ends="(]")
     names = [args.op] if args.op else None
     results = gradcheck.run_checks(names)
     ok = True

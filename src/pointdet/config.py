@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
+from .model import ModelConfig
+
 __all__ = ["TrainConfig", "parse_config_text", "load_config", "format_config"]
 
 
@@ -17,12 +19,12 @@ class TrainConfig:
     weight_decay: float = 1e-4
     lambda1: float = 2.0
     lambda2: float = 0.5
-    n_semantic: int = 9
-    classes: int = 3
+    n_semantic: int = ModelConfig.n_semantic
+    classes: int = ModelConfig.classes
     image_size: int = 64
     max_objects: int = 3
-    levels: int = 3
-    neighbor_set: tuple = (-1, 0)
+    levels: int = ModelConfig.levels
+    neighbor_set: tuple = ModelConfig.neighbor_offsets
     out_dir: str = "runs/default"
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .config import TrainConfig
 from .inference import (
     DEFAULT_MAX_DETECTIONS,
     DEFAULT_NMS_IOU,
@@ -20,9 +21,9 @@ from .inference import (
     average_precision,
     detect,
 )
-from .model import DetectionModel, ModelConfig
-from .scenes import GroundTruth
-from .training import run_training
+from .model import ModelConfig
+from .scenes import GroundTruth, check_int
+from .training import train_model
 
 __all__ = ["PointDetector", "check_images", "check_annotations"]
 
@@ -33,7 +34,7 @@ def check_images(X) -> np.ndarray:
         arr = np.asarray(X, dtype=np.float64)
     except (TypeError, ValueError) as e:
         raise ValueError(f"images are not numeric array-like: {e}") from e
-    if arr.ndim == 3:
+    if arr.ndim == 3 and arr.shape[0] == 3:
         arr = arr[None]
     if arr.ndim != 4 or arr.shape[1] != 3:
         raise ValueError(
@@ -84,28 +85,28 @@ class PointDetector:
 
     Parameters mirror the training config: model shape (classes, semantic
     point count, pyramid levels, neighbor level offsets, collection mode)
-    and optimization settings. ``fit`` trains from scratch; ``predict``
-    returns per-image Detection lists; ``score`` is the COCO-style AP on the
-    given annotations. The repr lists the parameters; equality and hashing
-    stay by identity.
+    and optimization settings, with their defaults. ``fit`` trains from scratch
+    on the path ``pointdet train`` takes; ``predict`` returns per-image Detection
+    lists; ``score`` is the COCO-style AP on the given annotations. The repr
+    lists the parameters; equality and hashing stay by identity.
     """
 
-    classes: int = 3
-    n_semantic: int = 9
-    channels: int = 32
-    levels: int = 3
-    neighbor_offsets: tuple = (-1, 0)
-    mode: str = "decoupled"
-    iters: int = 2000
-    lr: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    lambda1: float = 2.0
-    lambda2: float = 0.5
+    classes: int = ModelConfig.classes
+    n_semantic: int = ModelConfig.n_semantic
+    channels: int = ModelConfig.channels
+    levels: int = ModelConfig.levels
+    neighbor_offsets: tuple = ModelConfig.neighbor_offsets
+    mode: str = ModelConfig.mode
+    iters: int = TrainConfig.iters
+    lr: float = TrainConfig.lr
+    momentum: float = TrainConfig.momentum
+    weight_decay: float = TrainConfig.weight_decay
+    lambda1: float = TrainConfig.lambda1
+    lambda2: float = TrainConfig.lambda2
     score_thresh: float = DEFAULT_SCORE_THRESH
     nms_iou: float = DEFAULT_NMS_IOU
     max_detections: int = DEFAULT_MAX_DETECTIONS
-    seed: int = 0
+    seed: int = TrainConfig.seed
 
     # -- sklearn protocol ------------------------------------------------
     def get_params(self, deep: bool = True) -> dict:
@@ -122,13 +123,6 @@ class PointDetector:
         return self
 
     # -- estimator API -----------------------------------------------------
-    def _model_config(self) -> ModelConfig:
-        return ModelConfig(
-            classes=self.classes, n_semantic=self.n_semantic, channels=self.channels,
-            levels=self.levels, neighbor_offsets=tuple(self.neighbor_offsets),
-            mode=self.mode,
-        )
-
     def fit(self, X, y) -> "PointDetector":
         """Train on images ``X`` [n,3,H,W] with per-image annotations ``y``.
 
@@ -136,20 +130,16 @@ class PointDetector:
         """
         images = check_images(X)
         gts = check_annotations(y, len(images), self.classes)
-        model = DetectionModel(self._model_config(), seed=self.seed)
-        order = np.random.default_rng(np.random.SeedSequence([self.seed, 2])).permutation(
-            len(images)
-        )
+        shape = {f.name: getattr(self, f.name) for f in fields(ModelConfig)}
+        config = ModelConfig(**dict(shape, neighbor_offsets=tuple(self.neighbor_offsets)))
+        check_int("seed", self.seed, 0)  # the order draws from it before the model does
+        order = np.random.default_rng([self.seed, 2]).permutation(len(images))
 
         def provider(it):
             idx = int(order[it % len(order)])
             return images[idx], gts[idx]
 
-        self.history_ = run_training(
-            model, provider, iters=self.iters, lr=self.lr, momentum=self.momentum,
-            weight_decay=self.weight_decay, lambda1=self.lambda1, lambda2=self.lambda2,
-        )
-        self.model_ = model
+        self.model_, self.history_ = train_model(config, self, provider)
         return self
 
     def _require_fitted(self):

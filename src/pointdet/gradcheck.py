@@ -176,7 +176,7 @@ def check_focal(seed: int = 13) -> float:
     return _max_err_over(f, z, dz)
 
 
-def _tiny_model(seed=0, mode="decoupled", offsets=(-1, 0)):
+def _tiny_model(seed=0, mode=ModelConfig.mode, offsets=ModelConfig.neighbor_offsets):
     cfg = ModelConfig(classes=2, n_semantic=4, channels=8, levels=3, mode=mode,
                       neighbor_offsets=offsets)
     return DetectionModel(cfg, seed=seed)
@@ -234,7 +234,8 @@ def check_backbone(seed: int = 15) -> float:
     return _param_fd_check(model, loss_and_grads, rng)
 
 
-def check_head(seed: int = 17, mode: str = "decoupled", offsets=(-1, 0)) -> float:
+def check_head(seed: int = 17, mode: str = ModelConfig.mode,
+               offsets=ModelConfig.neighbor_offsets) -> float:
     """Head and collection on a 16x16 image: levels of 4x4, 2x2 and 1x1 grids."""
     rng = np.random.default_rng(seed)
     model = _tiny_model(seed=6, mode=mode, offsets=offsets)

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import Box, fold_boxes, iou_matrix
 from .model import DetectionModel, ModelState
-from .scenes import GroundTruth, check_int
+from .scenes import GroundTruth, check_int, check_real
 
 __all__ = [
     "Detection",
@@ -80,12 +79,6 @@ class Candidates:
         return len(self.scores)
 
 
-def _check_iou_thresh(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value <= 1.0:
-        raise ValueError(f"{name} must be an NMS IoU threshold, a number in (0,1], "
-                         f"got {value!r}")
-
-
 def decode_detections(state: ModelState, image_width: float, image_height: float,
                       score_thresh: float = DEFAULT_SCORE_THRESH) -> Candidates:
     """Threshold and top-k filter the per-grid collected results.
@@ -98,12 +91,9 @@ def decode_detections(state: ModelState, image_width: float, image_height: float
     raises ValueError, as does an image extent that is not a positive finite
     number.
     """
-    if isinstance(score_thresh, bool) or not (isinstance(score_thresh, numbers.Real)
-                                              and 0.0 <= score_thresh < 1.0):
-        raise ValueError(f"score threshold must be in [0,1), got {score_thresh!r}")
-    for name, v in (("image_width", image_width), ("image_height", image_height)):
-        if isinstance(v, bool) or not (isinstance(v, numbers.Real) and 0 < v < math.inf):
-            raise ValueError(f"{name} must be a positive finite number, got {v!r}")
+    check_real("score threshold", score_thresh, 0, 1, "[)")
+    check_real("image_width", image_width, 0, ends="(]")
+    check_real("image_height", image_height, 0, ends="(]")
     col = state.collection
     parts = []
     for level, sl in enumerate(col.cuts):
@@ -147,7 +137,7 @@ def nms(boxes, scores, class_ids, iou_thresh: float = DEFAULT_NMS_IOU,
     order, and the prefix doubles until the cap is met or it holds them all;
     each doubling builds the table and runs the scan afresh over the prefix.
     """
-    _check_iou_thresh("iou_thresh", iou_thresh)
+    check_real("iou_thresh", iou_thresh, 0, 1, "(]")
     if max_kept is not None:
         check_int("max_kept", max_kept, 1)
     boxes = np.ascontiguousarray(boxes, dtype=np.float64).reshape(-1, 4)
@@ -205,7 +195,7 @@ def postprocess(state: ModelState, image_width: float, image_height: float,
     that is not a positive integer, or an ``nms_iou`` that is not a number in
     (0,1], raises ValueError naming it."""
     check_int("max_detections", max_detections, 1)
-    _check_iou_thresh("nms_iou", nms_iou)
+    check_real("nms_iou", nms_iou, 0, 1, "(]")
     cand = decode_detections(state, image_width, image_height, score_thresh)
     kept = nms(cand.boxes, cand.scores, cand.class_ids, nms_iou, max_detections)
     return [

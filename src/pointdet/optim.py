@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .scenes import check_real
+
 __all__ = ["Parameter", "ParamSet", "SGD", "NonFiniteGradientError"]
 
 
@@ -54,15 +56,13 @@ class SGD:
 
     Per step: ``v = momentum*v + grad + weight_decay*param`` then
     ``param -= lr*v``; gradients are zeroed afterwards. A non-finite gradient
-    aborts the step before any parameter is touched.
+    or step ``lr`` aborts the step before any parameter or velocity is touched.
     """
 
     def __init__(self, params, lr: float, momentum: float = 0.9, weight_decay: float = 0.0):
-        for name, value in (("lr", lr), ("momentum", momentum), ("weight_decay", weight_decay)):
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        check_real("lr", lr, 0, ends="(]")
+        check_real("momentum", momentum)
+        check_real("weight_decay", weight_decay)
         self.params = params
         self.lr = float(lr)
         self.momentum = float(momentum)
@@ -71,6 +71,7 @@ class SGD:
 
     def step(self, lr: float | None = None) -> None:
         lr = self.lr if lr is None else lr
+        check_real("lr", lr, 0, ends="(]")
         ps, v = self.params, self._velocity
         if not np.isfinite(ps.grads).all():
             raise NonFiniteGradientError(next(p.name for p in ps if not np.isfinite(p.grad).all()))

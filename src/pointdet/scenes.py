@@ -8,6 +8,7 @@ mutual overlap so every object stays visible.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,8 @@ import numpy as np
 from .geometry import iou_array
 
 __all__ = [
-    "GroundTruth", "generate_scene", "check_scene_args", "check_int", "class_color", "scene_seed",
+    "GroundTruth", "generate_scene", "check_scene_args", "check_int", "check_real", "class_color",
+    "scene_seed",
 ]
 
 _BASE_PALETTE = np.array(
@@ -91,6 +93,20 @@ def check_int(what, value, least=-np.inf):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         kind = {-np.inf: "an integer", 0: "a non-negative integer",
                 1: "a positive integer"}.get(least, f"an integer of at least {least}")
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
+
+
+def check_real(what, value, low=-np.inf, high=np.inf, ends="[]"):
+    """Raise one ValueError naming ``what`` unless ``value`` is a finite real
+    number, not a bool, from ``low`` to ``high``; ``ends`` marks each end
+    closed or open as interval notation does (``"(]"``: above ``low``)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max  # NaN, inf, an int past float
+            or not (low <= value if ends[0] == "[" else low < value)
+            or not (value <= high if ends[1] == "]" else value < high)):
+        kind = ("a finite number" if (low, high) == (-np.inf, np.inf) else
+                "a positive finite number" if (low, high, ends[0]) == (0, np.inf, "(") else
+                f"a number in {ends[0]}{low:g},{high:g}{ends[1]}")
         raise ValueError(f"{what} must be {kind}, got {value!r}")
 
 

@@ -16,8 +16,6 @@ which takes the gradients whole.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +25,7 @@ from .geometry import giou_loss_grad_array, iou_matrix
 from .model import DetectionModel, ModelConfig, ModelState
 from .ops import NonFiniteError, sigmoid, softplus
 from .optim import SGD
-from .scenes import GroundTruth, check_int, generate_scene, scene_seed
+from .scenes import GroundTruth, check_int, check_real, generate_scene, scene_seed
 
 __all__ = [
     "Assignment",
@@ -36,6 +34,7 @@ __all__ = [
     "compute_losses",
     "TrainingDiverged",
     "run_training",
+    "train_model",
     "train_from_config",
     "model_config_from",
     "holdout_scenes",
@@ -131,8 +130,8 @@ def focal_loss_from_logits(z, targets, alpha=FOCAL_ALPHA, gamma=FOCAL_GAMMA,
     return float(elem.sum() * norm), delem * norm
 
 
-def compute_losses(state: ModelState, gt: GroundTruth, lambda1=2.0, lambda2=0.5,
-                   assignment=None, assignment_rule: str = "coarse-iou"):
+def compute_losses(state: ModelState, gt: GroundTruth, lambda1=TrainConfig.lambda1,
+                   lambda2=TrainConfig.lambda2, assignment=None, assignment_rule="coarse-iou"):
     """Losses plus their gradients with respect to the collection.
 
     Returns ``(total, components, (gz, gboxes, gcoarse), assignment)``. The
@@ -197,8 +196,9 @@ def lr_at(base_lr: float, it: int, total_iters: int) -> float:
 
 
 def run_training(model: DetectionModel, provider, iters: int, lr: float,
-                 momentum: float = 0.9, weight_decay: float = 1e-4,
-                 lambda1: float = 2.0, lambda2: float = 0.5,
+                 momentum: float = TrainConfig.momentum,
+                 weight_decay: float = TrainConfig.weight_decay,
+                 lambda1: float = TrainConfig.lambda1, lambda2: float = TrainConfig.lambda2,
                  assignment_rule: str = "coarse-iou", log_fn=None):
     """Optimize ``model`` for ``iters`` steps over scenes from ``provider``.
 
@@ -209,19 +209,17 @@ def run_training(model: DetectionModel, provider, iters: int, lr: float,
     to the last parameters that produced a finite loss, or keeps its
     starting parameters if the first forward already failed, and
     :class:`TrainingDiverged` is raised. Returns the loss history. A
-    negative or non-integer ``iters``, a non-positive ``lr`` or a non-finite
-    value raises ValueError.
+    negative or non-integer ``iters``, a non-positive ``lr`` or a setting
+    that is not a finite number, a bool included, raises ValueError.
 
     ``log_fn`` gets each history entry plus the step's gradient norm before
     clipping ``gnorm``, ``clipped``, ``lr`` and positive grids ``n_pos``.
     """
     check_int("training argument 'iters'", iters, 0)
-    for name, value in (("lr", lr), ("momentum", momentum), ("weight_decay", weight_decay),
+    check_real("training argument 'lr'", lr, 0, ends="(]")
+    for name, value in (("momentum", momentum), ("weight_decay", weight_decay),
                         ("lambda1", lambda1), ("lambda2", lambda2)):
-        finite = isinstance(value, numbers.Real) and math.isfinite(value)
-        if not finite or (name == "lr" and value <= 0):
-            raise ValueError(f"training argument {name!r} must be finite (lr also positive), "
-                             f"got {value!r}")
+        check_real(f"training argument {name!r}", value)
     params = model.parameters()
     opt = SGD(params, lr, momentum=momentum, weight_decay=weight_decay)
     history = []
@@ -262,26 +260,30 @@ def run_training(model: DetectionModel, provider, iters: int, lr: float,
     return history
 
 
-def model_config_from(cfg: TrainConfig, mode: str = "decoupled") -> ModelConfig:
-    return ModelConfig(
-        classes=cfg.classes, n_semantic=cfg.n_semantic, levels=cfg.levels,
-        neighbor_offsets=tuple(cfg.neighbor_set), mode=mode,
-    )
+def model_config_from(cfg: TrainConfig, mode: str = ModelConfig.mode) -> ModelConfig:
+    return ModelConfig(classes=cfg.classes, n_semantic=cfg.n_semantic, levels=cfg.levels,
+                       neighbor_offsets=tuple(cfg.neighbor_set), mode=mode)
 
 
-def train_from_config(cfg: TrainConfig, mode: str = "decoupled",
-                      assignment_rule: str = "coarse-iou", log_fn=None):
-    """Build a model from the config and train it on generated scenes.
-
-    Fully deterministic per seed. Returns ``(model, history)``.
-    """
-    model = DetectionModel(model_config_from(cfg, mode), seed=cfg.seed)
+def train_model(model_config: ModelConfig, settings, provider,
+                assignment_rule: str = "coarse-iou", log_fn=None):
+    """A ``model_config`` model seeded by ``settings.seed`` and trained on
+    ``provider`` at the run settings of ``settings``, a :class:`TrainConfig`
+    or a ``PointDetector``. Returns ``(model, history)``."""
+    model = DetectionModel(model_config, seed=settings.seed)
     history = run_training(
-        model, lambda it: _scene(cfg, 0, it), iters=cfg.iters, lr=cfg.lr, momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay, lambda1=cfg.lambda1, lambda2=cfg.lambda2,
+        model, provider, iters=settings.iters, lr=settings.lr, momentum=settings.momentum,
+        weight_decay=settings.weight_decay, lambda1=settings.lambda1, lambda2=settings.lambda2,
         assignment_rule=assignment_rule, log_fn=log_fn,
     )
     return model, history
+
+
+def train_from_config(cfg: TrainConfig, mode: str = ModelConfig.mode,
+                      assignment_rule: str = "coarse-iou", log_fn=None):
+    """:func:`train_model` on the config's generated scenes: deterministic per seed."""
+    return train_model(model_config_from(cfg, mode), cfg, lambda it: _scene(cfg, 0, it),
+                       assignment_rule, log_fn)
 
 
 def _scene(cfg: TrainConfig, stream: int, index: int):

@@ -1,11 +1,19 @@
+import dataclasses
+import hashlib
+import inspect
+import json
+
 import numpy as np
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pointdet.config import TrainConfig
 from pointdet.estimator import PointDetector, check_annotations, check_images
+from pointdet.model import ModelConfig
 from pointdet.scenes import GroundTruth, generate_scene
+from pointdet.training import compute_losses, run_training
 
 
 def _dataset(n=6, seed=0, size=32):
@@ -39,6 +47,9 @@ def test_check_images_accepts_single_image_as_nested_lists():
 def test_check_images_rejects_bad_shapes():
     with pytest.raises(ValueError, match=r"\[n,3,H,W\]"):
         check_images(np.zeros((2, 4, 32, 32)))
+    # the shape the caller passed, not the [1,...] a single image is wrapped into
+    with pytest.raises(ValueError, match=r"got \(2, 32, 32\)$"):
+        check_images(np.zeros((2, 32, 32)))
     with pytest.raises(ValueError, match="non-finite"):
         check_images(np.full((1, 3, 32, 32), np.nan))
     with pytest.raises(ValueError, match="array-like"):
@@ -172,6 +183,10 @@ def test_fit_rejects_invalid_training_values():
         PointDetector(classes=3, iters=-5, lr=float("nan")).fit(images, gts)
     with pytest.raises(ValueError, match="'lr'"):
         PointDetector(classes=3, iters=1, lr=float("nan")).fit(images, gts)
+    for name in ("lr", "momentum", "weight_decay"):
+        for bad in (True, "0.1", None):  # True trained at lr 1.0
+            with pytest.raises(ValueError, match=f"training argument {name!r}"):
+                PointDetector(classes=3, iters=1, **{name: bad}).fit(images, gts)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
@@ -187,3 +202,47 @@ def test_fit_reports_an_indivisible_image_size_as_an_input_error():
     # TrainingDiverged is a RuntimeError, so this ValueError is not one
     with pytest.raises(ValueError, match="image size 63x63 not divisible"):
         PointDetector(classes=2, n_semantic=4, channels=8, iters=2).fit(images, gts)
+
+
+ESTIMATOR_SHA256 = "bed0198091aaaab1950b98f37a1691bc6ccd9336e8f58a466b5be7813aabc9be"
+
+
+def test_estimator_training_numerics_fingerprint_is_pinned():
+    """Pins every bit of a short ``PointDetector.fit``: its history and its
+    parameters, hashed as the training pin in ``test_training.py`` hashes them.
+    Taken on the same numpy and BLAS build as that pin; the estimator trains
+    through ``train_model``, so a change to that path shows here too."""
+    images, gts = _dataset(n=4)
+    est = PointDetector(channels=8, iters=20, seed=0).fit(images, gts)
+    h = hashlib.sha256(json.dumps(est.history_).encode())
+    for p in est.model_.parameters():
+        h.update(p.name.encode())
+        h.update(p.value.tobytes())
+    assert h.hexdigest() == ESTIMATOR_SHA256
+
+
+def _defaults(cls):
+    return {f.name: f.default for f in dataclasses.fields(cls)}
+
+
+def _keyword_defaults(fn):
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not inspect.Parameter.empty}
+
+
+def test_every_training_setting_has_one_default():
+    """Each setting the estimator shares with ``TrainConfig`` or ``ModelConfig``
+    (its ``neighbor_offsets`` is the config's ``neighbor_set``), and each
+    setting keyword of ``run_training`` and ``compute_losses``, defaults to the
+    value its config declares."""
+    est, train, shape = _defaults(PointDetector), _defaults(TrainConfig), _defaults(ModelConfig)
+    train["neighbor_offsets"] = train.pop("neighbor_set")
+    pairs = [(name, est[name], config[name]) for config in (train, shape)
+             for name in est.keys() & config.keys()]
+    for fn in (run_training, compute_losses):
+        pairs += [(name, value, train[name]) for name, value in _keyword_defaults(fn).items()
+                  if name in train]
+    assert {name for name, *_ in pairs} >= {
+        "classes", "n_semantic", "channels", "levels", "neighbor_offsets", "mode", "iters",
+        "lr", "momentum", "weight_decay", "lambda1", "lambda2", "seed"}
+    assert [(name, a) for name, a, b in pairs if a != b] == []

@@ -83,7 +83,7 @@ def test_decode_validates_arguments():
     with pytest.raises(ValueError, match="threshold"):
         decode_detections(state, 32, 32, score_thresh=False)  # it read as 0.0
     for not_a_number in ("0.1", None):  # each failed inside <= with a bare TypeError
-        with pytest.raises(ValueError, match="^score threshold must be in"):
+        with pytest.raises(ValueError, match=r"^score threshold must be a number in \[0,1\)"):
             decode_detections(state, 32, 32, score_thresh=not_a_number)
 
 
@@ -175,7 +175,7 @@ def test_nms_tie_break_by_insertion_order():
 
 
 def test_nms_validates_arguments():
-    with pytest.raises(ValueError, match="IoU threshold"):
+    with pytest.raises(ValueError, match=r"^iou_thresh must be a number in \(0,1\], got 0.0"):
         nms([[0, 0, 1, 1]], [0.5], [0], 0.0)
     with pytest.raises(ValueError, match="one score and class per box"):
         nms([[0, 0, 1, 1], [0, 0, 2, 2]], [0.5], [0, 0])

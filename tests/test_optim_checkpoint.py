@@ -77,11 +77,27 @@ def test_sgd_rejects_bad_lr():
 
 
 @pytest.mark.parametrize("name", ["lr", "momentum", "weight_decay"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True, "0.1", None,
+                                   pytest.param(10**400, id="int-past-float")])
 def test_sgd_rejects_a_non_finite_setting_naming_it(name, value):
     settings = {"lr": 0.1, "momentum": 0.9, "weight_decay": 1e-4, name: value}
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+    with pytest.raises(ValueError, match=f"^{name} must be a (positive )?finite number"):
         SGD(ParamSet([Parameter("w", np.zeros(1))]), **settings)
+
+
+@pytest.mark.parametrize("lr", [float("nan"), 0.0, True])
+def test_sgd_step_rejects_a_bad_lr_before_touching_any_state(lr):
+    p = Parameter("w", np.array([1.0, -2.0]))
+    opt = SGD(ParamSet([p]), lr=0.1, momentum=0.9, weight_decay=1e-4)
+    p.grad[:] = [0.5, 0.25]
+    opt.step()
+    p.grad[:] = [0.75, -1.0]
+    values, velocity, grads = (a.tobytes() for a in (opt.params.values, opt._velocity, p.grad))
+    with pytest.raises(ValueError, match="^lr must be a positive finite number"):
+        opt.step(lr=lr)
+    assert opt.params.values.tobytes() == values
+    assert opt._velocity.tobytes() == velocity
+    assert p.grad.tobytes() == grads
 
 
 _shapes = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple)

@@ -465,6 +465,8 @@ def test_config_format_refuses_what_parse_refuses(field, value):
     ({"lr": -0.1}, "lr"), ({"momentum": float("inf")}, "momentum"),
     ({"weight_decay": float("nan")}, "weight_decay"), ({"lambda1": float("inf")}, "lambda1"),
     ({"lambda2": float("nan")}, "lambda2"),
+    *(({name: bad}, name) for name in ("lr", "momentum", "weight_decay")
+      for bad in (True, "0.1", None)),
 ])
 def test_run_training_rejects_invalid_values(kwargs, name):
     model = DetectionModel(ModelConfig(channels=8), seed=0)
