@@ -59,7 +59,7 @@ class SGD:
     or step ``lr`` aborts the step before any parameter or velocity is touched.
     """
 
-    def __init__(self, params, lr: float, momentum: float = 0.9, weight_decay: float = 0.0):
+    def __init__(self, params, lr: float, momentum: float, weight_decay: float):
         check_real("lr", lr, 0, ends="(]")
         check_real("momentum", momentum)
         check_real("weight_decay", weight_decay)

@@ -18,7 +18,7 @@ from oracles import sgd_step_reference
 
 def test_sgd_zero_grad_leaves_param():
     p = Parameter("w", np.array([1.0]))
-    opt = SGD(ParamSet([p]), lr=0.1, momentum=0.0)
+    opt = SGD(ParamSet([p]), lr=0.1, momentum=0.0, weight_decay=0.0)
     opt.step()
     assert p.value[0] == 1.0
 
@@ -50,7 +50,7 @@ def test_sgd_nonfinite_gradient_aborts_naming_param():
     p2 = Parameter("model.bad_layer.w", np.array([1.0]))
     p1.grad[:] = 1.0
     p2.grad[:] = np.nan
-    opt = SGD(ParamSet([p1, p2]), lr=0.1)
+    opt = SGD(ParamSet([p1, p2]), lr=0.1, momentum=0.9, weight_decay=0.0)
     with pytest.raises(NonFiniteGradientError, match="model.bad_layer.w"):
         opt.step()
     # aborted before touching any parameter
@@ -73,7 +73,7 @@ def test_sgd_deterministic_trajectories():
 
 def test_sgd_rejects_bad_lr():
     with pytest.raises(ValueError, match="positive"):
-        SGD(ParamSet([Parameter("w", np.zeros(1))]), lr=0.0)
+        SGD(ParamSet([Parameter("w", np.zeros(1))]), lr=0.0, momentum=0.9, weight_decay=0.0)
 
 
 @pytest.mark.parametrize("name", ["lr", "momentum", "weight_decay"])
