@@ -22,7 +22,7 @@ from .config import TrainConfig, format_config, load_config
 from .inference import average_precision, detect, postprocess, write_detections
 from .model import MODES, DetectionModel, ModelConfig
 from .scenes import GroundTruth, check_real
-from .training import TrainingDiverged, holdout_scenes, train_from_config
+from .training import ASSIGNMENT_RULES, TrainingDiverged, holdout_scenes, train_from_config
 
 __all__ = ["main", "build_parser"]
 
@@ -47,15 +47,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_count(0), required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--image-size", type=_count(1), default=64)
-    p.add_argument("--max-objects", type=_count(1), default=3)
-    p.add_argument("--classes", type=_count(1), default=3)
+    p.add_argument("--image-size", type=_count(1), default=TrainConfig.image_size)
+    p.add_argument("--max-objects", type=_count(1), default=TrainConfig.max_objects)
+    p.add_argument("--classes", type=_count(1), default=ModelConfig.classes)
     p.add_argument("--render", action="store_true", help="also write PPM previews")
 
     p = sub.add_parser("train", help="train from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--mode", choices=MODES, default=ModelConfig.mode)
-    p.add_argument("--assign", choices=("coarse-iou", "inside-box"), default="coarse-iou",
+    p.add_argument("--assign", choices=ASSIGNMENT_RULES, default=ASSIGNMENT_RULES[0],
                    help="positive-sample rule; inside-box is the dense recipe "
                         "used to train the accuracy-map analysis baseline")
 
@@ -107,7 +107,7 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _train_common(cfg: TrainConfig, mode: str, out_dir: str, assignment_rule="coarse-iou"):
+def _train_common(cfg: TrainConfig, mode: str, out_dir: str, assignment_rule: str):
     """Train, writing ``config.txt``, ``train_log.jsonl`` and ``model.pdn`` to
     ``out_dir``. The directory is made at the first log entry or checkpoint,
     after every check on the config has passed: a rejected config leaves none."""
@@ -252,7 +252,7 @@ def _cmd_render(args) -> int:
 def _cmd_ablate(args) -> int:
     cfg = load_config(args.config)
     out_dir = os.path.join(cfg.out_dir, args.mode)
-    model, history, ckpt_path = _train_common(cfg, args.mode, out_dir)
+    model, history, ckpt_path = _train_common(cfg, args.mode, out_dir, ASSIGNMENT_RULES[0])
     scenes = holdout_scenes(cfg, args.eval_count)
     dets = {i: detect(model, img, image_id=i) for i, (img, _) in enumerate(scenes)}
     gts = {i: gt for i, (_, gt) in enumerate(scenes)}

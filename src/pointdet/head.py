@@ -391,17 +391,24 @@ class Head:
         """Per-level feature gradients from the :class:`Maps` ``gmaps``. Every
         tensor's readers share one :func:`ops.conv2d_input_grad` call, stacked
         in table order: the trunk ends' output convs, then the trunks' first
-        convs on the feature."""
+        convs on the feature. A conv whose output gradient is all zero runs no backward."""
         gfeats, start = [], 0
         for (trunk_caches, out_caches), (_, h, w) in zip(caches, gmaps.levels):
             readers = {name: [] for name in self.trunks}
+            live = set()
             for name, (trunk, layer) in self.outputs.items():
                 gm = getattr(gmaps, name)[:, start:start + h * w].reshape(-1, h, w)
-                layer.backward(out_caches[name], gm)
+                if gm.any():  # NaN is non-zero
+                    layer.backward(out_caches[name], gm)
+                    live.add(trunk)
                 readers[trunk].append((out_caches[name], gm))
             start += h * w
+            # a trunk without a backward gives its first conv a zero gy, shaped like its
+            # ReLU mask: the feature's stacked GEMM keeps its shape and bits
             firsts = [relu_chain_backward(trunk, trunk_caches[name],
                                           ops.conv2d_input_grad(*zip(*readers[name])))
+                      if name in live else
+                      (trunk_caches[name][0][0], np.zeros(trunk_caches[name][0][1].shape))
                       for name, trunk in self.trunks.items()]
             gfeats.append(ops.conv2d_input_grad(*zip(*firsts)))
         return gfeats

@@ -46,12 +46,13 @@ class ConvLayer:
 def relu_chain(layers, x, cols=None, keep_cache=True):
     """Apply each layer then a ReLU, in order; ``cols`` are the first layer's
     patches of ``x``, if built already. Returns ``(out, caches)``, the caches
-    empty without ``keep_cache``."""
+    empty without ``keep_cache``; each ReLU masks its conv's output in place."""
     caches = []
     for layer in layers:
-        y, conv_cache = layer.forward(x, cols)
+        x, conv_cache = layer.forward(x, cols)
         cols = None
-        x, mask = ops.relu(y)
+        mask = x > 0.0
+        x *= mask
         if keep_cache:
             caches.append((conv_cache, mask))
     return x, caches
@@ -63,7 +64,7 @@ def relu_chain_backward(layers, caches, g):
     chain's input, or skips the input gradient."""
     for i in range(len(layers) - 1, -1, -1):
         conv_cache, mask = caches[i]
-        gy = ops.relu_backward(mask, g)
+        gy = g * mask
         layers[i].backward(conv_cache, gy)
         if i == 0:
             return conv_cache, gy

@@ -29,8 +29,6 @@ __all__ = [
     "conv2d",
     "conv2d_backward",
     "conv2d_input_grad",
-    "relu",
-    "relu_backward",
     "sigmoid",
     "sigmoid_grad",
     "softplus",
@@ -167,16 +165,6 @@ def conv2d_input_grad(caches, gys):
 
 # ---------------------------------------------------------------------------
 # pointwise nonlinearities
-
-
-def relu(x):
-    x = np.asarray(x, dtype=np.float64)
-    mask = x > 0.0
-    return x * mask, mask
-
-
-def relu_backward(mask, gy):
-    return gy * mask
 
 
 def sigmoid(x):

@@ -77,7 +77,7 @@ class SGD:
             raise NonFiniteGradientError(next(p.name for p in ps if not np.isfinite(p.grad).all()))
         v *= self.momentum
         v += ps.grads
-        if self.weight_decay:
-            v += self.weight_decay * ps.values
-        ps.values -= lr * v
+        if self.weight_decay:  # the products go to the grad buffer, zeroed below
+            v += np.multiply(self.weight_decay, ps.values, out=ps.grads)
+        ps.values -= np.multiply(lr, v, out=ps.grads)
         ps.grads[:] = 0.0

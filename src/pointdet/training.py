@@ -40,12 +40,14 @@ __all__ = [
     "holdout_scenes",
     "lr_at",
     "IOU_POSITIVE_THRESHOLD",
+    "ASSIGNMENT_RULES",
 ]
 
 IOU_POSITIVE_THRESHOLD = 0.6
 FOCAL_ALPHA = 0.25
 FOCAL_GAMMA = 2.0
 MAX_GRAD_NORM = 2.0
+ASSIGNMENT_RULES = ("coarse-iou", "inside-box")  # positive-sample rules, the default first
 
 
 @dataclass
@@ -61,7 +63,7 @@ class Assignment:
         return len(self.pos_grid)
 
 
-def assign_samples(col, gt: GroundTruth, rule: str = "coarse-iou") -> Assignment:
+def assign_samples(col, gt: GroundTruth, rule: str = ASSIGNMENT_RULES[0]) -> Assignment:
     """Match the grids of collection ``col`` to ground truths.
 
     Under the default ``coarse-iou`` rule a grid is positive iff the IoU
@@ -73,7 +75,7 @@ def assign_samples(col, gt: GroundTruth, rule: str = "coarse-iou") -> Assignment
     levels) whose center is closest to the gt center; distance ties prefer
     the coarser level, then row-major order within a level.
     """
-    if rule not in ("coarse-iou", "inside-box"):
+    if rule not in ASSIGNMENT_RULES:
         raise ValueError(f"unknown assignment rule {rule!r}")
     if len(gt) == 0:
         empty = np.zeros(0, dtype=np.int64)
@@ -131,7 +133,8 @@ def focal_loss_from_logits(z, targets, alpha=FOCAL_ALPHA, gamma=FOCAL_GAMMA,
 
 
 def compute_losses(state: ModelState, gt: GroundTruth, lambda1=TrainConfig.lambda1,
-                   lambda2=TrainConfig.lambda2, assignment=None, assignment_rule="coarse-iou"):
+                   lambda2=TrainConfig.lambda2, assignment=None,
+                   assignment_rule=ASSIGNMENT_RULES[0]):
     """Losses plus their gradients with respect to the collection.
 
     Returns ``(total, components, (gz, gboxes, gcoarse), assignment)``. The
@@ -199,7 +202,7 @@ def run_training(model: DetectionModel, provider, iters: int, lr: float,
                  momentum: float = TrainConfig.momentum,
                  weight_decay: float = TrainConfig.weight_decay,
                  lambda1: float = TrainConfig.lambda1, lambda2: float = TrainConfig.lambda2,
-                 assignment_rule: str = "coarse-iou", log_fn=None):
+                 assignment_rule: str = ASSIGNMENT_RULES[0], log_fn=None):
     """Optimize ``model`` for ``iters`` steps over scenes from ``provider``.
 
     ``provider(it)`` returns ``(image, GroundTruth)``. Gradients are clipped
@@ -208,9 +211,9 @@ def run_training(model: DetectionModel, provider, iters: int, lr: float,
     coarse boxes into GIoU saturation. On divergence the model is restored
     to the last parameters that produced a finite loss, or keeps its
     starting parameters if the first forward already failed, and
-    :class:`TrainingDiverged` is raised. Returns the loss history. A
-    negative or non-integer ``iters``, a non-positive ``lr`` or a setting
-    that is not a finite number, a bool included, raises ValueError.
+    :class:`TrainingDiverged` is raised. Returns the loss history. A negative
+    or non-integer ``iters``, an ``lr`` not above 0.0 (or decaying to it), or a
+    setting that is not a finite number, a bool included, raises ValueError.
 
     ``log_fn`` gets each history entry plus the step's gradient norm before
     clipping ``gnorm``, ``clipped``, ``lr`` and positive grids ``n_pos``.
@@ -220,6 +223,8 @@ def run_training(model: DetectionModel, provider, iters: int, lr: float,
     for name, value in (("momentum", momentum), ("weight_decay", weight_decay),
                         ("lambda1", lambda1), ("lambda2", lambda2)):
         check_real(f"training argument {name!r}", value)
+    if iters and lr_at(lr, iters - 1, iters) == 0.0:  # the last step's lr is the least
+        raise ValueError(f"training argument 'lr' {lr!r} decays to 0.0 in the schedule")
     params = model.parameters()
     opt = SGD(params, lr, momentum=momentum, weight_decay=weight_decay)
     history = []
@@ -266,7 +271,7 @@ def model_config_from(cfg: TrainConfig, mode: str = ModelConfig.mode) -> ModelCo
 
 
 def train_model(model_config: ModelConfig, settings, provider,
-                assignment_rule: str = "coarse-iou", log_fn=None):
+                assignment_rule: str = ASSIGNMENT_RULES[0], log_fn=None):
     """A ``model_config`` model seeded by ``settings.seed`` and trained on
     ``provider`` at the run settings of ``settings``, a :class:`TrainConfig`
     or a ``PointDetector``. Returns ``(model, history)``."""
@@ -280,7 +285,7 @@ def train_model(model_config: ModelConfig, settings, provider,
 
 
 def train_from_config(cfg: TrainConfig, mode: str = ModelConfig.mode,
-                      assignment_rule: str = "coarse-iou", log_fn=None):
+                      assignment_rule: str = ASSIGNMENT_RULES[0], log_fn=None):
     """:func:`train_model` on the config's generated scenes: deterministic per seed."""
     return train_model(model_config_from(cfg, mode), cfg, lambda it: _scene(cfg, 0, it),
                        assignment_rule, log_fn)

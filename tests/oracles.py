@@ -79,6 +79,26 @@ def map_views(maps):
     return views
 
 
+# the head trunk that each output map is read off
+MAP_TRUNKS = {"reg": "reg", "cls": "cls", "coarse": "gen", "bshift": "gen", "sshift": "gen",
+              "lvlw": "gen"}
+
+
+def head_backward_convs_reference(gmaps):
+    """Per level, the names of the head convs whose output gradient is not
+    all zero (a NaN is non-zero) given the map gradients ``gmaps``: the
+    output conv ``head.out_<map>`` of each such map, and both convs
+    ``head.<trunk>0`` and ``head.<trunk>1`` of each trunk that one is read off."""
+    per_level = []
+    for view in map_views(gmaps):
+        live = [name for name in MAP_NAMES if getattr(view, name) is not None
+                and any(v != 0 for v in getattr(view, name).ravel().tolist())]
+        trunks = sorted({MAP_TRUNKS[name] for name in live})
+        per_level.append([f"head.out_{name}" for name in live]
+                         + [f"head.{t}{i}" for t in trunks for i in (0, 1)])
+    return per_level
+
+
 def assign_reference(collections, gt_boxes, rule="coarse-iou", iou_thresh=0.6):
     """Loop transcription of sample assignment over the grid index: every
     level's grids in collection order, each row-major. ``collections[i]``

@@ -232,9 +232,14 @@ def _keyword_defaults(fn):
 
 def test_every_training_setting_has_one_default():
     """Each setting the estimator shares with ``TrainConfig`` or ``ModelConfig``
-    (its ``neighbor_offsets`` is the config's ``neighbor_set``), and each
-    setting keyword of ``run_training`` and ``compute_losses``, defaults to the
-    value its config declares."""
+    (its ``neighbor_offsets`` is the config's ``neighbor_set``), each setting
+    keyword of ``run_training`` and ``compute_losses``, and ``gen-data``'s
+    scene settings default to the value its config declares. Every
+    ``assignment_rule`` keyword, ``assign_samples``'s ``rule`` and ``train
+    --assign`` default to the first of ``ASSIGNMENT_RULES``, which ``--assign``
+    offers and ``ablate`` uses."""
+    from pointdet import cli, training
+
     est, train, shape = _defaults(PointDetector), _defaults(TrainConfig), _defaults(ModelConfig)
     train["neighbor_offsets"] = train.pop("neighbor_set")
     pairs = [(name, est[name], config[name]) for config in (train, shape)
@@ -242,7 +247,19 @@ def test_every_training_setting_has_one_default():
     for fn in (run_training, compute_losses):
         pairs += [(name, value, train[name]) for name, value in _keyword_defaults(fn).items()
                   if name in train]
+    parser = cli.build_parser()
+    gen_data = parser.parse_args(["gen-data", "--seed", "0", "--count", "1", "--out", "d"])
+    pairs += [(name, getattr(gen_data, name), train[name])
+              for name in ("image_size", "max_objects", "classes")]
+    rule = training.ASSIGNMENT_RULES[0]
+    pairs.append(("rule", _keyword_defaults(training.assign_samples)["rule"], rule))
+    pairs += [("assignment_rule", _keyword_defaults(fn)["assignment_rule"], rule) for fn in (
+        compute_losses, run_training, training.train_model, training.train_from_config)]
+    pairs.append(("--assign", parser.parse_args(["train", "--config", "c"]).assign, rule))
     assert {name for name, *_ in pairs} >= {
         "classes", "n_semantic", "channels", "levels", "neighbor_offsets", "mode", "iters",
-        "lr", "momentum", "weight_decay", "lambda1", "lambda2", "seed"}
+        "lr", "momentum", "weight_decay", "lambda1", "lambda2", "seed", "image_size",
+        "max_objects", "rule", "assignment_rule", "--assign"}
     assert [(name, a) for name, a, b in pairs if a != b] == []
+    for other in training.ASSIGNMENT_RULES:
+        assert parser.parse_args(["train", "--config", "c", "--assign", other]).assign == other

@@ -657,21 +657,156 @@ def test_collection_backward_returns_the_maps_the_head_outputs(mode):
         assert a.shape == getattr(state.maps, name).shape, name
 
 
+def _record_map_gradients(monkeypatch):
+    """Every :class:`Maps` of gradients the model's collection backward returns, in order."""
+    from pointdet import model as model_module
+
+    seen, real = [], model_module.collect_level_backward
+    monkeypatch.setattr(model_module, "collect_level_backward",
+                        lambda *a: seen.append(real(*a)) or seen[-1])
+    return seen
+
+
+def _record_conv_backwards(monkeypatch):
+    """The layer name of every ``ConvLayer.backward`` call, in order."""
+    names, real = [], ConvLayer.backward
+    monkeypatch.setattr(ConvLayer, "backward",
+                        lambda self, *a: names.append(self.w.name[:-2]) or real(self, *a))
+    return names
+
+
 def test_one_training_step_makes_one_input_gradient_per_conv_input(monkeypatch):
-    """A default training step runs all 40 conv backwards but makes one input
-    gradient per tensor the convs read: per head level the gen trunk end, the
-    four other trunk convs' inputs and the level feature (7), plus stem1,
-    down0 and down1. The image, stem0's input, gets none."""
+    """A default training step backpropagates through each conv whose output
+    gradient is not all zero at that level, and makes one input gradient per
+    tensor such convs read: per head level the end and the second conv's
+    input of each trunk with a backward, and the level feature (3 readers,
+    a trunk without a backward joining with a zero gradient), plus stem1,
+    down0 and down1. The image, stem0's input, gets none. Level 0's
+    ``lvlw`` map, of one neighbor slot, always has a zero gradient."""
     from pointdet.config import TrainConfig
     from pointdet.training import train_from_config
 
-    calls = {"conv2d_backward": [], "conv2d_input_grad": []}
-    for name, log in calls.items():
-        fn = getattr(ops, name)
-        monkeypatch.setattr(ops, name, lambda *a, fn=fn, log=log: log.append(a) or fn(*a))
+    from oracles import MAP_TRUNKS, head_backward_convs_reference
+
+    gmaps = _record_map_gradients(monkeypatch)
+    backwards = _record_conv_backwards(monkeypatch)
+    input_grads, real = [], ops.conv2d_input_grad
+    monkeypatch.setattr(ops, "conv2d_input_grad",
+                        lambda *a: input_grads.append(a) or real(*a))
     train_from_config(TrainConfig(iters=1))
-    assert len(calls["conv2d_backward"]) == 40
-    assert len(calls["conv2d_input_grad"]) == 24
-    readers = sorted(len(caches) for caches, _ in calls["conv2d_input_grad"])
-    assert readers == [1] * 18 + [3] * 3 + [4] * 3
-    assert all(c[1][0] != 3 for caches, _ in calls["conv2d_input_grad"] for c in caches)
+    live = head_backward_convs_reference(gmaps[0])
+    backbone = [f"backbone.{name}" for name in ("stem0", "stem1", "down0", "down1")]
+    assert sorted(backwards) == sorted(backbone + [n for names in live for n in names])
+    assert "head.out_lvlw" not in live[0] and len(backwards) < 40
+    readers = [1] * 3
+    for names in live:
+        for trunk in {n[len("head."):-1] for n in names if n.endswith("0")}:
+            readers += [list(MAP_TRUNKS.values()).count(trunk), 1]
+        readers.append(3)
+    assert sorted(len(caches) for caches, _ in input_grads) == sorted(readers)
+    assert all(c[1][0] != 3 for caches, _ in input_grads for c in caches)
+
+
+def _full_head_backward(head, caches, gmaps):
+    """``Head.backward`` with no branch skipped: every output conv and trunk
+    backpropagates, exactly-zero map gradients included."""
+    from pointdet.layers import relu_chain_backward
+
+    gfeats, start = [], 0
+    for (trunk_caches, out_caches), (_, h, w) in zip(caches, gmaps.levels):
+        readers = {name: [] for name in head.trunks}
+        for name, (trunk, layer) in head.outputs.items():
+            gm = getattr(gmaps, name)[:, start:start + h * w].reshape(-1, h, w)
+            layer.backward(out_caches[name], gm)
+            readers[trunk].append((out_caches[name], gm))
+        start += h * w
+        firsts = [relu_chain_backward(trunk, trunk_caches[name],
+                                      ops.conv2d_input_grad(*zip(*readers[name])))
+                  for name, trunk in head.trunks.items()]
+        gfeats.append(ops.conv2d_input_grad(*zip(*firsts)))
+    return gfeats
+
+
+@pytest.mark.parametrize("zero_boxes", [False, True])
+@pytest.mark.parametrize("mode", MODES)
+def test_skipping_zero_branches_keeps_every_gradient_bit(mode, zero_boxes):
+    """The backward that skips exactly-zero branches gives the bytes of the
+    one that runs every conv, on training scenes with their real losses and
+    with the box gradient zeroed."""
+    from pointdet.scenes import generate_scene
+    from pointdet.training import compute_losses
+
+    for scene in range(3):
+        image, gt = generate_scene(scene, width=64, height=64, max_objects=3, classes=3)
+        skipping, full = (DetectionModel(ModelConfig(mode=mode), seed=scene) for _ in range(2))
+        full.head.backward = lambda caches, gmaps: _full_head_backward(full.head, caches, gmaps)
+        for model in (skipping, full):
+            state = model.forward(image)
+            _, _, (gz, gboxes, gcoarse), _ = compute_losses(state, gt)
+            model.backward(state, gz, gboxes * (not zero_boxes), gcoarse)
+        assert skipping.parameters().grads.tobytes() == full.parameters().grads.tobytes()
+
+
+def test_a_step_without_box_gradients_runs_no_box_branch_backward(monkeypatch):
+    """With ``gboxes`` zero, the reg trunk and the ``bshift`` and ``lvlw``
+    outputs get no backward at any level, and their gradients stay +0.0."""
+    from pointdet.scenes import generate_scene
+    from pointdet.training import compute_losses
+
+    image, gt = generate_scene(4, width=64, height=64, max_objects=3, classes=3)
+    model = DetectionModel(ModelConfig(), seed=0)
+    state = model.forward(image)
+    _, _, (gz, gboxes, gcoarse), _ = compute_losses(state, gt)
+    backwards = _record_conv_backwards(monkeypatch)
+    model.backward(state, gz, np.zeros_like(gboxes), gcoarse)
+    box_convs = {"head.reg0", "head.reg1", "head.out_reg", "head.out_bshift", "head.out_lvlw"}
+    assert box_convs.isdisjoint(backwards)
+    assert {"head.cls0", "head.gen0", "head.out_coarse"} <= set(backwards)
+    for p in model.parameters():
+        if p.name[:-2] in box_convs:
+            assert not p.grad.any() and not np.signbit(p.grad).any(), p.name
+
+
+def test_level_0_lvlw_never_gets_a_backward(monkeypatch):
+    """Level 0 has one neighbor slot of the default offsets (-1, 0), whose
+    softmax weight is 1 whatever its raw: its ``lvlw`` gradient is zero, and
+    over a short run its output conv backpropagates only at coarser levels."""
+    from pointdet.config import TrainConfig
+    from pointdet.training import train_from_config
+
+    shapes, real = [], ConvLayer.backward
+
+    def recording(self, cache, gy):
+        if self.w.name == "head.out_lvlw.w":
+            shapes.append(gy.shape[1:])
+        return real(self, cache, gy)
+
+    monkeypatch.setattr(ConvLayer, "backward", recording)
+    gmaps = _record_map_gradients(monkeypatch)
+    train_from_config(TrainConfig(iters=6))
+    level0 = gmaps[0].levels[0][1:]
+    assert len(gmaps) == 6 and level0 not in shapes
+    assert all(not g.lvlw[:, :level0[0] * level0[1]].any() for g in gmaps)
+
+
+def test_a_nan_map_gradient_is_not_skipped(monkeypatch):
+    """A NaN in a map gradient that is otherwise zero still backpropagates,
+    so training stops as diverged instead of dropping it."""
+    from pointdet import model as model_module
+    from pointdet.config import TrainConfig
+    from pointdet.training import TrainingDiverged, train_from_config
+
+    real = model_module.collect_level_backward
+
+    def nan_reg(*args):
+        gmaps = real(*args)
+        gmaps.reg[...] = 0.0
+        gmaps.reg[2, -1] = np.nan
+        return gmaps
+
+    monkeypatch.setattr(model_module, "collect_level_backward", nan_reg)
+    backwards = _record_conv_backwards(monkeypatch)
+    with pytest.raises(TrainingDiverged, match="gradient norm became nan"):
+        with np.errstate(invalid="ignore"):
+            train_from_config(TrainConfig(iters=2))
+    assert {"head.out_reg", "head.reg1", "head.reg0"} <= set(backwards)

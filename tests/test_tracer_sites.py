@@ -10,12 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pointdet import model as model_module
 from pointdet import ops
 from pointdet.config import TrainConfig
 from pointdet.head import available_levels
 from pointdet.inference import detect
 from pointdet.model import DetectionModel, ModelConfig
 from pointdet.training import holdout_scenes, train_from_config
+
+from oracles import head_backward_convs_reference
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -62,11 +65,13 @@ def test_tracer_sees_the_collection_in_training_and_detect(spans):
     assert tracer.counters["ops.bilinear_gather.samples"] == present + cfg.n_points * sum(sizes)
 
 
-def test_every_conv_runs_through_ops_conv2d_under_its_layer(spans):
+def test_every_conv_runs_through_ops_conv2d_under_its_layer(spans, monkeypatch):
     """The benchmark times convs through ``ops.conv2d`` spans, each inside
-    its layer's ``layers.<name>.fwd`` span, and their backward through
-    ``ops.conv2d_backward``: 4 backbone convs and 12 head convs on each of
-    3 levels of the default model."""
+    its layer's ``layers.<name>.fwd`` span: 4 backbone convs and 12 head
+    convs on each of 3 levels of the default model. Their backward runs
+    through ``ops.conv2d_backward`` spans, each inside its layer's
+    ``layers.<name>.bwd`` span, for every conv but those whose output
+    gradient is all zero at that level."""
     image, _ = holdout_scenes(TrainConfig(), 1)[0]
     model = DetectionModel(ModelConfig(), seed=0)
     with spans.Tracer() as tracer:
@@ -77,9 +82,17 @@ def test_every_conv_runs_through_ops_conv2d_under_its_layer(spans):
         layer = tracer.spans[parent][0]
         assert layer.startswith("layers.") and layer.endswith(".fwd"), layer
 
+    gmaps, real = [], model_module.collect_level_backward
+    monkeypatch.setattr(model_module, "collect_level_backward",
+                        lambda *a: gmaps.append(real(*a)) or gmaps[-1])
     with spans.Tracer() as tracer:
         train_from_config(TrainConfig(iters=1))
-    assert spans.aggregate(tracer.spans)["ops.conv2d_backward"]["calls"] == 40
+    layers = [tracer.spans[parent][0] for name, _, _, parent, _ in tracer.spans
+              if name == "ops.conv2d_backward"]
+    backbone = [f"backbone.{name}" for name in ("stem0", "stem1", "down0", "down1")]
+    live = backbone + [name for names in head_backward_convs_reference(gmaps[0]) for name in names]
+    assert sorted(layers) == sorted(f"layers.{name}.bwd" for name in live)
+    assert len(layers) < 40
 
 
 def test_conv_flop_counter_follows_each_convs_output_shape(spans, monkeypatch):

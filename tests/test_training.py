@@ -475,6 +475,19 @@ def test_run_training_rejects_invalid_values(kwargs, name):
         run_training(model, lambda it: None, **args)
 
 
+def test_an_lr_whose_schedule_decays_to_zero_is_refused_before_any_step():
+    """``lr=5e-324`` is positive, but its x0.1 phase rounds to 0.0: the run
+    refuses it before it draws a scene, not when ``SGD.step`` meets 0.0."""
+    model = DetectionModel(ModelConfig(channels=8), seed=0)
+    start, drawn = model.parameters().values.copy(), []
+    with pytest.raises(ValueError, match="training argument 'lr'.*decays to 0.0"):
+        run_training(model, lambda it: drawn.append(it), iters=9, lr=5e-324)
+    assert drawn == [] and model.parameters().values.tobytes() == start.tobytes()
+    assert lr_at(5e-324, 5, 9) > 0.0 == lr_at(5e-324, 6, 9)
+    # the schedule is checked over the steps the run takes: none here
+    assert run_training(model, lambda it: drawn.append(it), iters=0, lr=5e-324) == []
+
+
 def test_train_from_config_rejects_negative_iters():
     with pytest.raises(ValueError, match="'iters'"):
         train_from_config(TrainConfig(iters=-3))
