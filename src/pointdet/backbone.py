@@ -21,7 +21,7 @@ BASE_STRIDE = 4
 
 
 class Backbone:
-    def __init__(self, rng, channels=32, levels=3):
+    def __init__(self, rng, channels, levels):
         if levels < 1:
             raise ValueError(f"need at least one pyramid level, got {levels}")
         self.levels = levels

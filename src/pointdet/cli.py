@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from . import analysis, dataio, gradcheck, ppm
+from . import analysis, dataio, gradcheck, inference, ppm
 from .config import TrainConfig, format_config, load_config
 from .inference import average_precision, detect, postprocess, write_detections
 from .model import MODES, DetectionModel, ModelConfig
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--score-thresh", type=float, default=0.05)
+    p.add_argument("--score-thresh", type=float, default=inference.DEFAULT_SCORE_THRESH)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
     p.add_argument("--op", default=None, help="run a single named check")

@@ -131,7 +131,7 @@ class DetectionModel:
         check_int("seed", seed, 0)
         self.config = config
         rng = np.random.default_rng(np.random.SeedSequence([17, seed]))
-        self.backbone = Backbone(rng, channels=config.channels, levels=config.levels)
+        self.backbone = Backbone(rng, config.channels, config.levels)
         self.head = Head(config, rng)
         self._params = ParamSet(self.backbone.parameters() + self.head.parameters())
 

@@ -7,14 +7,14 @@ from pointdet.scenes import GroundTruth, check_int, generate_scene, scene_seed
 
 
 def test_backbone_level_shapes():
-    bb = Backbone(np.random.default_rng(0))
+    bb = Backbone(np.random.default_rng(0), channels=32, levels=3)
     feats, _ = bb.forward(np.zeros((3, 64, 64)))
     assert [f.shape for f in feats] == [(32, 16, 16), (32, 8, 8), (32, 4, 4)]
     assert bb.strides == (4, 8, 16)
 
 
 def test_backbone_zero_image_zero_biases_gives_zero_features():
-    bb = Backbone(np.random.default_rng(1))
+    bb = Backbone(np.random.default_rng(1), channels=32, levels=3)
     for layer in [layer for chain in bb.chains for layer in chain]:
         layer.b.value[...] = 0.0
     feats, _ = bb.forward(np.zeros((3, 64, 64)))
@@ -23,7 +23,7 @@ def test_backbone_zero_image_zero_biases_gives_zero_features():
 
 
 def test_backbone_rejects_indivisible_size_with_diagnostic():
-    bb = Backbone(np.random.default_rng(2))
+    bb = Backbone(np.random.default_rng(2), channels=32, levels=3)
     with pytest.raises(ValueError, match="pad to 64x64"):
         bb.forward(np.zeros((3, 62, 64)))
 
@@ -33,14 +33,14 @@ def test_backbone_rejects_a_non_finite_image(bad):
     img = np.zeros((3, 32, 32))
     img[1, 5, 7] = bad
     with pytest.raises(ValueError, match="image contains non-finite values") as exc:
-        Backbone(np.random.default_rng(0), channels=8).forward(img)
+        Backbone(np.random.default_rng(0), channels=8, levels=3).forward(img)
     # bad input, not a kernel meeting non-finite parameters
     assert not isinstance(exc.value, NonFiniteError)
 
 
 def test_backbone_no_dead_parameters_over_seeds():
     for seed in range(10):
-        bb = Backbone(np.random.default_rng(seed), channels=8)
+        bb = Backbone(np.random.default_rng(seed), channels=8, levels=3)
         img = np.random.default_rng(100 + seed).uniform(0.2, 0.8, size=(3, 32, 32))
         feats, cache = bb.forward(img)
         gfeats = [np.ones_like(f) for f in feats]
@@ -50,7 +50,7 @@ def test_backbone_no_dead_parameters_over_seeds():
 
 
 def test_backbone_spatial_sizes_exact():
-    bb = Backbone(np.random.default_rng(3), channels=8)
+    bb = Backbone(np.random.default_rng(3), channels=8, levels=3)
     feats, _ = bb.forward(np.zeros((3, 128, 64)))
     for f, s in zip(feats, bb.strides):
         assert f.shape[1] == 128 // s

@@ -237,8 +237,9 @@ def test_every_training_setting_has_one_default():
     scene settings default to the value its config declares. Every
     ``assignment_rule`` keyword, ``assign_samples``'s ``rule`` and ``train
     --assign`` default to the first of ``ASSIGNMENT_RULES``, which ``--assign``
-    offers and ``ablate`` uses."""
-    from pointdet import cli, training
+    offers and ``ablate`` uses. ``eval --score-thresh`` defaults to
+    ``inference.DEFAULT_SCORE_THRESH``."""
+    from pointdet import cli, inference, training
 
     est, train, shape = _defaults(PointDetector), _defaults(TrainConfig), _defaults(ModelConfig)
     train["neighbor_offsets"] = train.pop("neighbor_set")
@@ -256,10 +257,12 @@ def test_every_training_setting_has_one_default():
     pairs += [("assignment_rule", _keyword_defaults(fn)["assignment_rule"], rule) for fn in (
         compute_losses, run_training, training.train_model, training.train_from_config)]
     pairs.append(("--assign", parser.parse_args(["train", "--config", "c"]).assign, rule))
+    evaluate = parser.parse_args(["eval", "--ckpt", "m", "--data", "d", "--report", "r"])
+    pairs.append(("--score-thresh", evaluate.score_thresh, inference.DEFAULT_SCORE_THRESH))
     assert {name for name, *_ in pairs} >= {
         "classes", "n_semantic", "channels", "levels", "neighbor_offsets", "mode", "iters",
         "lr", "momentum", "weight_decay", "lambda1", "lambda2", "seed", "image_size",
-        "max_objects", "rule", "assignment_rule", "--assign"}
+        "max_objects", "rule", "assignment_rule", "--assign", "--score-thresh"}
     assert [(name, a) for name, a, b in pairs if a != b] == []
     for other in training.ASSIGNMENT_RULES:
         assert parser.parse_args(["train", "--config", "c", "--assign", other]).assign == other

@@ -678,18 +678,28 @@ def _record_conv_backwards(monkeypatch):
 def test_one_training_step_makes_one_input_gradient_per_conv_input(monkeypatch):
     """A default training step backpropagates through each conv whose output
     gradient is not all zero at that level, and makes one input gradient per
-    tensor such convs read: per head level the end and the second conv's
-    input of each trunk with a backward, and the level feature (3 readers,
-    a trunk without a backward joining with a zero gradient), plus stem1,
-    down0 and down1. The image, stem0's input, gets none. Level 0's
-    ``lvlw`` map, of one neighbor slot, always has a zero gradient."""
+    tensor such convs read, stacking exactly the readers that ran a backward,
+    in table order: per head level the end and the second conv's input of
+    each trunk with a backward, then the level feature (the first convs of
+    those trunks), plus stem1, down0 and down1. The image, stem0's input,
+    gets none, and no zero ``gy`` joins a stack. Level 0's ``lvlw`` map, of
+    one neighbor slot, always has a zero gradient, so its conv is a dropped
+    reader of the ``gen`` trunk end."""
     from pointdet.config import TrainConfig
     from pointdet.training import train_from_config
 
-    from oracles import MAP_TRUNKS, head_backward_convs_reference
+    from oracles import MAP_NAMES, MAP_TRUNKS, head_backward_convs_reference
 
     gmaps = _record_map_gradients(monkeypatch)
     backwards = _record_conv_backwards(monkeypatch)
+    names_of, real_forward = {}, ConvLayer.forward
+
+    def forward(self, *a):
+        y, cache = real_forward(self, *a)
+        names_of[id(cache[2])] = self.w.name[:-2]  # a conv cache holds its weights third
+        return y, cache
+
+    monkeypatch.setattr(ConvLayer, "forward", forward)
     input_grads, real = [], ops.conv2d_input_grad
     monkeypatch.setattr(ops, "conv2d_input_grad",
                         lambda *a: input_grads.append(a) or real(*a))
@@ -697,14 +707,18 @@ def test_one_training_step_makes_one_input_gradient_per_conv_input(monkeypatch):
     live = head_backward_convs_reference(gmaps[0])
     backbone = [f"backbone.{name}" for name in ("stem0", "stem1", "down0", "down1")]
     assert sorted(backwards) == sorted(backbone + [n for names in live for n in names])
-    assert "head.out_lvlw" not in live[0] and len(backwards) < 40
-    readers = [1] * 3
+    expected = []
     for names in live:
-        for trunk in {n[len("head."):-1] for n in names if n.endswith("0")}:
-            readers += [list(MAP_TRUNKS.values()).count(trunk), 1]
-        readers.append(3)
-    assert sorted(len(caches) for caches, _ in input_grads) == sorted(readers)
-    assert all(c[1][0] != 3 for caches, _ in input_grads for c in caches)
+        trunks = [t for t in ("reg", "cls", "gen") if f"head.{t}0" in names]
+        for t in trunks:
+            expected += [[f"head.out_{m}" for m in MAP_NAMES
+                          if MAP_TRUNKS[m] == t and f"head.out_{m}" in names], [f"head.{t}1"]]
+        expected += [[f"head.{t}0" for t in trunks]] if trunks else []
+    expected += [["backbone.down1"], ["backbone.down0"], ["backbone.stem1"]]
+    assert [[names_of[id(c[2])] for c in caches] for caches, _ in input_grads] == expected
+    assert all(np.asarray(gy).any() for _, gys in input_grads for gy in gys)
+    # every conv reads a tensor but stem0: 39 readers when all 40 convs run
+    assert "head.out_lvlw" not in live[0] and sum(map(len, expected)) < 39
 
 
 def _full_head_backward(head, caches, gmaps):
@@ -765,6 +779,24 @@ def test_a_step_without_box_gradients_runs_no_box_branch_backward(monkeypatch):
     for p in model.parameters():
         if p.name[:-2] in box_convs:
             assert not p.grad.any() and not np.signbit(p.grad).any(), p.name
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_an_all_zero_backward_runs_no_head_conv(monkeypatch, mode):
+    """With ``gz``, ``gboxes`` and ``gcoarse`` all zero no head conv runs a
+    backward, so every level's feature gradient is the head's explicit zero,
+    and every parameter gradient stays +0.0."""
+    from pointdet.scenes import generate_scene
+
+    image, _ = generate_scene(4, width=64, height=64, max_objects=3, classes=3)
+    model = DetectionModel(ModelConfig(mode=mode), seed=0)
+    state = model.forward(image)
+    g = len(state.collection.level)
+    backwards = _record_conv_backwards(monkeypatch)
+    model.backward(state, np.zeros((3, g)), np.zeros((g, 4)), np.zeros((g, 4)))
+    assert sorted(backwards) == [f"backbone.{n}" for n in ("down0", "down1", "stem0", "stem1")]
+    grads = model.parameters().grads
+    assert grads.tobytes() == np.zeros_like(grads).tobytes()
 
 
 def test_level_0_lvlw_never_gets_a_backward(monkeypatch):
